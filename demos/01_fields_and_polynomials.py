@@ -6,7 +6,7 @@ lexicographically smallest irreducible modulus, so results are stable
 across runs and machines.
 """
 
-from sdconv import Poly, divrem, gcd, make_field, sqrt_of_minus_one, vec_content, xgcd
+from sdconv import Poly, gcd, make_field, sqrt_of_minus_one, vec_content, xgcd
 
 # -- fields -------------------------------------------------------------------
 
@@ -33,7 +33,7 @@ z = Poly.z(F2)
 u = z**2 + 1
 v = z + 1
 print("\nover GF(2):")
-print(f"({u}) / ({v}) =", divrem(u, v))  # (z+1)^2 = z^2+1 in characteristic 2
+print(f"({u}) / ({v}) =", divmod(u, v))  # (z+1)^2 = z^2+1 in characteristic 2
 g, s, t = xgcd(z, u)
 print(f"xgcd(z, {u}): gcd = {g}, cofactors = ({s}, {t})")
 assert s * z + t * u == g

@@ -6,12 +6,15 @@ form lists its invariant factors in descending divisibility order: each
 diagonal entry divides the one before it.
 """
 
+from functools import reduce
+
 from sdconv import (
+    ConvolutionalCode,
     PolyMatrix,
     col_hermite,
     format_matrix,
+    gcd,
     inverse_unimodular,
-    is_left_prime,
     is_unimodular,
     make_field,
     maximal_minors,
@@ -50,9 +53,10 @@ assert sdec.U @ b @ sdec.V == sdec.S
 # A full-row-rank matrix is left-prime exactly when its Smith form is
 # [I 0], equivalently when its maximal minors have unit gcd.
 coprime = parse_matrix(F2, "1,1,1,1 ; 0,1,z+1,z")
-print("\nminors of", format_matrix(coprime), "->",
-      [str(m) for m in maximal_minors(coprime)])
-print("left-prime:", is_left_prime(coprime))
+minors = maximal_minors(coprime)
+print("\nminors of", format_matrix(coprime), "->", [str(m) for m in minors])
+print("gcd of the minors:", reduce(gcd, minors))
+print("non-catastrophic:", ConvolutionalCode(coprime).is_noncatastrophic())
 print("Smith form:", format_matrix(smith(coprime).S))
 
 # -- kernels and membership --------------------------------------------------------

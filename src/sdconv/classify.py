@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .codes import ConvolutionalCode, DistanceReport, STATUS_EXACT, iter_bounded_polys
-from .errors import NotBinary, NotSelfDual, NotTriangularPattern
-from .fields import FieldSpec, make_field, sqrt_of_minus_one
+from .errors import NotBinary, NotSelfDual, NotTriangularPattern, OutOfRange
+from .fields import FieldSpec, make_field
 from .matrices import PolyMatrix, format_matrix
 from .polys import Poly, gcd
 
@@ -58,21 +58,10 @@ def classify_21(spec: FieldSpec) -> list[ClassificationRecord]:
     """All self-dual (2,1) codes over the field, up to code equality.
 
     These are exactly the constant generators (1, b) with 1 + b^2 = 0, so
-    the list is empty iff -1 has no square root in the field.
+    the list is empty iff -1 has no square root in the field: the k = 1
+    case of the double diagonal family.
     """
-    minus_one = spec.from_int(-1)
-    records = []
-    seen = set()
-    for b in spec.elements():
-        if b * b != minus_one:
-            continue
-        code = ConvolutionalCode(PolyMatrix(spec, [[spec.one, b]]))
-        assert code.is_self_dual()
-        key = code.canonical_generator()
-        if key not in seen:
-            seen.add(key)
-            records.append(_record(code, DFREE_BOUND_CONSTANT))
-    return records
+    return classify_double_diagonal(spec, 1) or []
 
 
 def classify_42_binary(max_deg: int) -> list[ClassificationRecord]:
@@ -83,11 +72,11 @@ def classify_42_binary(max_deg: int) -> list[ClassificationRecord]:
     (0, g23+g24, g23, g24); records are deduplicated by canonical form.
     """
     if max_deg < 0:
-        raise ValueError("max_deg must be nonnegative")
+        raise OutOfRange("max_deg must be nonnegative")
     spec = make_field(2)
     one = Poly.one(spec)
     zero = Poly.zero(spec)
-    candidates = list(iter_bounded_polys(spec, max_deg))
+    candidates = iter_bounded_polys(spec, max_deg)
     records = []
     seen = set()
     for g23, g24 in itertools.product(candidates, candidates):
@@ -114,7 +103,7 @@ def classify_double_diagonal(spec: FieldSpec, k: int) -> Optional[list[Classific
     returned when the field has none (the same obstruction as for (2,1)).
     """
     if k < 1:
-        raise ValueError("k must be at least 1")
+        raise OutOfRange("k must be at least 1")
     minus_one = spec.from_int(-1)
     roots = [b for b in spec.elements() if b * b == minus_one]
     if not roots:
@@ -197,7 +186,7 @@ def scan_21_generators(spec: FieldSpec, max_deg: int) -> list[PolyMatrix]:
     stays cheap even over larger fields.
     """
     found = []
-    polys = list(iter_bounded_polys(spec, max_deg))
+    polys = iter_bounded_polys(spec, max_deg)
     one = Poly.one(spec)
     for g1, g2 in itertools.product(polys, polys):
         if not g1 and not g2:

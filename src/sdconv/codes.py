@@ -4,32 +4,33 @@ A code is identified with its unique row Hermite canonical generator, so
 two codes compare equal exactly when they are the same submodule.  The
 self-duality predicates follow the equivalence: a code is self-dual iff it
 is self-orthogonal (G G^T = 0) and non-catastrophic (Smith form [I 0]) and
-n = 2k; under assertions the verdict is cross-checked against the
-parity-check characterization (row span equals kernel).
+n = 2k.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .errors import DimensionMismatch, RankDeficient, SearchSpaceTooLarge
+from .errors import DimensionMismatch, OutOfRange, RankDeficient, SearchSpaceTooLarge
 from .matrices import (
     PolyMatrix,
     as_poly_vector,
-    determinant,
     dot,
     is_identity_padded,
+    maximal_minors,
     right_kernel_basis,
     row_hermite,
     smith,
     solve_left,
 )
-from .polys import NEG_INF, Poly
+from .polys import Poly
 
 STATUS_EXACT = "exact-under-bound"
 STATUS_UPPER = "upper-bound"
+# free_distance refuses to scan more candidate messages than this.
+MAX_CANDIDATES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -87,14 +88,10 @@ class ConvolutionalCode:
         return self._canonical
 
     def code_degree(self) -> int:
-        """Highest degree over all k x k minors; generator independent."""
+        """Highest degree over the maximal minors; generator independent."""
         if self._degree is None:
-            best = NEG_INF
-            for cols in itertools.combinations(range(self.n), self.k):
-                d = determinant(self.generator.submatrix(range(self.k), cols)).degree()
-                if d > best:
-                    best = d
-            self._degree = int(best)  # full rank guarantees a nonzero minor
+            # full rank guarantees a nonzero minor
+            self._degree = int(max(m.degree() for m in maximal_minors(self.generator)))
         return self._degree
 
     def dual(self) -> "ConvolutionalCode":
@@ -114,17 +111,11 @@ class ConvolutionalCode:
         return self._noncat
 
     def is_self_dual(self) -> bool:
-        verdict = (
+        return (
             self.n == 2 * self.k
             and self.is_self_orthogonal()
             and self.is_noncatastrophic()
         )
-        if __debug__ and self.n == 2 * self.k and self.k:
-            # parity-check characterization: row span equals kernel
-            assert (
-                self.dual().canonical_generator() == self.canonical_generator()
-            ) == verdict
-        return verdict
 
     def contains(self, vec: Sequence) -> bool:
         if len(vec) != self.n:
@@ -140,7 +131,7 @@ class ConvolutionalCode:
             dot(msg, self.generator.column(j)) for j in range(self.n)
         )
 
-    def free_distance(self, bound: int, max_candidates: int = 1 << 22) -> DistanceReport:
+    def free_distance(self, bound: int) -> DistanceReport:
         """Exhaustive minimum codeword weight over bounded-degree messages.
 
         Scans every nonzero message in F_q[z]^k whose components have
@@ -148,17 +139,17 @@ class ConvolutionalCode:
         component is forced monic; weight is scaling invariant).
         """
         if bound < 0:
-            raise ValueError("bound must be nonnegative")
+            raise OutOfRange("bound must be nonnegative")
         if self.k == 0:
-            raise ValueError("the empty code has no nonzero codewords")
+            raise OutOfRange("the empty code has no nonzero codewords")
         spec = self.spec
         total = spec.q ** (self.k * (bound + 1))
-        if total > max_candidates:
+        if total > MAX_CANDIDATES:
             raise SearchSpaceTooLarge(
-                f"{total} candidate messages exceed the cap of {max_candidates}"
+                f"{total} candidate messages exceed the cap of {MAX_CANDIDATES}"
             )
         one = spec.one
-        polys = _bounded_polys(spec, bound)
+        polys = iter_bounded_polys(spec, bound)
         # precompute every component-times-row product once; a message
         # codeword is then a columnwise sum of k precomputed vectors
         tables = [
@@ -212,14 +203,9 @@ class ConvolutionalCode:
         return f"ConvolutionalCode({self.generator!r})"
 
 
-def _bounded_polys(spec, max_deg: int) -> list[Poly]:
+def iter_bounded_polys(spec, max_deg: int) -> list[Poly]:
     """All polynomials of degree <= max_deg, lexicographic in coefficients."""
     return [
         Poly(spec, coeffs)
         for coeffs in itertools.product(spec.elements(), repeat=max_deg + 1)
     ]
-
-
-def iter_bounded_polys(spec, max_deg: int) -> Iterable[Poly]:
-    """Public enumeration helper shared by the classification drivers."""
-    return _bounded_polys(spec, max_deg)

@@ -58,7 +58,7 @@ class NotOrthogonalScaled(SdconvError, ValueError):
 
 
 class NotUnit(SdconvError, ValueError):
-    """Scale factor is not a nonzero constant."""
+    """Scale factor or determinant is not a nonzero constant."""
 
 
 class NotPermutation(SdconvError, ValueError):
@@ -89,5 +89,9 @@ class NotTriangularPattern(SdconvError, ValueError):
     """Matrix does not have the double upper-triangular support pattern."""
 
 
+class OutOfRange(SdconvError, ValueError):
+    """Numeric argument (degree, bound, dimension or coefficient) is out of range."""
+
+
 class SearchSpaceTooLarge(SdconvError, RuntimeError):
-    """Exhaustive search would exceed the configured candidate cap."""
+    """Exhaustive search or field size would exceed its fixed cap."""

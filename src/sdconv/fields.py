@@ -21,8 +21,10 @@ from .errors import (
     DivisionByZero,
     FieldMismatch,
     NotPrime,
+    OutOfRange,
     ParseError,
     ReducibleModulus,
+    SearchSpaceTooLarge,
 )
 
 # Enumeration scans and lookup interning keep fields deliberately small.
@@ -305,12 +307,15 @@ def make_field(p: int, l: int = 1, modulus: Optional[Iterable[int]] = None) -> F
     are deterministic.  A supplied modulus must be monic of degree l with
     coefficients in [0, p), given lowest degree first.
     """
-    if not _is_prime(p):
+    if p < 2:
         raise NotPrime(f"{p} is not prime")
     if l < 1:
-        raise ValueError("extension degree must be at least 1")
-    if p**l > MAX_FIELD_SIZE:
-        raise ValueError(f"field size {p}^{l} exceeds supported maximum {MAX_FIELD_SIZE}")
+        raise OutOfRange("extension degree must be at least 1")
+    # sizes are compared before p**l or the primality test can take long
+    if p > MAX_FIELD_SIZE or l > MAX_FIELD_SIZE.bit_length() or p**l > MAX_FIELD_SIZE:
+        raise SearchSpaceTooLarge(f"field size {p}^{l} exceeds supported maximum {MAX_FIELD_SIZE}")
+    if not _is_prime(p):
+        raise NotPrime(f"{p} is not prime")
     if modulus is not None:
         mod = tuple(int(c) for c in modulus)
         if len(mod) != l + 1 or mod[-1] != 1:
@@ -318,7 +323,7 @@ def make_field(p: int, l: int = 1, modulus: Optional[Iterable[int]] = None) -> F
                 f"modulus must be monic of degree {l}, got {list(mod)}"
             )
         if any(not 0 <= c < p for c in mod):
-            raise ValueError("modulus coefficients must lie in [0, p)")
+            raise OutOfRange("modulus coefficients must lie in [0, p)")
         if not _modulus_is_irreducible(mod, p):
             raise ReducibleModulus(f"{_format_int_poly(mod, 'a')} factors over GF({p})")
         return FieldSpec(p, l, mod)
@@ -435,6 +440,8 @@ def parse_field_selector(text: str, modulus_text: Optional[str] = None) -> Field
             raise ParseError(f"bad field selector {text!r}") from exc
         if q < 2:
             raise ParseError(f"bad field selector {text!r}")
+        if q > MAX_FIELD_SIZE:
+            raise SearchSpaceTooLarge(f"field size {q} exceeds supported maximum {MAX_FIELD_SIZE}")
         p = 2
         while p * p <= q and q % p:
             p += 1

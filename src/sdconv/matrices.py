@@ -25,12 +25,13 @@ from .errors import (
     DimensionMismatch,
     FieldMismatch,
     NotSquare,
+    NotUnit,
     RankDeficient,
     ParseError,
     ShapeUnsupported,
 )
 from .fields import FieldElement, FieldSpec
-from .polys import Poly, gcd, parse_poly
+from .polys import Poly, parse_poly
 
 Entryish = Union[Poly, FieldElement, int]
 
@@ -436,35 +437,20 @@ def inverse_unimodular(matrix: PolyMatrix) -> PolyMatrix:
         raise NotSquare(f"inverse of {matrix.rows}x{matrix.cols} matrix")
     a, u, _ = _hermite_core(matrix.spec, matrix.entries)
     if PolyMatrix(matrix.spec, a, cols=matrix.cols) != PolyMatrix.identity(matrix.spec, matrix.rows):
-        raise ValueError("matrix is not unimodular")
+        raise NotUnit("matrix is not unimodular")
     return PolyMatrix(matrix.spec, u, cols=matrix.rows)
 
 
 def maximal_minors(matrix: PolyMatrix) -> list[Poly]:
-    """All C(n, k) determinants of k x k column selections, k = rows."""
+    """The C(n, k) determinants of k x k column selections (k = rows), in
+    lexicographic order of the selections."""
     if matrix.rows > matrix.cols:
         raise ShapeUnsupported(f"need rows <= cols, got {matrix.rows}x{matrix.cols}")
-    k = matrix.rows
-    out = []
-    for cols in itertools.combinations(range(matrix.cols), k):
-        sub = [[matrix.entries[i][j] for j in cols] for i in range(k)]
-        out.append(_det_laplace(sub, matrix.spec) if k <= 4 else _det_bareiss(sub, matrix.spec))
-    return out
-
-
-def is_left_prime(matrix: PolyMatrix) -> bool:
-    """True iff the gcd of all maximal minors is a nonzero constant.
-
-    Equivalent to the Smith form being [I 0]; the test suite cross-checks
-    the two routes against each other.
-    """
-    g = Poly.zero(matrix.spec)
-    one = Poly.one(matrix.spec)
-    for minor in maximal_minors(matrix):
-        g = gcd(g, minor)
-        if g == one:
-            return True
-    return bool(g) and g.degree() == 0
+    rows = range(matrix.rows)
+    return [
+        determinant(matrix.submatrix(rows, cols))
+        for cols in itertools.combinations(range(matrix.cols), matrix.rows)
+    ]
 
 
 def is_identity_padded(matrix: PolyMatrix) -> bool:
@@ -492,14 +478,7 @@ def right_kernel_basis(matrix: PolyMatrix) -> PolyMatrix:
 
 def as_poly_vector(spec: FieldSpec, vec: Sequence[Entryish]) -> tuple[Poly, ...]:
     """Lift a sequence of Poly / FieldElement / int entries to Poly."""
-    out = []
-    for e in vec:
-        if not isinstance(e, Poly):
-            e = Poly(spec, (e,))
-        elif e.spec != spec:
-            raise FieldMismatch("vector entry from a different field")
-        out.append(e)
-    return tuple(out)
+    return row_matrix(spec, vec).row(0)
 
 
 def solve_left(matrix: PolyMatrix, vec: Sequence[Entryish]) -> Optional[tuple[Poly, ...]]:

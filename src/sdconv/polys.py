@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, Sequence, Union
 
-from .errors import DivisionByZero, FieldMismatch, ParseError
+from .errors import DimensionMismatch, DivisionByZero, FieldMismatch, OutOfRange, ParseError
 from .fields import FieldElement, FieldSpec, parse_element
 
 NEG_INF = float("-inf")
@@ -47,10 +47,6 @@ class Poly:
     @classmethod
     def z(cls, spec: FieldSpec) -> "Poly":
         return cls(spec, (spec.zero, spec.one))
-
-    @classmethod
-    def constant(cls, spec: FieldSpec, c: Coeffish) -> "Poly":
-        return cls(spec, (c,))
 
     def degree(self) -> Union[int, float]:
         """Degree, with degree(0) = -inf so it sorts below every integer."""
@@ -133,7 +129,7 @@ class Poly:
 
     def __pow__(self, n: int):
         if n < 0:
-            raise ValueError("negative polynomial power")
+            raise OutOfRange("negative polynomial power")
         out = Poly.one(self.spec)
         base = self
         while n:
@@ -190,11 +186,6 @@ class Poly:
         return f"Poly({format_poly(self)!r}, {self.spec!r})"
 
 
-def divrem(u: Poly, v: Poly) -> tuple[Poly, Poly]:
-    """Quotient and remainder with deg(r) < deg(v)."""
-    return divmod(u, v)
-
-
 def xgcd(u: Poly, v: Poly) -> tuple[Poly, Poly, Poly]:
     """Extended Euclid: returns (g, s, t) with g = s*u + t*v.
 
@@ -224,7 +215,7 @@ def gcd(u: Poly, v: Poly) -> Poly:
 def vec_content(vec: Sequence[Poly]) -> Poly:
     """Monic gcd of all entries of a polynomial vector (0 if all zero)."""
     if not vec:
-        raise ValueError("content of an empty vector")
+        raise DimensionMismatch("content of an empty vector")
     g = Poly.zero(vec[0].spec)
     for entry in vec:
         g = gcd(g, entry)

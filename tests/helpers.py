@@ -1,7 +1,7 @@
-"""Shared randomized generators for the matrix and code test suites."""
+"""Shared randomized generators and oracles for the test suites."""
 
 import random
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from sdconv import (
     ConvolutionalCode,
@@ -10,7 +10,9 @@ from sdconv import (
     classify_21,
     classify_42_binary,
     direct_sum,
+    gcd,
     make_field,
+    maximal_minors,
     rank,
 )
 
@@ -23,6 +25,13 @@ def classify42(max_deg: int):
 F2 = make_field(2)
 F4 = make_field(2, 2)
 F5 = make_field(5)
+
+
+def is_left_prime(matrix: PolyMatrix) -> bool:
+    """Oracle for the Smith-form route of ``is_noncatastrophic``: a
+    full-row-rank matrix is left-prime iff the gcd of its maximal minors is
+    a nonzero constant."""
+    return reduce(gcd, maximal_minors(matrix), Poly.zero(matrix.spec)).degree() == 0
 
 
 def rand_poly(rng: random.Random, spec, max_deg: int) -> Poly:

@@ -9,7 +9,16 @@ import random
 from contextlib import contextmanager
 from time import perf_counter
 
-from helpers import F2, F4, F5, rand_full_rank, rand_poly, rand_unimodular, self_dual_corpus
+from helpers import (
+    F2,
+    F4,
+    F5,
+    is_left_prime,
+    rand_full_rank,
+    rand_poly,
+    rand_unimodular,
+    self_dual_corpus,
+)
 from sdconv import (
     ConvolutionalCode,
     Poly,
@@ -25,7 +34,6 @@ from sdconv import (
     find_completion,
     format_matrix,
     hm_extend,
-    is_left_prime,
     is_trivial_completion,
     iter_bounded_polys,
     make_field,

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from helpers import F2, F4, F5, classify42, rand_poly
+from helpers import F2, F4, F5, classify42, is_left_prime, rand_poly
 from sdconv import (
     ConvolutionalCode,
     Poly,
@@ -14,7 +14,6 @@ from sdconv import (
     find_completion,
     format_catalog,
     hm_extend,
-    is_left_prime,
     make_field,
     parse_matrix,
     reduce_double_triangular,

@@ -1,4 +1,5 @@
 import json
+from time import perf_counter
 
 import pytest
 
@@ -49,6 +50,33 @@ def test_parse_error_exits_2(capsys):
     code, _, err = run(capsys, "check", "--field", "2", "1,,1")
     assert code == 2
     assert "ParseError" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "--field", "2^40", "1,1"),
+        ("check", "--field", "2^0", "1,1"),
+        ("distance", "--bound", "-1", "1,1"),
+        ("classify", "four-two", "--max-deg", "-1"),
+        ("classify", "double-diagonal", "--field", "5", "--k", "0"),
+    ],
+)
+def test_out_of_range_arguments_give_typed_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code in (2, 3)
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field", ["1000000000000000003", "1000000000000000003^1"])
+def test_huge_field_is_refused_before_factoring(capsys, field):
+    start = perf_counter()
+    code, _, err = run(capsys, "check", "--field", field, "1,1")
+    assert perf_counter() - start < 1.0
+    assert code == 3
+    assert err.startswith("error: SearchSpaceTooLarge:")
 
 
 def test_unknown_flag_exits_2(capsys):

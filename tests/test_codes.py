@@ -3,16 +3,22 @@ import random
 
 import pytest
 
-from helpers import F2, F4, F5, rand_full_rank, rand_unimodular, self_dual_corpus
+from helpers import F2, F4, F5, classify42, rand_full_rank, rand_unimodular, self_dual_corpus
 from sdconv import (
     ConvolutionalCode,
     Poly,
     PolyMatrix,
+    building_up,
+    default_a_vec,
+    direct_sum,
+    find_completion,
+    hm_extend,
+    iter_bounded_polys,
+    orthogonal_chain,
     parse_matrix,
     parse_vector,
-    iter_bounded_polys,
 )
-from sdconv.codes import STATUS_EXACT, STATUS_UPPER
+from sdconv.codes import MAX_CANDIDATES, STATUS_EXACT, STATUS_UPPER
 from sdconv.errors import DimensionMismatch, RankDeficient, SearchSpaceTooLarge
 
 
@@ -145,8 +151,10 @@ def test_free_distance_upper_bound_status_at_zero():
 
 
 def test_free_distance_search_cap():
+    # k = 2 over GF(2) at bound 11 asks for 2^(2*12) = 2^24 messages
+    assert 2 ** 24 > MAX_CANDIDATES
     with pytest.raises(SearchSpaceTooLarge):
-        code(F2, NBU).free_distance(6, max_candidates=100)
+        code(F2, NBU).free_distance(11)
 
 
 def test_even_weight_of_binary_self_dual_codewords():
@@ -175,6 +183,19 @@ def test_theorem_equivalences_on_random_corpus():
         for _ in range(6):
             codes.append(ConvolutionalCode(rand_full_rank(rng, spec, k, 2 * k)))
     codes.extend(self_dual_corpus(rng, size=10))
+    # completions of every (4,2) code of degree <= 1 under three pairings
+    z = Poly.z(F2)
+    for rec in classify42(1):
+        base = ConvolutionalCode(rec.canonical_generator)
+        for a_vec in (default_a_vec(base), (z, 1), (1, z + 1)):
+            codes.append(ConvolutionalCode(find_completion(hm_extend(base, a_vec)).generator))
+    # one output of each of the other three constructions
+    nbu = code(F2, NBU)
+    codes.append(direct_sum(nbu, code(F2, "1,1")))
+    codes.append(building_up(nbu, parse_vector(F2, "1,z,z^2,z^2+z")))
+    swap = parse_matrix(F5, "0,1,0,0 ; 1,0,0,0 ; 0,0,1,0 ; 0,0,0,1")
+    c5 = code(F5, "3,z,1,3*z ; 1,2*z+4,2,z+2")
+    codes.append(orthogonal_chain(c5, [(PolyMatrix.identity(F5, 4), 1, swap)]))
     for c in codes:
         sd = c.is_self_dual()
         assert sd == (c.is_self_orthogonal() and c.is_noncatastrophic())

@@ -1,0 +1,24 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+# Demo 04 is left out: its classify_42_binary(2) brute force takes about 18 s.
+@pytest.mark.parametrize(
+    "demo",
+    ["01_fields_and_polynomials.py", "02_canonical_forms.py", "03_self_duality.py"],
+)
+def test_demo_runs(demo):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import F2, F4, F5, rand_full_rank, rand_matrix, rand_unimodular
+from helpers import F2, F4, F5, is_left_prime, rand_full_rank, rand_matrix, rand_unimodular
 from sdconv import (
     Poly,
     PolyMatrix,
@@ -10,7 +10,6 @@ from sdconv import (
     determinant,
     gcd,
     inverse_unimodular,
-    is_left_prime,
     is_unimodular,
     maximal_minors,
     parse_matrix,
