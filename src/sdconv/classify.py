@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .codes import ConvolutionalCode, DistanceReport, STATUS_EXACT, iter_bounded_polys
+from .codes import ConvolutionalCode, DistanceReport, STATUS_EXACT, check_search_size, iter_bounded_polys
 from .errors import NotBinary, NotSelfDual, NotTriangularPattern, OutOfRange
 from .fields import FieldSpec, make_field
 from .matrices import PolyMatrix, format_matrix
@@ -74,6 +74,9 @@ def classify_42_binary(max_deg: int) -> list[ClassificationRecord]:
     if max_deg < 0:
         raise OutOfRange("max_deg must be nonnegative")
     spec = make_field(2)
+    # the candidate pairs, then the messages each record's d_free scans
+    check_search_size(spec.q, 2 * (max_deg + 1))
+    check_search_size(spec.q, 2 * (max_deg + DFREE_BOUND_MARGIN + 1))
     one = Poly.one(spec)
     zero = Poly.zero(spec)
     candidates = iter_bounded_polys(spec, max_deg)
@@ -108,6 +111,8 @@ def classify_double_diagonal(spec: FieldSpec, k: int) -> Optional[list[Classific
     roots = [b for b in spec.elements() if b * b == minus_one]
     if not roots:
         return None
+    check_search_size(len(roots), k)
+    check_search_size(spec.q, k * (DFREE_BOUND_CONSTANT + 1))
     zero = Poly.zero(spec)
     one = Poly.one(spec)
     records = []

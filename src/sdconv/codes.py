@@ -143,11 +143,7 @@ class ConvolutionalCode:
         if self.k == 0:
             raise OutOfRange("the empty code has no nonzero codewords")
         spec = self.spec
-        total = spec.q ** (self.k * (bound + 1))
-        if total > MAX_CANDIDATES:
-            raise SearchSpaceTooLarge(
-                f"{total} candidate messages exceed the cap of {MAX_CANDIDATES}"
-            )
+        check_search_size(spec.q, self.k * (bound + 1))
         one = spec.one
         polys = iter_bounded_polys(spec, bound)
         # precompute every component-times-row product once; a message
@@ -201,6 +197,13 @@ class ConvolutionalCode:
 
     def __repr__(self):
         return f"ConvolutionalCode({self.generator!r})"
+
+
+def check_search_size(base: int, exp: int) -> None:
+    """Refuses a search over base^exp candidates above MAX_CANDIDATES,
+    without computing a power far above the cap."""
+    if base > 1 and (exp >= MAX_CANDIDATES.bit_length() or base**exp > MAX_CANDIDATES):
+        raise SearchSpaceTooLarge(f"{base}^{exp} candidates exceed the cap of {MAX_CANDIDATES}")
 
 
 def iter_bounded_polys(spec, max_deg: int) -> list[Poly]:

@@ -1,10 +1,30 @@
 """Exact arithmetic in small finite fields F_q with q = p^l.
 
-An element is a coefficient vector of length l over F_p in the power basis
-of a fixed monic irreducible modulus of degree l.  For l = 1 the modulus is
-x itself and arithmetic is plain arithmetic mod p.  Field values are
-immutable and interned per field, so equality checks are cheap and elements
-can be shared freely between threads.
+An element is a polynomial of degree < l over F_p, taken modulo a fixed
+monic irreducible modulus of degree l.  For l = 1 the modulus is x and
+arithmetic is plain arithmetic mod p.
+
+Representation.  A field builds all q elements when it is constructed, as
+interned :class:`FieldElement` objects that are immutable and can be shared
+freely between threads.  Each element keeps its coefficient vector
+(``coeffs``, lowest degree first) and an int ``code``: its index in
+:meth:`FieldSpec.elements`, which lists the vectors in lexicographic order,
+so the base-p digits of the code, most significant first, are the
+coefficients.  Two elements of one field object are equal exactly when they
+are the same object.
+
+Arithmetic is list indexing into tables the field builds once, in O(q*l)
+steps, from the powers of a primitive element g:
+
+* log: code -> i with g^i equal to the element (nonzero codes only);
+* antilog: i -> element for i < 2(q-1), so a sum of two logs needs no
+  reduction;
+* Zech log: k -> log(1 + g^k), or None when 1 + g^k = 0, which turns a sum
+  into g^i + g^j = g^(i + Z(j - i));
+* negation: code -> the element's negative.
+
+:func:`make_field` keeps the fields it built most recently, so repeated
+calls return one object and build its tables once.
 
 Element text syntax: prime fields use plain decimals ("3"); extension
 fields use the letter ``a`` for the residue class of x ("a+1", "a^2+2*a").
@@ -27,8 +47,13 @@ from .errors import (
     SearchSpaceTooLarge,
 )
 
-# Enumeration scans and lookup interning keep fields deliberately small.
+# Enumeration scans and the arithmetic tables keep fields deliberately small.
 MAX_FIELD_SIZE = 1 << 16
+# Largest exponent the text parsers accept, compared before anything is
+# sized by it; canonical forms of entries of this degree already take seconds.
+MAX_EXPONENT = 1 << 10
+# make_field keeps this many of the fields it built most recently.
+_KEPT_FIELDS = 8
 
 
 def _is_prime(n: int) -> bool:
@@ -42,26 +67,28 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _prime_factors(n: int) -> list[int]:
+    out, r = [], 2
+    while r * r <= n:
+        if n % r == 0:
+            out.append(r)
+            while n % r == 0:
+                n //= r
+        r += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 # ---------------------------------------------------------------------------
-# Integer-coefficient polynomial helpers (dense, lowest degree first).
-# Used for the modulus arithmetic underneath FieldElement.
+# Integer-coefficient polynomial helpers (dense, lowest degree first), used
+# to choose and check a modulus, to parse element text and to build the
+# arithmetic tables.
 
 def _trim(v: list[int]) -> list[int]:
     while v and v[-1] == 0:
         v.pop()
     return v
-
-
-def _int_poly_mul(u: Iterable[int], v: Iterable[int], p: int) -> list[int]:
-    u, v = list(u), list(v)
-    if not u or not v:
-        return []
-    out = [0] * (len(u) + len(v) - 1)
-    for i, a in enumerate(u):
-        if a:
-            for j, b in enumerate(v):
-                out[i + j] = (out[i + j] + a * b) % p
-    return _trim(out)
 
 
 def _int_poly_mod(u: Iterable[int], v: list[int], p: int) -> list[int]:
@@ -88,19 +115,116 @@ def _modulus_is_irreducible(modulus: tuple[int, ...], p: int) -> bool:
     return True
 
 
+def _times_x(v: list[int], modulus: tuple[int, ...], p: int) -> list[int]:
+    """x * v modulo the monic modulus, for a length-l vector v."""
+    top = v[-1]
+    shifted = [0] + v[:-1]
+    if not top:
+        return shifted
+    return [(a - top * m) % p for a, m in zip(shifted, modulus)]
+
+
+def _times(v: list[int], g: list[int], modulus: tuple[int, ...], p: int) -> list[int]:
+    """v * g modulo the modulus, in O(l * len(g)) steps."""
+    out = [0] * len(v)
+    for c in g:
+        if c:
+            out = [(o + c * a) % p for o, a in zip(out, v)]
+        v = _times_x(v, modulus, p)
+    return out
+
+
+def _primitive_element(p: int, l: int, modulus: tuple[int, ...]) -> list[int]:
+    """The first generator of F_q^* in order of degree: g is primitive iff
+    g^((q-1)/r) != 1 for every prime r dividing q - 1."""
+    n = p**l - 1
+    one = [1] + [0] * (l - 1)
+    for digits in itertools.product(range(p), repeat=l):
+        g = _trim(list(reversed(digits)))
+        if not g:
+            continue
+        for r in _prime_factors(n):
+            power, base, e = one, g + [0] * (l - len(g)), n // r
+            while e:
+                if e & 1:
+                    power = _times(power, base, modulus, p)
+                base = _times(base, base, modulus, p)
+                e >>= 1
+            if power == one:
+                break
+        else:
+            return g
+    raise AssertionError("F_q^* is cyclic")  # cannot happen for an irreducible modulus
+
+
+def _power_codes(p: int, l: int, modulus: tuple[int, ...]) -> list[int]:
+    """Codes of g^0 .. g^(q-2) for the primitive element g, in O(q + p*l^2).
+
+    Vectors are packed into ints, k bits per coefficient with 2^(k-1) > p,
+    so two packed vectors add coefficient-wise without carries and one
+    masked subtraction of p takes every coefficient back below p.  As g * v
+    is linear in v, it is the sum of g times the leading digits of v's code
+    and g times the trailing ones, and both are tabulated for every digit
+    string: a step is two lookups, one addition and one reduction.
+    """
+    g = _primitive_element(p, l, modulus)
+    k = p.bit_length() + 1
+    high = sum(1 << (k * i + k - 1) for i in range(l))
+    bias = sum(((1 << (k - 1)) - p) << (k * i) for i in range(l))
+
+    def add(s: int, t: int) -> int:
+        s += t
+        return s - (((s + bias) & high) >> (k - 1)) * p
+
+    def table(columns: list[list[int]]) -> list[int]:
+        """The packed sums of the digits times the columns, for every digit
+        string in code order (the first column takes the leading digit)."""
+        out = [0]
+        for col in columns:
+            packed = sum(a << (k * i) for i, a in enumerate(col))
+            multiples = [0]
+            for _ in range(p - 1):
+                multiples.append(add(multiples[-1], packed))
+            out = [add(t, m) for t in out for m in multiples]
+        return out
+
+    unit_columns = [[int(i == j) for j in range(l)] for i in range(l)]
+    code_of = {v: code for code, v in enumerate(table(unit_columns))}
+    g_columns = []  # g * x^i
+    v = g + [0] * (l - len(g))
+    for _ in range(l):
+        g_columns.append(v)
+        v = _times_x(v, modulus, p)
+    h = l // 2
+    lead, trail = table(g_columns[:h]), table(g_columns[h:])
+    split = p ** (l - h)
+    codes = []
+    code = p ** (l - 1)  # the code of 1
+    for _ in range(p**l - 1):
+        codes.append(code)
+        code = code_of[add(lead[code // split], trail[code % split])]
+    return codes
+
+
 class FieldElement:
-    """An element of a fixed FieldSpec, stored as its coefficient vector."""
+    """An element of a fixed FieldSpec: its coefficient vector and its code,
+    the index of the element in ``spec.elements()``."""
 
-    __slots__ = ("spec", "coeffs")
+    __slots__ = ("spec", "coeffs", "code")
 
-    def __init__(self, spec: "FieldSpec", coeffs: tuple[int, ...]):
+    def __init__(self, spec: "FieldSpec", coeffs: tuple[int, ...], code: int):
         self.spec = spec
         self.coeffs = coeffs
+        self.code = code
 
     def _coerce(self, other):
+        """``other`` as an element of this very spec object; None if it is
+        not a field value."""
         if isinstance(other, FieldElement):
-            if other.spec is self.spec or other.spec == self.spec:
+            if other.spec is self.spec:
                 return other
+            if other.spec == self.spec:
+                return self.spec._els[other.code]
             raise FieldMismatch(
                 f"elements of {self.spec} and {other.spec} cannot be combined"
             )
@@ -108,25 +232,45 @@ class FieldElement:
             return self.spec.from_int(other)
         return None
 
+    # Each operator tries the common case, an element of the same spec
+    # object, before the general coercion.
+
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        p = self.spec.p
-        return self.spec.element(
-            tuple((a + b) % p for a, b in zip(self.coeffs, o.coeffs))
-        )
+        spec = self.spec
+        if other.__class__ is not FieldElement or other.spec is not spec:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b = self.code, other.code
+        if not b:
+            return self
+        if not a:
+            return other
+        log = spec._log
+        i = log[a]
+        # the Zech table is periodic with period q - 1, so a negative
+        # difference of logs indexes it directly
+        z = spec._zech[log[b] - i]
+        return spec.zero if z is None else spec._exp[i + z]
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        p = self.spec.p
-        return self.spec.element(
-            tuple((a - b) % p for a, b in zip(self.coeffs, o.coeffs))
-        )
+        spec = self.spec
+        if other.__class__ is not FieldElement or other.spec is not spec:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b = self.code, other.code
+        if not b:
+            return self
+        if not a:
+            return spec._neg[b]
+        log = spec._log
+        i = log[a]
+        # g^i - g^j = g^i + g^(j + h) with g^h = -1
+        z = spec._zech[log[b] + spec._log_minus_one - i]
+        return spec.zero if z is None else spec._exp[i + z]
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -135,78 +279,69 @@ class FieldElement:
         return o - self
 
     def __neg__(self):
-        p = self.spec.p
-        return self.spec.element(tuple((-a) % p for a in self.coeffs))
+        return self.spec._neg[self.code]
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
         spec = self.spec
-        if spec.l == 1:
-            return spec.element(((self.coeffs[0] * o.coeffs[0]) % spec.p,))
-        prod = _int_poly_mul(self.coeffs, o.coeffs, spec.p)
-        red = _int_poly_mod(prod, list(spec.modulus), spec.p)
-        return spec.element(tuple(red) + (0,) * (spec.l - len(red)))
+        if other.__class__ is not FieldElement or other.spec is not spec:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b = self.code, other.code
+        if not (a and b):
+            return spec.zero
+        log = spec._log
+        return spec._exp[log[a] + log[b]]
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
+        spec = self.spec
+        if other.__class__ is not FieldElement or other.spec is not spec:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b = self.code, other.code
+        if not b:
+            raise DivisionByZero("zero has no multiplicative inverse")
+        if not a:
+            return spec.zero
+        log = spec._log
+        return spec._exp[log[a] - log[b] + spec.q - 1]
 
     def inverse(self) -> "FieldElement":
         """Multiplicative inverse; raises DivisionByZero on 0."""
         spec = self.spec
-        if not self:
+        if not self.code:
             raise DivisionByZero("zero has no multiplicative inverse")
-        if spec.l == 1:
-            return spec.element((pow(self.coeffs[0], spec.p - 2, spec.p),))
-        # Extended Euclid over F_p[x] against the modulus.
-        p = spec.p
-        r0, r1 = list(spec.modulus), _trim(list(self.coeffs))
-        t0, t1 = [], [1]
-        while r1:
-            q, r = _int_poly_divmod(r0, r1, p)
-            r0, r1 = r1, r
-            t0, t1 = t1, _int_poly_sub(t0, _int_poly_mul(q, t1, p), p)
-        # r0 is a nonzero constant gcd; scale t0 by its inverse.
-        c = pow(r0[0], p - 2, p)
-        inv = [(c * x) % p for x in t0]
-        return spec.element(tuple(inv) + (0,) * (spec.l - len(inv)))
+        return spec._exp[spec.q - 1 - spec._log[self.code]]
 
     def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = self.spec.one
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        spec = self.spec
+        if not self.code:
+            if n < 0:
+                raise DivisionByZero("zero has no multiplicative inverse")
+            return spec.one if n == 0 else self
+        return spec._exp[spec._log[self.code] * n % (spec.q - 1)]
 
     def __bool__(self):
-        return any(self.coeffs)
+        return self.code != 0
 
     def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.spec == other.spec and self.coeffs == other.coeffs
-        if isinstance(other, int):
-            return self.coeffs == self.spec.from_int(other).coeffs
+        # Equality with ints is not offered: no hash agrees with equality
+        # mod p, so F.one and 1 are different values.
+        if other.__class__ is FieldElement:
+            return self is other or (self.code == other.code and self.spec == other.spec)
         return NotImplemented
 
     def __lt__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.coeffs < o.coeffs
+        return self.code < o.code
 
     def __hash__(self):
-        return hash((self.spec.p, self.spec.modulus, self.coeffs))
+        return hash((self.spec._hash, self.code))
 
     def __str__(self):
         return format_element(self)
@@ -215,87 +350,86 @@ class FieldElement:
         return f"FieldElement({self} in {self.spec})"
 
 
-def _int_poly_sub(u: list[int], v: list[int], p: int) -> list[int]:
-    n = max(len(u), len(v))
-    out = [0] * n
-    for i in range(n):
-        a = u[i] if i < len(u) else 0
-        b = v[i] if i < len(v) else 0
-        out[i] = (a - b) % p
-    return _trim(out)
-
-
-def _int_poly_divmod(u: list[int], v: list[int], p: int):
-    q = [0] * max(len(u) - len(v) + 1, 0)
-    r = list(u)
-    inv_lead = pow(v[-1], p - 2, p)
-    while r and len(r) >= len(v):
-        shift = len(r) - len(v)
-        factor = (r[-1] * inv_lead) % p
-        q[shift] = factor
-        for i, c in enumerate(v):
-            r[shift + i] = (r[shift + i] - factor * c) % p
-        _trim(r)
-    return _trim(q), r
-
-
 class FieldSpec:
     """The finite field F_q, q = p^l, with a fixed modulus polynomial.
 
     Instances are immutable; two specs compare equal iff they have the same
-    characteristic, degree and modulus.  Elements are produced through
-    :meth:`element` / :meth:`from_int` and are interned.
+    characteristic, degree and modulus, and elements of equal specs combine.
+    The elements and the arithmetic tables are built by the constructor;
+    :meth:`element` and :meth:`from_int` look elements up.
     """
 
-    __slots__ = ("p", "l", "q", "modulus", "_interned", "_all", "zero", "one")
+    __slots__ = (
+        "p", "l", "q", "modulus", "zero", "one",
+        "_hash", "_els", "_log", "_exp", "_zech", "_neg", "_log_minus_one",
+    )
 
     def __init__(self, p: int, l: int, modulus: tuple[int, ...]):
         self.p = p
         self.l = l
-        self.q = p**l
+        self.q = q = p**l
         self.modulus = modulus
-        self._interned: dict[tuple[int, ...], FieldElement] = {}
-        self._all: Optional[tuple[FieldElement, ...]] = None
-        self.zero = self.element((0,) * l)
-        self.one = self.element((1,) + (0,) * (l - 1))
+        self._hash = hash((p, l, modulus))
+        els = tuple(
+            FieldElement(self, coeffs, code)
+            for code, coeffs in enumerate(itertools.product(range(p), repeat=l))
+        )
+        self._els = els
+        self.zero = els[0]
+        unit = p ** (l - 1)  # the code of 1
+        self.one = els[unit]
+        power_codes = _power_codes(p, l, modulus)
+        log: list[Optional[int]] = [None] * q
+        for i, c in enumerate(power_codes):
+            log[c] = i
+        self._log = log
+        self._exp = [els[c] for c in power_codes] * 2
+        # adding 1 raises the leading base-p digit of a code by 1 mod p
+        top = unit * (p - 1)
+        self._zech = [log[c + unit if c < top else c - top] for c in power_codes] * 2
+        h = self._log_minus_one = log[top]
+        self._neg = (self.zero,) + tuple(self._exp[log[c] + h] for c in range(1, q))
 
     def element(self, coeffs: tuple[int, ...]) -> FieldElement:
-        cached = self._interned.get(coeffs)
-        if cached is None:
-            cached = FieldElement(self, coeffs)
-            self._interned[coeffs] = cached
-        return cached
+        """The element with this coefficient vector, lowest degree first."""
+        if len(coeffs) != self.l or not all(0 <= c < self.p for c in coeffs):
+            raise OutOfRange(f"{tuple(coeffs)} is not a coefficient vector of {self}")
+        code = 0
+        for c in coeffs:
+            code = code * self.p + c
+        return self._els[code]
 
     def from_int(self, c: int) -> FieldElement:
         """Embed an integer as a constant of the prime subfield."""
-        return self.element((c % self.p,) + (0,) * (self.l - 1))
+        return self._els[(c % self.p) * self.one.code]
 
     def elements(self) -> tuple[FieldElement, ...]:
         """All q elements, in lexicographic coefficient-vector order."""
-        if self._all is None:
-            self._all = tuple(
-                self.element(c) for c in itertools.product(range(self.p), repeat=self.l)
-            )
-        return self._all
+        return self._els
 
     def nonzero_elements(self) -> tuple[FieldElement, ...]:
-        return tuple(e for e in self.elements() if e)
+        return self._els[1:]
 
     def parse(self, text: str) -> FieldElement:
         return parse_element(self, text)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if isinstance(other, FieldSpec):
             return (self.p, self.l, self.modulus) == (other.p, other.l, other.modulus)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.p, self.l, self.modulus))
+        return self._hash
 
     def __repr__(self):
         if self.l == 1:
             return f"GF({self.p})"
         return f"GF({self.q})[{_format_int_poly(self.modulus, 'a')}]"
+
+
+_FIELDS: dict[tuple, FieldSpec] = {}
 
 
 def make_field(p: int, l: int = 1, modulus: Optional[Iterable[int]] = None) -> FieldSpec:
@@ -305,7 +439,8 @@ def make_field(p: int, l: int = 1, modulus: Optional[Iterable[int]] = None) -> F
     irreducible of degree l over F_p is selected by exhaustive scan
     (coefficient vectors compared lowest degree first), so repeated calls
     are deterministic.  A supplied modulus must be monic of degree l with
-    coefficients in [0, p), given lowest degree first.
+    coefficients in [0, p), given lowest degree first.  The last few fields
+    built are kept, and a repeated call returns the same object.
     """
     if p < 2:
         raise NotPrime(f"{p} is not prime")
@@ -316,8 +451,19 @@ def make_field(p: int, l: int = 1, modulus: Optional[Iterable[int]] = None) -> F
         raise SearchSpaceTooLarge(f"field size {p}^{l} exceeds supported maximum {MAX_FIELD_SIZE}")
     if not _is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    if modulus is not None:
-        mod = tuple(int(c) for c in modulus)
+    key = (p, l, None if modulus is None else tuple(int(c) for c in modulus))
+    spec = _FIELDS.pop(key, None)
+    if spec is None:
+        spec = FieldSpec(p, l, _choose_modulus(p, l, key[2]))
+    _FIELDS[key] = spec  # most recently used last
+    if len(_FIELDS) > _KEPT_FIELDS:
+        del _FIELDS[next(iter(_FIELDS))]
+    return spec
+
+
+def _choose_modulus(p: int, l: int, mod: Optional[tuple[int, ...]]) -> tuple[int, ...]:
+    """The supplied modulus once it is checked, else the default one."""
+    if mod is not None:
         if len(mod) != l + 1 or mod[-1] != 1:
             raise DegreeMismatch(
                 f"modulus must be monic of degree {l}, got {list(mod)}"
@@ -326,13 +472,14 @@ def make_field(p: int, l: int = 1, modulus: Optional[Iterable[int]] = None) -> F
             raise OutOfRange("modulus coefficients must lie in [0, p)")
         if not _modulus_is_irreducible(mod, p):
             raise ReducibleModulus(f"{_format_int_poly(mod, 'a')} factors over GF({p})")
-        return FieldSpec(p, l, mod)
+        return mod
     if l == 1:
-        return FieldSpec(p, 1, (0, 1))
-    for tail in itertools.product(range(p), repeat=l):
+        return (0, 1)
+    # a zero constant term makes x a factor, so the scan starts at 1
+    for tail in itertools.product(range(1, p), *[range(p)] * (l - 1)):
         mod = tail + (1,)
         if _modulus_is_irreducible(mod, p):
-            return FieldSpec(p, l, mod)
+            return mod
     raise AssertionError("no irreducible modulus found")  # cannot happen
 
 
@@ -369,6 +516,14 @@ def _format_int_poly(coeffs: Iterable[int], var: str) -> str:
     return "+".join(terms) if terms else "0"
 
 
+def _parse_exponent(digits: str) -> int:
+    """A decimal exponent, refused above MAX_EXPONENT before anything is
+    sized by it."""
+    if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+        raise SearchSpaceTooLarge(f"exponent exceeds the cap of {MAX_EXPONENT}")
+    return int(digits)
+
+
 def parse_int_poly(text: str, var: str, p: int) -> tuple[int, ...]:
     """Parse an integer-coefficient polynomial in ``var`` over F_p.
 
@@ -386,7 +541,7 @@ def parse_int_poly(text: str, var: str, p: int) -> tuple[int, ...]:
         m = pattern.match(term)
         if m:
             c = int(m.group(1)) if m.group(1) else 1
-            e = int(m.group(2)) if m.group(2) else 1
+            e = _parse_exponent(m.group(2)) if m.group(2) else 1
         elif term.isdigit():
             c, e = int(term), 0
         else:

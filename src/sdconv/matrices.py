@@ -48,7 +48,7 @@ class PolyMatrix:
             for e in row:
                 if not isinstance(e, Poly):
                     e = Poly(spec, (e,))
-                elif e.spec != spec:
+                elif e.spec is not spec and e.spec != spec:
                     raise FieldMismatch("matrix entry from a different field")
                 lifted.append(e)
             grid.append(tuple(lifted))
@@ -91,7 +91,7 @@ class PolyMatrix:
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if not isinstance(other, PolyMatrix):
             return NotImplemented
-        if self.spec != other.spec:
+        if self.spec is not other.spec and self.spec != other.spec:
             raise FieldMismatch("matrices over different fields")
         if self.cols != other.rows:
             raise DimensionMismatch(
@@ -140,7 +140,7 @@ class PolyMatrix:
     def __eq__(self, other):
         if isinstance(other, PolyMatrix):
             return (
-                self.spec == other.spec
+                (self.spec is other.spec or self.spec == other.spec)
                 and self.rows == other.rows
                 and self.cols == other.cols
                 and self.entries == other.entries

@@ -2,7 +2,9 @@
 
 Coefficients are stored lowest degree first with no trailing zeros; the
 zero polynomial is the empty tuple and its degree is -infinity, which keeps
-degree comparisons in the canonical-form algorithms uniform.
+degree comparisons in the canonical-form algorithms uniform.  Every
+coefficient is an element of the polynomial's own spec object, so the
+arithmetic builds its results without lifting or checking them again.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import re
 from typing import Iterable, Sequence, Union
 
 from .errors import DimensionMismatch, DivisionByZero, FieldMismatch, OutOfRange, ParseError
-from .fields import FieldElement, FieldSpec, parse_element
+from .fields import FieldElement, FieldSpec, _parse_exponent, parse_element
 
 NEG_INF = float("-inf")
 
@@ -28,25 +30,27 @@ class Poly:
         for c in coeffs:
             if isinstance(c, int):
                 c = spec.from_int(c)
-            elif c.spec != spec:
-                raise FieldMismatch("coefficient from a different field")
+            elif c.spec is not spec:
+                if c.spec != spec:
+                    raise FieldMismatch("coefficient from a different field")
+                c = spec.element(c.coeffs)
             lifted.append(c)
-        while lifted and not lifted[-1]:
+        while lifted and not lifted[-1].code:
             lifted.pop()
         self.spec = spec
         self.coeffs = tuple(lifted)
 
     @classmethod
     def zero(cls, spec: FieldSpec) -> "Poly":
-        return cls(spec)
+        return _poly(spec, [])
 
     @classmethod
     def one(cls, spec: FieldSpec) -> "Poly":
-        return cls(spec, (spec.one,))
+        return _poly(spec, [spec.one])
 
     @classmethod
     def z(cls, spec: FieldSpec) -> "Poly":
-        return cls(spec, (spec.zero, spec.one))
+        return _poly(spec, [spec.zero, spec.one])
 
     def degree(self) -> Union[int, float]:
         """Degree, with degree(0) = -inf so it sorts below every integer."""
@@ -65,13 +69,15 @@ class Poly:
 
     def weight(self) -> int:
         """Number of nonzero coefficients."""
-        return sum(1 for c in self.coeffs if c)
+        return sum(1 for c in self.coeffs if c.code)
 
     def _coerce(self, other):
         if isinstance(other, Poly):
+            if other.spec is self.spec:
+                return other
             if other.spec != self.spec:
                 raise FieldMismatch("polynomials over different fields")
-            return other
+            return Poly(self.spec, other.coeffs)
         if isinstance(other, (FieldElement, int)):
             return Poly(self.spec, (other,))
         return None
@@ -81,12 +87,14 @@ class Poly:
         if o is None:
             return NotImplemented
         a, b = self.coeffs, o.coeffs
+        if not b:
+            return self
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] = out[i] + c
-        return Poly(self.spec, out)
+        return _poly(self.spec, out)
 
     __radd__ = __add__
 
@@ -94,7 +102,11 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        a, b = self.coeffs, o.coeffs
+        out = list(a) + [self.spec.zero] * (len(b) - len(a))
+        for i, c in enumerate(b):
+            out[i] = out[i] - c
+        return _poly(self.spec, out)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -103,26 +115,25 @@ class Poly:
         return o - self
 
     def __neg__(self):
-        return Poly(self.spec, tuple(-c for c in self.coeffs))
+        return _poly(self.spec, [-c for c in self.coeffs])
 
     def __mul__(self, other):
         if isinstance(other, (FieldElement, int)):
-            if isinstance(other, int):
-                other = self.spec.from_int(other)
-            return Poly(self.spec, tuple(c * other for c in self.coeffs))
+            return _poly(self.spec, [c * other for c in self.coeffs])
         if isinstance(other, Poly):
-            if other.spec != self.spec:
-                raise FieldMismatch("polynomials over different fields")
+            other = self._coerce(other)
             a, b = self.coeffs, other.coeffs
-            if not a or not b:
-                return Poly(self.spec)
+            if not a:
+                return self
+            if not b:
+                return other
             zero = self.spec.zero
             out = [zero] * (len(a) + len(b) - 1)
             for i, ca in enumerate(a):
                 if ca:
                     for j, cb in enumerate(b):
                         out[i + j] = out[i + j] + ca * cb
-            return Poly(self.spec, out)
+            return _poly(self.spec, out)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -156,9 +167,9 @@ class Poly:
             quo[shift] = factor
             for i, c in enumerate(o.coeffs):
                 rem[shift + i] = rem[shift + i] - factor * c
-            while rem and not rem[-1]:
+            while rem and not rem[-1].code:
                 rem.pop()
-        return Poly(spec, quo), Poly(spec, rem)
+        return _poly(spec, quo), _poly(spec, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -170,10 +181,12 @@ class Poly:
         return bool(self.coeffs)
 
     def __eq__(self, other):
+        # Only polynomials compare equal to polynomials: no hash of a
+        # constant could also agree with the hash of an int or an element.
         if isinstance(other, Poly):
-            return self.spec == other.spec and self.coeffs == other.coeffs
-        if isinstance(other, (FieldElement, int)):
-            return self == Poly(self.spec, (other,))
+            return self.coeffs == other.coeffs and (
+                self.spec is other.spec or self.spec == other.spec
+            )
         return NotImplemented
 
     def __hash__(self):
@@ -186,12 +199,23 @@ class Poly:
         return f"Poly({format_poly(self)!r}, {self.spec!r})"
 
 
+def _poly(spec: FieldSpec, coeffs: list[FieldElement]) -> Poly:
+    """The constructor of arithmetic results: ``coeffs`` are already
+    elements of ``spec``, so only trailing zeros are trimmed."""
+    while coeffs and not coeffs[-1].code:
+        coeffs.pop()
+    out = object.__new__(Poly)
+    out.spec = spec
+    out.coeffs = tuple(coeffs)
+    return out
+
+
 def xgcd(u: Poly, v: Poly) -> tuple[Poly, Poly, Poly]:
     """Extended Euclid: returns (g, s, t) with g = s*u + t*v.
 
     g is monic when nonzero; gcd(0, 0) = 0 with s = t = 0.
     """
-    if u.spec != v.spec:
+    if u.spec is not v.spec and u.spec != v.spec:
         raise FieldMismatch("polynomials over different fields")
     spec = u.spec
     r0, r1 = u, v
@@ -263,7 +287,7 @@ def parse_poly(spec: FieldSpec, text: str) -> Poly:
         if m:
             ct = m.group("coeff")
             c = spec.one if ct is None else parse_element(spec, ct)
-            e = int(m.group("exp")) if m.group("exp") else 1
+            e = _parse_exponent(m.group("exp")) if m.group("exp") else 1
         else:
             c, e = parse_element(spec, term), 0
         coeffs[e] = coeffs.get(e, spec.zero) + c

@@ -34,6 +34,80 @@ def is_left_prime(matrix: PolyMatrix) -> bool:
     return reduce(gcd, maximal_minors(matrix), Poly.zero(matrix.spec)).degree() == 0
 
 
+# Coefficient-vector arithmetic in F_p[x] / (modulus): the oracle for the
+# field's log/Zech tables.  Vectors are tuples of length l, lowest degree
+# first; the modulus is monic of degree l.
+
+
+def vec_add(u, v, p):
+    return tuple((a + b) % p for a, b in zip(u, v))
+
+
+def vec_neg(u, p):
+    return tuple((-a) % p for a in u)
+
+
+def _int_poly_divmod(u, v, p):
+    """Quotient and remainder of u by v over F_p (v nonzero, trimmed)."""
+    q = [0] * max(len(u) - len(v) + 1, 0)
+    r = list(u)
+    inv_lead = pow(v[-1], p - 2, p)
+    while r and len(r) >= len(v):
+        shift = len(r) - len(v)
+        factor = (r[-1] * inv_lead) % p
+        q[shift] = factor
+        for i, c in enumerate(v):
+            r[shift + i] = (r[shift + i] - factor * c) % p
+        while r and r[-1] == 0:
+            r.pop()
+    while q and q[-1] == 0:
+        q.pop()
+    return q, r
+
+
+def _int_poly_mul(u, v, p):
+    out = [0] * (len(u) + len(v) - 1) if u and v else []
+    for i, a in enumerate(u):
+        for j, b in enumerate(v):
+            out[i + j] = (out[i + j] + a * b) % p
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _int_poly_sub(u, v, p):
+    n = max(len(u), len(v))
+    out = [((u[i] if i < len(u) else 0) - (v[i] if i < len(v) else 0)) % p for i in range(n)]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _padded(v, l):
+    return tuple(v) + (0,) * (l - len(v))
+
+
+def vec_mul(u, v, modulus, p):
+    """Schoolbook product, then the remainder by the modulus."""
+    _, r = _int_poly_divmod(_int_poly_mul(list(u), list(v), p), list(modulus), p)
+    return _padded(r, len(modulus) - 1)
+
+
+def vec_inverse(u, modulus, p):
+    """Extended Euclid against the modulus; u must be nonzero."""
+    r0, r1 = list(modulus), list(u)
+    while r1 and r1[-1] == 0:
+        r1.pop()
+    t0, t1 = [], [1]
+    while r1:
+        q, r = _int_poly_divmod(r0, r1, p)
+        r0, r1 = r1, r
+        t0, t1 = t1, _int_poly_sub(t0, _int_poly_mul(q, t1, p), p)
+    # r0 is a nonzero constant gcd; scale t0 by its inverse
+    c = pow(r0[0], p - 2, p)
+    return _padded([(c * x) % p for x in t0], len(modulus) - 1)
+
+
 def rand_poly(rng: random.Random, spec, max_deg: int) -> Poly:
     deg = rng.randrange(-1, max_deg + 1)
     if deg < 0:

@@ -79,6 +79,58 @@ def test_huge_field_is_refused_before_factoring(capsys, field):
     assert err.startswith("error: SearchSpaceTooLarge:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "z^200000,1"),
+        ("check", "z^" + "9" * 5000 + ",1"),
+        ("check", "--field", "3^2", "--modulus", "a^2000000+1", "1,1"),
+        ("classify", "four-two", "--max-deg", "40"),
+        ("classify", "double-diagonal", "--k", "40"),
+        ("classify", "double-diagonal", "--field", "5", "--k", "40"),
+    ],
+)
+def test_oversized_exponents_and_searches_are_refused_promptly(capsys, argv):
+    start = perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert err.startswith("error: SearchSpaceTooLarge:")
+
+
+# One request of each kind the parser state could leak between: the output
+# format, the subcommand (with a repeatable option), a parse error.
+REQUEST_SEQUENCE = [
+    ("check", "--field", "5", "--format", "json", "3,z,1,3*z ; 1,2*z+4,2,z+2"),
+    ("check", "--field", "5", "3,z,1,3*z ; 1,2*z+4,2,z+2"),
+    ("construct", "orthogonal-chain", "--field", "2",
+     "--m", "1,0 ; 0,1", "--lam", "1", "--perm", "0,1 ; 1,0", "1,1"),
+    ("construct", "orthogonal-chain", "--field", "2",
+     "--m", "1,0 ; 0,1", "--lam", "1", "--perm", "1,0 ; 0,1", "1,1"),
+    ("smith", "--field", "2", "1+z,1+z,0,0 ; z,z,1,1"),
+    ("classify", "two-one", "--field", "5", "--format", "json"),
+    ("check", "--bogus", "1,1"),
+    ("check", "--field", "2", "1,1"),
+    ("distance", "--field", "2", "--bound", "4", "0,z^2+z+1,z,z^2+1 ; 1,1,1,1"),
+]
+
+
+def test_reused_parser_answers_like_a_fresh_one(capsys, monkeypatch):
+    from sdconv import cli
+
+    fresh = []
+    for argv in REQUEST_SEQUENCE:
+        monkeypatch.setattr(cli, "_PARSER", None)
+        fresh.append(run(capsys, *argv))
+    monkeypatch.setattr(cli, "_PARSER", None)
+    reused = [run(capsys, *REQUEST_SEQUENCE[0])]
+    parser = cli._PARSER
+    reused += [run(capsys, *argv) for argv in REQUEST_SEQUENCE[1:]]
+    assert cli._PARSER is parser
+    assert reused == fresh
+    assert [code for code, _, _ in fresh] == [0] * 6 + [2, 0, 0]
+
+
 def test_unknown_flag_exits_2(capsys):
     assert main(["check", "--bogus", "1,1"]) == 2
 

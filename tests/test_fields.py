@@ -1,9 +1,12 @@
 import itertools
+import random
+from time import perf_counter
 
 import pytest
 from hypothesis import given, strategies as st
 
-from sdconv import make_field, parse_element, parse_field_selector, sqrt_of_minus_one
+from helpers import vec_add, vec_inverse, vec_mul, vec_neg
+from sdconv import FieldSpec, Poly, fields, make_field, parse_element, parse_field_selector, sqrt_of_minus_one
 from sdconv.errors import (
     DegreeMismatch,
     DivisionByZero,
@@ -160,3 +163,86 @@ def test_from_int_is_a_ring_morphism(x, y):
     F7 = field(7)
     assert F7.from_int(x) + F7.from_int(y) == F7.from_int(x + y)
     assert F7.from_int(x) * F7.from_int(y) == F7.from_int(x * y)
+
+
+# The table arithmetic against the coefficient-vector oracle: every field of
+# FIELDS plus GF(7^2) and GF(2^8); all pairs up to q = 16, a seeded sample
+# of pairs above.
+ORACLE_FIELDS = [FIELDS[q] for q in sorted(FIELDS)] + [(7, 2), (2, 8)]
+
+
+@pytest.mark.parametrize("p, l", ORACLE_FIELDS, ids=lambda v: str(v))
+def test_table_arithmetic_matches_coefficient_vector_oracle(p, l):
+    spec = make_field(p, l)
+    mod = spec.modulus
+    els = spec.elements()
+    if spec.q <= 16:
+        pairs = list(itertools.product(els, repeat=2))
+    else:
+        rng = random.Random(spec.q)
+        pairs = [(rng.choice(els), rng.choice(els)) for _ in range(2000)]
+    for a in els:
+        assert -a is spec.element(vec_neg(a.coeffs, p))
+        if a:
+            inv = vec_inverse(a.coeffs, mod, p)
+            assert a.inverse() is spec.element(inv)
+            assert a ** -1 is a.inverse()
+        assert a ** 0 is spec.one
+        assert a ** 3 is a * a * a
+    for a, b in pairs:
+        assert a + b is spec.element(vec_add(a.coeffs, b.coeffs, p))
+        assert a - b is spec.element(vec_add(a.coeffs, vec_neg(b.coeffs, p), p))
+        assert a * b is spec.element(vec_mul(a.coeffs, b.coeffs, mod, p))
+        if b:
+            quotient = vec_mul(a.coeffs, vec_inverse(b.coeffs, mod, p), mod, p)
+            assert a / b is spec.element(quotient)
+        else:
+            with pytest.raises(DivisionByZero):
+                a / b
+
+
+def test_codes_index_the_lexicographic_enumeration():
+    for p, l in ORACLE_FIELDS:
+        spec = make_field(p, l)
+        assert [e.code for e in spec.elements()] == list(range(spec.q))
+        assert spec.from_int(1) is spec.one and spec.from_int(p) is spec.zero
+
+
+@pytest.mark.parametrize("p, l", [(2, 16), (3, 10), (65521, 1)], ids=lambda v: str(v))
+def test_largest_fields_build_within_budget(p, l):
+    fields._FIELDS.clear()  # time a build, not a lookup
+    start = perf_counter()
+    spec = make_field(p, l)
+    a, b = spec.elements()[-1], spec.elements()[-2]
+    assert a * b == b * a
+    assert perf_counter() - start < 1.0
+
+
+def test_make_field_keeps_a_few_fields():
+    assert make_field(5) is make_field(5)
+    assert make_field(3, 2, (1, 0, 1)) is make_field(3, 2, (1, 0, 1))
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        make_field(p)
+    assert len(fields._FIELDS) <= fields._KEPT_FIELDS
+    assert make_field(37) is make_field(37)
+
+
+def test_equality_agrees_with_hash():
+    F5 = field(5)
+    assert F5.one != 1 and F5.one != 6 and F5.zero != 0
+    assert len({F5.one, 1}) == 2
+    assert Poly.one(F5) != 1 and Poly.one(F5) != F5.one
+    assert len({Poly.one(F5), 1}) == 2
+    for spec in (F5, field(9)):
+        twin = FieldSpec(spec.p, spec.l, spec.modulus)  # equal, not the same object
+        assert twin is not spec and twin == spec and hash(twin) == hash(spec)
+        for a, b in zip(spec.elements(), twin.elements()):
+            assert a == b and hash(a) == hash(b)
+        u = Poly(spec, spec.elements()[1:4])
+        v = Poly(twin, twin.elements()[1:4])
+        assert u == v and hash(u) == hash(v)
+        assert len({u, v}) == 1
+        # elements and polynomials of equal specs combine, into the left spec
+        x, y = spec.elements()[-1], twin.elements()[-1]
+        assert (x + y).spec is spec and x + y == y + x
+        assert (u * v).spec is spec and u * v == v * u
