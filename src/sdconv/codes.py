@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from operator import add
+from typing import Iterator, Optional, Sequence
 
 from .errors import DimensionMismatch, OutOfRange, RankDeficient, SearchSpaceTooLarge
 from .matrices import (
@@ -29,7 +30,7 @@ from .polys import Poly
 
 STATUS_EXACT = "exact-under-bound"
 STATUS_UPPER = "upper-bound"
-# free_distance refuses to scan more candidate messages than this.
+# free_distance refuses to search more candidate messages than this.
 MAX_CANDIDATES = 1 << 22
 
 
@@ -132,11 +133,16 @@ class ConvolutionalCode:
         )
 
     def free_distance(self, bound: int) -> DistanceReport:
-        """Exhaustive minimum codeword weight over bounded-degree messages.
+        """Minimum codeword weight over nonzero messages of degree <= bound.
 
-        Scans every nonzero message in F_q[z]^k whose components have
-        degree <= bound, skipping scalar multiples (the first nonzero
-        component is forced monic; weight is scaling invariant).
+        A forward dynamic program over the encoder trellis.  Step t feeds
+        the input block u_t in F_q^k; a state is what the inputs so far
+        still owe the next m output blocks (m the largest entry degree) and
+        its cost the least weight already emitted.  Weight is invariant
+        under shift and scaling, so step 0 takes only nonzero inputs whose
+        first nonzero entry is 1.  The value is the least cost plus owed
+        weight after step ``bound``; it is exact-under-bound when step
+        ``bound - 1`` already reaches it.
         """
         if bound < 0:
             raise OutOfRange("bound must be nonnegative")
@@ -144,46 +150,40 @@ class ConvolutionalCode:
             raise OutOfRange("the empty code has no nonzero codewords")
         spec = self.spec
         check_search_size(spec.q, self.k * (bound + 1))
-        one = spec.one
-        polys = iter_bounded_polys(spec, bound)
-        # precompute every component-times-row product once; a message
-        # codeword is then a columnwise sum of k precomputed vectors
-        tables = [
-            [tuple(p * entry for entry in self.generator.row(i)) for p in polys]
-            for i in range(self.k)
-        ]
-        monic_or_zero = [not p or p.lc() == one for p in polys]
-        prev_eligible = [p.degree() < bound for p in polys]
-        best: Optional[int] = None
-        best_prev: Optional[int] = None
-        for idx in itertools.product(range(len(polys)), repeat=self.k):
-            lead = next((i for i in idx if polys[i]), None)
-            if lead is None or not monic_or_zero[lead]:
-                continue
-            inside_prev = bound > 0 and all(prev_eligible[i] for i in idx)
-            # a weight already above both minima cannot improve either,
-            # so the remaining columns need not be accumulated
-            cutoff = best
-            if best is not None and best_prev is not None:
-                cutoff = max(best, best_prev)
-            vecs = [tables[i][idx[i]] for i in range(self.k)]
-            word_weight = 0
-            truncated = False
-            for j in range(self.n):
-                acc = vecs[0][j]
-                for v in vecs[1:]:
-                    acc = acc + v[j]
-                word_weight += acc.weight()
-                if cutoff is not None and word_weight > cutoff:
-                    truncated = True
-                    break
-            if truncated:
-                continue
-            if best is None or word_weight < best:
-                best = word_weight
-            if inside_prev and (best_prev is None or word_weight < best_prev):
-                best_prev = word_weight
-        assert best is not None
+        n, zero = self.n, spec.zero
+        width = n * max(len(e.coeffs) for row in self.generator.entries for e in row)
+        # scaled[i][c.code] is c times row i as one vector of output blocks,
+        # entry d*n + j being the coefficient of z^d in column j
+        scaled = []
+        for row in self.generator.entries:
+            flat = [zero] * width
+            for j, entry in enumerate(row):
+                flat[j : j + n * len(entry.coeffs) : n] = entry.coeffs
+            scaled.append([tuple(c * x for x in flat) for c in spec.elements()])
+        branches = itertools.chain.from_iterable(
+            _sums(scaled[i][spec.one.code], scaled[i + 1 :]) for i in range(self.k)
+        )
+        every = list(_sums((zero,) * width, scaled)) if bound else None
+        # each state, what is owed followed by one zero block, maps to its cost
+        states = {(zero,) * width: 0}
+        pad = (zero,) * n
+        for _ in range(bound):
+            layer: dict = {}
+            for owed, cost in states.items():
+                for branch in branches:
+                    out = tuple(map(add, owed, branch))
+                    total = cost + n - out[:n].count(zero)
+                    nxt = out[n:] + pad
+                    if total < layer.get(nxt, total + 1):
+                        layer[nxt] = total
+            states = layer
+            branches = every
+        best_prev = min(c + width - o.count(zero) for o, c in states.items()) if bound else None
+        best = min(
+            c + width - tuple(map(add, o, b)).count(zero)
+            for o, c in states.items()
+            for b in branches
+        )
         status = STATUS_EXACT if best_prev == best else STATUS_UPPER
         return DistanceReport(value=best, search_bound=bound, status=status)
 
@@ -204,6 +204,13 @@ def check_search_size(base: int, exp: int) -> None:
     without computing a power far above the cap."""
     if base > 1 and (exp >= MAX_CANDIDATES.bit_length() or base**exp > MAX_CANDIDATES):
         raise SearchSpaceTooLarge(f"{base}^{exp} candidates exceed the cap of {MAX_CANDIDATES}")
+
+
+def _sums(base: tuple, tables: list) -> Iterator[tuple]:
+    """Yields base plus one vector from each table, for every choice."""
+    if not tables:
+        return iter((base,))
+    return (s for v in tables[0] for s in _sums(tuple(map(add, base, v)), tables[1:]))
 
 
 def iter_bounded_polys(spec, max_deg: int) -> list[Poly]:

@@ -52,6 +52,8 @@ MAX_FIELD_SIZE = 1 << 16
 # Largest exponent the text parsers accept, compared before anything is
 # sized by it; canonical forms of entries of this degree already take seconds.
 MAX_EXPONENT = 1 << 10
+# Longest decimal coefficient the text parsers accept: the int() default.
+MAX_COEFFICIENT_DIGITS = 4300
 # make_field keeps this many of the fields it built most recently.
 _KEPT_FIELDS = 8
 
@@ -498,9 +500,6 @@ def sqrt_of_minus_one(spec: FieldSpec) -> Optional[FieldElement]:
 # ---------------------------------------------------------------------------
 # Text syntax.
 
-_APOW_TERM = re.compile(r"^(?:(\d+)\*)?a(?:\^(\d+))?$")
-
-
 def _format_int_poly(coeffs: Iterable[int], var: str) -> str:
     terms = []
     cs = list(coeffs)
@@ -524,6 +523,13 @@ def _parse_exponent(digits: str) -> int:
     return int(digits)
 
 
+def _parse_coefficient(digits: str) -> int:
+    """A decimal coefficient, refused above MAX_COEFFICIENT_DIGITS digits."""
+    if len(digits) > MAX_COEFFICIENT_DIGITS:
+        raise SearchSpaceTooLarge(f"coefficient exceeds {MAX_COEFFICIENT_DIGITS} digits")
+    return int(digits)
+
+
 def parse_int_poly(text: str, var: str, p: int) -> tuple[int, ...]:
     """Parse an integer-coefficient polynomial in ``var`` over F_p.
 
@@ -540,10 +546,10 @@ def parse_int_poly(text: str, var: str, p: int) -> tuple[int, ...]:
             raise ParseError(f"empty term in {text!r}")
         m = pattern.match(term)
         if m:
-            c = int(m.group(1)) if m.group(1) else 1
+            c = _parse_coefficient(m.group(1)) if m.group(1) else 1
             e = _parse_exponent(m.group(2)) if m.group(2) else 1
         elif term.isdigit():
-            c, e = int(term), 0
+            c, e = _parse_coefficient(term), 0
         else:
             raise ParseError(f"cannot parse term {term!r} in {text!r}")
         coeffs[e] = (coeffs.get(e, 0) + c) % p
@@ -561,7 +567,7 @@ def parse_element(spec: FieldSpec, text: str) -> FieldElement:
     if spec.l == 1:
         if not s.isdigit():
             raise ParseError(f"{text!r} is not a valid GF({spec.p}) element")
-        return spec.from_int(int(s))
+        return spec.from_int(_parse_coefficient(s))
     if "a" not in s and not s.isdigit():
         raise ParseError(f"{text!r} is not a valid {spec} element")
     raw = parse_int_poly(s, "a", spec.p)

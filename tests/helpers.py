@@ -1,9 +1,12 @@
 """Shared randomized generators and oracles for the test suites."""
 
+import itertools
 import random
 from functools import lru_cache, reduce
 
 from sdconv import (
+    STATUS_EXACT,
+    STATUS_UPPER,
     ConvolutionalCode,
     Poly,
     PolyMatrix,
@@ -11,6 +14,7 @@ from sdconv import (
     classify_42_binary,
     direct_sum,
     gcd,
+    iter_bounded_polys,
     make_field,
     maximal_minors,
     rank,
@@ -32,6 +36,22 @@ def is_left_prime(matrix: PolyMatrix) -> bool:
     full-row-rank matrix is left-prime iff the gcd of its maximal minors is
     a nonzero constant."""
     return reduce(gcd, maximal_minors(matrix), Poly.zero(matrix.spec)).degree() == 0
+
+
+def bounded_free_distance(code: ConvolutionalCode, bound: int) -> tuple[int, str]:
+    """Oracle for ``free_distance``: scans every nonzero message whose
+    components have degree <= bound and returns the least codeword weight
+    with its status, exact when messages of degree < bound reach it too."""
+    polys = iter_bounded_polys(code.spec, bound)
+    best = best_prev = None
+    for msg in itertools.product(polys, repeat=code.k):
+        if not any(msg):
+            continue
+        weight = sum(p.weight() for p in code.encode(msg))
+        best = weight if best is None else min(best, weight)
+        if bound > 0 and all(p.degree() < bound for p in msg):
+            best_prev = weight if best_prev is None else min(best_prev, weight)
+    return best, STATUS_EXACT if best_prev == best else STATUS_UPPER
 
 
 # Coefficient-vector arithmetic in F_p[x] / (modulus): the oracle for the

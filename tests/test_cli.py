@@ -84,6 +84,9 @@ def test_huge_field_is_refused_before_factoring(capsys, field):
     [
         ("check", "z^200000,1"),
         ("check", "z^" + "9" * 5000 + ",1"),
+        ("check", "1" * 5000 + ",1"),
+        ("check", "--field", "9", "1" * 5000 + "*a,1"),
+        ("check", "1" * 5000 + "*z,1"),
         ("check", "--field", "3^2", "--modulus", "a^2000000+1", "1,1"),
         ("classify", "four-two", "--max-deg", "40"),
         ("classify", "double-diagonal", "--k", "40"),
@@ -164,6 +167,17 @@ def test_distance_rendering(capsys):
     )
     assert code == 0
     assert out.strip() == "d_free = 4 (stable at bound 4)"
+
+
+def test_distance_at_the_search_cap_is_prompt(capsys):
+    # bound 10 for k = 2 over GF(2) asks for 2^22 messages, exactly the cap
+    start = perf_counter()
+    code, out, _ = run(
+        capsys, "distance", "--field", "2", "--bound", "10", "0,z^2+z+1,z,z^2+1 ; 1,1,1,1"
+    )
+    assert perf_counter() - start < 1.0
+    assert code == 0
+    assert out.strip() == "d_free = 4 (stable at bound 10)"
 
 
 def test_construct_building_up_worked_example(capsys):

@@ -3,7 +3,16 @@ import random
 
 import pytest
 
-from helpers import F2, F4, F5, classify42, rand_full_rank, rand_unimodular, self_dual_corpus
+from helpers import (
+    F2,
+    F4,
+    F5,
+    bounded_free_distance,
+    classify42,
+    rand_full_rank,
+    rand_unimodular,
+    self_dual_corpus,
+)
 from sdconv import (
     ConvolutionalCode,
     Poly,
@@ -148,6 +157,22 @@ def test_free_distance_upper_bound_status_at_zero():
     rep = code(F2, NBU).free_distance(0)
     assert rep.status == STATUS_UPPER
     assert rep.render().startswith("d_free <=")
+
+
+def test_free_distance_matches_message_scan_oracle():
+    rng = random.Random(4087)
+    statuses = set()
+    for spec in (F2, F4, F5):
+        for k in (1, 2, 3):
+            for bound in range(3):
+                if spec.q ** (k * (bound + 1)) > 4096:
+                    continue
+                for _ in range(2):
+                    c = ConvolutionalCode(rand_full_rank(rng, spec, k, rng.randint(k, 2 * k)))
+                    rep = c.free_distance(bound)
+                    assert (rep.value, rep.status) == bounded_free_distance(c, bound), c
+                    statuses.add(rep.status)
+    assert statuses == {STATUS_EXACT, STATUS_UPPER}
 
 
 def test_free_distance_search_cap():

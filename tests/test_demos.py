@@ -8,10 +8,14 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-# Demo 04 is left out: its classify_42_binary(2) brute force takes about 18 s.
 @pytest.mark.parametrize(
     "demo",
-    ["01_fields_and_polynomials.py", "02_canonical_forms.py", "03_self_duality.py"],
+    [
+        "01_fields_and_polynomials.py",
+        "02_canonical_forms.py",
+        "03_self_duality.py",
+        "04_classification.py",
+    ],
 )
 def test_demo_runs(demo):
     proc = subprocess.run(
