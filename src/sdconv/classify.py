@@ -181,26 +181,3 @@ def reduce_double_triangular(gen: PolyMatrix) -> PolyMatrix:
 def format_catalog(records: list[ClassificationRecord]) -> str:
     return "\n".join(r.catalog_line() for r in records)
 
-
-def scan_21_generators(spec: FieldSpec, max_deg: int) -> list[PolyMatrix]:
-    """Brute-force sweep of all 1x2 generators with entries of degree <= max_deg.
-
-    Returns the generators of self-dual codes found; used to confirm that
-    no non-constant pair survives the coprimality and orthogonality
-    constraints together.  Orthogonality is filtered first, so the sweep
-    stays cheap even over larger fields.
-    """
-    found = []
-    polys = iter_bounded_polys(spec, max_deg)
-    one = Poly.one(spec)
-    for g1, g2 in itertools.product(polys, polys):
-        if not g1 and not g2:
-            continue
-        if g1 * g1 + g2 * g2:
-            continue
-        if gcd(g1, g2) != one:
-            continue
-        gen = PolyMatrix(spec, [[g1, g2]])
-        assert ConvolutionalCode(gen).is_self_dual()
-        found.append(gen)
-    return found

@@ -120,13 +120,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _bool(x: bool) -> str:
-    return "true" if x else "false"
+# Text labels are the result keys with "_" spelled "-", except these.
+_LABELS = {"n_eq_2k": "n=2k"}
 
 
-def _emit(args, text: str, obj) -> None:
-    payload = text if args.format == "text" else json.dumps(obj, indent=None)
-    if getattr(args, "out", None):
+def _emit(args, result: dict, text: Optional[str] = None) -> None:
+    """Writes a command's one result: as JSON, or as ``text`` when the
+    command has its own, else as one ``label: value`` line per key, with
+    booleans spelled true/false."""
+    if args.format == "json":
+        payload = json.dumps(result)
+    elif text is not None:
+        payload = text
+    else:
+        payload = "\n".join(
+            f"{_LABELS.get(key, key.replace('_', '-'))}: "
+            f"{str(value).lower() if isinstance(value, bool) else value}"
+            for key, value in result.items()
+        )
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(payload + "\n")
     else:
@@ -137,138 +149,95 @@ def _field(args):
     return parse_field_selector(args.field, args.modulus)
 
 
+def _code(args, text: str) -> ConvolutionalCode:
+    return ConvolutionalCode(parse_matrix(_field(args), text))
+
+
 def _cmd_check(args) -> int:
-    spec = _field(args)
-    code = ConvolutionalCode(parse_matrix(spec, args.matrix))
-    so = code.is_self_orthogonal()
-    nc = code.is_noncatastrophic()
-    sd = code.is_self_dual()
-    lines = [
-        f"n: {code.n}",
-        f"k: {code.k}",
-        f"n=2k: {_bool(code.n == 2 * code.k)}",
-        f"degree: {code.code_degree()}",
-        f"self-orthogonal: {_bool(so)}",
-        f"non-catastrophic: {_bool(nc)}",
-        f"self-dual: {_bool(sd)}",
-    ]
-    obj = {
+    code = _code(args, args.matrix)
+    result = {
         "n": code.n,
         "k": code.k,
         "n_eq_2k": code.n == 2 * code.k,
         "degree": code.code_degree(),
-        "self_orthogonal": so,
-        "non_catastrophic": nc,
-        "self_dual": sd,
+        "self_orthogonal": code.is_self_orthogonal(),
+        "non_catastrophic": code.is_noncatastrophic(),
+        "self_dual": code.is_self_dual(),
     }
     if args.canonical:
-        canon = format_matrix(code.canonical_generator())
-        lines.append(f"canonical: {canon}")
-        obj["canonical"] = canon
-    _emit(args, "\n".join(lines), obj)
+        result["canonical"] = format_matrix(code.canonical_generator())
+    _emit(args, result)
     return 0
 
 
 def _cmd_dual(args) -> int:
-    spec = _field(args)
-    code = ConvolutionalCode(parse_matrix(spec, args.matrix))
-    dual = code.dual()
-    gen = dual.canonical_generator() if args.canonical else dual.generator
-    _emit(args, format_matrix(gen), {"generator": format_matrix(gen)})
+    dual = _code(args, args.matrix).dual()
+    gen = format_matrix(dual.canonical_generator() if args.canonical else dual.generator)
+    _emit(args, {"generator": gen}, gen)
     return 0
 
 
 def _cmd_hermite(args) -> int:
-    spec = _field(args)
-    matrix = parse_matrix(spec, args.matrix)
+    matrix = parse_matrix(_field(args), args.matrix)
     dec = row_hermite(matrix) if args.side == "row" else col_hermite(matrix)
-    text = f"form: {format_matrix(dec.form)}\ntransform: {format_matrix(dec.transform)}"
-    obj = {
-        "side": dec.side,
-        "form": format_matrix(dec.form),
-        "transform": format_matrix(dec.transform),
-    }
-    _emit(args, text, obj)
+    form, transform = format_matrix(dec.form), format_matrix(dec.transform)
+    _emit(
+        args,
+        {"side": dec.side, "form": form, "transform": transform},
+        f"form: {form}\ntransform: {transform}",
+    )
     return 0
 
 
 def _cmd_smith(args) -> int:
-    spec = _field(args)
-    dec = smith(parse_matrix(spec, args.matrix))
-    text = "\n".join(
-        [f"U: {format_matrix(dec.U)}", f"S: {format_matrix(dec.S)}", f"V: {format_matrix(dec.V)}"]
-    )
-    obj = {
-        "U": format_matrix(dec.U),
-        "S": format_matrix(dec.S),
-        "V": format_matrix(dec.V),
-    }
-    _emit(args, text, obj)
+    dec = smith(parse_matrix(_field(args), args.matrix))
+    _emit(args, {"U": format_matrix(dec.U), "S": format_matrix(dec.S), "V": format_matrix(dec.V)})
     return 0
 
 
 def _cmd_distance(args) -> int:
-    spec = _field(args)
-    code = ConvolutionalCode(parse_matrix(spec, args.matrix))
-    report = code.free_distance(args.bound)
-    obj = {
-        "dfree": report.value,
-        "bound": report.search_bound,
-        "status": report.status,
-    }
-    _emit(args, report.render(), obj)
+    report = _code(args, args.matrix).free_distance(args.bound)
+    result = {"dfree": report.value, "bound": report.search_bound, "status": report.status}
+    _emit(args, result, report.render())
     return 0
 
 
 def _cmd_construct(args) -> int:
-    spec = _field(args)
     if args.construction == "direct-sum":
-        out = direct_sum(
-            ConvolutionalCode(parse_matrix(spec, args.matrix1)),
-            ConvolutionalCode(parse_matrix(spec, args.matrix2)),
-        )
+        out = direct_sum(_code(args, args.matrix1), _code(args, args.matrix2))
     elif args.construction == "building-up":
-        code = ConvolutionalCode(parse_matrix(spec, args.matrix))
-        f = parse_vector(spec, args.f)
-        a = parse_element(spec, args.a) if args.a is not None else None
-        b = parse_element(spec, args.b) if args.b is not None else None
+        code = _code(args, args.matrix)
+        f = parse_vector(code.spec, args.f)
+        a = parse_element(code.spec, args.a) if args.a is not None else None
+        b = parse_element(code.spec, args.b) if args.b is not None else None
         out = building_up(code, f, a, b)
     else:
-        code = ConvolutionalCode(parse_matrix(spec, args.matrix))
+        code = _code(args, args.matrix)
         if not (len(args.m) == len(args.lam) == len(args.perm)):
             raise ParseError("--m, --lam and --perm must be given the same number of times")
+        spec = code.spec
         steps = [
             (parse_matrix(spec, m), parse_poly(spec, lam), parse_matrix(spec, perm))
             for m, lam, perm in zip(args.m, args.lam, args.perm)
         ]
         out = orthogonal_chain(code, steps)
     gen = format_matrix(out.generator)
-    _emit(args, gen, {"generator": gen})
+    _emit(args, {"generator": gen}, gen)
     return 0
 
 
 def _cmd_complete(args) -> int:
-    spec = _field(args)
-    code = ConvolutionalCode(parse_matrix(spec, args.matrix))
-    a_vec = parse_vector(spec, args.a)
-    extended = hm_extend(code, a_vec)
-    witness = parse_vector(spec, args.witness) if args.witness else None
-    result = find_completion(extended, witness=witness)
-    text = "\n".join(
-        [
-            f"completion: {result.kind}",
-            f"extended: {format_matrix(extended)}",
-            f"witness: {format_vector(result.witness)}",
-            f"generator: {format_matrix(result.generator)}",
-        ]
-    )
-    obj = {
-        "completion": result.kind,
+    code = _code(args, args.matrix)
+    extended = hm_extend(code, parse_vector(code.spec, args.a))
+    witness = parse_vector(code.spec, args.witness) if args.witness else None
+    found = find_completion(extended, witness=witness)
+    result = {
+        "completion": found.kind,
         "extended": format_matrix(extended),
-        "witness": format_vector(result.witness),
-        "generator": format_matrix(result.generator),
+        "witness": format_vector(found.witness),
+        "generator": format_matrix(found.generator),
     }
-    _emit(args, text, obj)
+    _emit(args, result)
     return 0
 
 
@@ -280,10 +249,9 @@ def _cmd_classify(args) -> int:
     else:
         records = classify_mod.classify_double_diagonal(_field(args), args.k)
         if records is None:
-            _emit(args, "absent: no square root of -1 in this field", {"records": None})
+            _emit(args, {"records": None}, "absent: no square root of -1 in this field")
             return 0
-    text = classify_mod.format_catalog(records)
-    obj = {
+    result = {
         "records": [
             {
                 "q": r.q,
@@ -297,7 +265,7 @@ def _cmd_classify(args) -> int:
             for r in records
         ]
     }
-    _emit(args, text, obj)
+    _emit(args, result, classify_mod.format_catalog(records))
     return 0
 
 

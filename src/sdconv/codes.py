@@ -20,9 +20,9 @@ from .matrices import (
     as_poly_vector,
     dot,
     is_identity_padded,
-    maximal_minors,
     right_kernel_basis,
     row_hermite,
+    row_reduced,
     smith,
     solve_left,
 )
@@ -89,10 +89,13 @@ class ConvolutionalCode:
         return self._canonical
 
     def code_degree(self) -> int:
-        """Highest degree over the maximal minors; generator independent."""
+        """Highest degree over the maximal minors; generator independent.
+
+        It is the sum of the row degrees of a row-reduced generator.
+        """
         if self._degree is None:
-            # full rank guarantees a nonzero minor
-            self._degree = int(max(m.degree() for m in maximal_minors(self.generator)))
+            reduced = row_reduced(self.generator).entries
+            self._degree = sum(max(e.degree() for e in row) for row in reduced)
         return self._degree
 
     def dual(self) -> "ConvolutionalCode":

@@ -249,6 +249,35 @@ def _hermite_core(spec: FieldSpec, entries: Sequence[Sequence[Poly]]):
     return a, u, pivots
 
 
+def row_reduced(matrix: PolyMatrix) -> PolyMatrix:
+    """A row-reduced matrix with the same row span as a full-row-rank one.
+
+    Row reduced means that the leading-coefficient matrix L, whose row i
+    holds the coefficients of z^{d_i} in row i (d_i the row's degree), has
+    full row rank; the row degrees then sum to the largest degree of a
+    maximal minor (Forney, SIAM J. Control 13(3), 1975).  While L is
+    singular, a vector c with c L = 0 lowers the degree of the row i of
+    largest d_i among those with c_i != 0: row i becomes
+    sum_j (c_j / c_i) z^{d_i - d_j} row_j, a unimodular step.
+    """
+    spec = matrix.spec
+    rows = [list(row) for row in matrix.entries]
+    while True:
+        degrees = [max(len(e.coeffs) for e in row) - 1 for row in rows]
+        if -1 in degrees:
+            raise RankDeficient("matrix rows are linearly dependent")
+        lead = [[Poly(spec, e.coeffs[d:]) for e in row] for row, d in zip(rows, degrees)]
+        _, u, pivots = _hermite_core(spec, lead)
+        if len(pivots) == len(rows):
+            return PolyMatrix(spec, rows, cols=matrix.cols)
+        c = [e.coeffs[0] if e else spec.zero for e in u[len(pivots)]]
+        i = max((j for j in range(len(rows)) if c[j]), key=lambda j: degrees[j])
+        for j, cj in enumerate(c):
+            if cj and j != i:
+                shift = Poly(spec, [spec.zero] * (degrees[i] - degrees[j]) + [cj / c[i]])
+                rows[i] = [x + shift * y for x, y in zip(rows[i], rows[j])]
+
+
 def row_hermite(matrix: PolyMatrix) -> HermiteDecomposition:
     """Unique row Hermite form with its unimodular row transform.
 
@@ -377,27 +406,11 @@ def smith(matrix: PolyMatrix) -> SmithDecomposition:
     )
 
 
-def _det_laplace(entries, spec: FieldSpec) -> Poly:
-    n = len(entries)
-    if n == 0:
-        return Poly.one(spec)
-    if n == 1:
-        return entries[0][0]
-    if n == 2:
-        return entries[0][0] * entries[1][1] - entries[0][1] * entries[1][0]
-    total = Poly.zero(spec)
-    for j, top in enumerate(entries[0]):
-        if not top:
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in entries[1:]]
-        term = top * _det_laplace(minor, spec)
-        total = total + term if j % 2 == 0 else total - term
-    return total
-
-
 def _det_bareiss(entries, spec: FieldSpec) -> Poly:
     """Fraction-free elimination; every division is exact over F_q[z]."""
     n = len(entries)
+    if n == 0:
+        return Poly.one(spec)
     m = [list(row) for row in entries]
     sign = spec.one
     prev = Poly.one(spec)
@@ -417,11 +430,9 @@ def _det_bareiss(entries, spec: FieldSpec) -> Poly:
 
 
 def determinant(matrix: PolyMatrix) -> Poly:
-    """Exact determinant: Laplace up to 4x4, Bareiss elimination above."""
+    """Exact determinant by Bareiss elimination."""
     if matrix.rows != matrix.cols:
         raise NotSquare(f"determinant of {matrix.rows}x{matrix.cols} matrix")
-    if matrix.rows <= 4:
-        return _det_laplace([list(r) for r in matrix.entries], matrix.spec)
     return _det_bareiss(matrix.entries, matrix.spec)
 
 

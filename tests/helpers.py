@@ -38,6 +38,46 @@ def is_left_prime(matrix: PolyMatrix) -> bool:
     return reduce(gcd, maximal_minors(matrix), Poly.zero(matrix.spec)).degree() == 0
 
 
+def det_laplace(entries, spec) -> Poly:
+    """Oracle for the Bareiss ``determinant``: cofactor expansion along the
+    first row."""
+    n = len(entries)
+    if n == 0:
+        return Poly.one(spec)
+    if n == 1:
+        return entries[0][0]
+    if n == 2:
+        return entries[0][0] * entries[1][1] - entries[0][1] * entries[1][0]
+    total = Poly.zero(spec)
+    for j, top in enumerate(entries[0]):
+        if not top:
+            continue
+        minor = [row[:j] + row[j + 1 :] for row in entries[1:]]
+        term = top * det_laplace(minor, spec)
+        total = total + term if j % 2 == 0 else total - term
+    return total
+
+
+def scan_21_generators(spec, max_deg: int) -> list[PolyMatrix]:
+    """Oracle for ``classify_21``: every 1x2 generator with entries of degree
+    <= max_deg that generates a self-dual code.  Orthogonality is filtered
+    first, so the sweep stays cheap even over larger fields."""
+    found = []
+    polys = iter_bounded_polys(spec, max_deg)
+    one = Poly.one(spec)
+    for g1, g2 in itertools.product(polys, polys):
+        if not g1 and not g2:
+            continue
+        if g1 * g1 + g2 * g2:
+            continue
+        if gcd(g1, g2) != one:
+            continue
+        gen = PolyMatrix(spec, [[g1, g2]])
+        assert ConvolutionalCode(gen).is_self_dual()
+        found.append(gen)
+    return found
+
+
 def bounded_free_distance(code: ConvolutionalCode, bound: int) -> tuple[int, str]:
     """Oracle for ``free_distance``: scans every nonzero message whose
     components have degree <= bound and returns the least codeword weight

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from helpers import F2, F4, F5, classify42, is_left_prime, rand_poly
+from helpers import F2, F4, F5, classify42, is_left_prime, rand_poly, scan_21_generators
 from sdconv import (
     ConvolutionalCode,
     Poly,
@@ -17,7 +17,6 @@ from sdconv import (
     make_field,
     parse_matrix,
     reduce_double_triangular,
-    scan_21_generators,
     sqrt_of_minus_one,
 )
 from sdconv.errors import NotBinary, NotSelfDual, NotTriangularPattern

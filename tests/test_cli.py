@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 from time import perf_counter
 
 import pytest
@@ -180,6 +181,23 @@ def test_distance_at_the_search_cap_is_prompt(capsys):
     assert out.strip() == "d_free = 4 (stable at bound 10)"
 
 
+@pytest.mark.parametrize("command", ["check", "double-diagonal"])
+def test_eleven_row_double_diagonal_code_is_prompt(capsys, command):
+    # the generator [I_11 I_11] has C(22, 11) = 705,432 maximal minors
+    k = 11
+    gen = " ; ".join(",".join("1" if j in (i, k + i) else "0" for j in range(2 * k)) for i in range(k))
+    argv = ("check", gen) if command == "check" else ("classify", "double-diagonal", "--k", "11")
+    start = perf_counter()
+    code, out, _ = run(capsys, *argv)
+    assert perf_counter() - start < 2.0
+    assert code == 0
+    if command == "check":
+        assert "degree: 0" in out.splitlines() and "self-dual: true" in out.splitlines()
+    else:
+        [line] = out.splitlines()
+        assert " delta=0 " in line
+
+
 def test_construct_building_up_worked_example(capsys):
     code, out, _ = run(
         capsys,
@@ -275,3 +293,18 @@ def test_determinism_byte_identical(capsys):
     _, first, _ = run(capsys, *args)
     _, second, _ = run(capsys, *args)
     assert first == second
+
+
+# Whole outputs of one request per command, construction and catalog family,
+# in text and JSON, plus parse and precondition failures: a list of
+# {argv, rc, stdout, stderr}.
+GOLDEN = Path(__file__).resolve().parent / "data" / "cli_golden.json"
+
+
+def test_outputs_match_the_golden_file(capsys):
+    records = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    replayed = [
+        dict(zip(("argv", "rc", "stdout", "stderr"), (r["argv"], *run(capsys, *r["argv"]))))
+        for r in records
+    ]
+    assert replayed == records

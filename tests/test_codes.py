@@ -23,6 +23,8 @@ from sdconv import (
     find_completion,
     hm_extend,
     iter_bounded_polys,
+    make_field,
+    maximal_minors,
     orthogonal_chain,
     parse_matrix,
     parse_vector,
@@ -58,6 +60,23 @@ def test_code_degree_invariant_under_unimodular_factors():
     for _ in range(6):
         u = rand_unimodular(rng, F2, 2)
         assert ConvolutionalCode(u @ c.generator).code_degree() == c.code_degree()
+
+
+def test_code_degree_matches_maximal_minors_oracle():
+    # random full-rank generators, and the same ones times a random
+    # unimodular factor; a generator whose row degrees sum above its
+    # largest minor degree has a singular leading-coefficient matrix
+    rng = random.Random(47)
+    singular = 0
+    for spec in (F2, make_field(3), F4, F5, make_field(3, 2), make_field(2, 4)):
+        for k in (1, 2, 3):
+            for _ in range(6):
+                g = rand_full_rank(rng, spec, k, rng.randint(k, 2 * k), max_deg=2)
+                for gen in (g, rand_unimodular(rng, spec, k, ops=4) @ g):
+                    oracle = max(m.degree() for m in maximal_minors(gen))
+                    assert ConvolutionalCode(gen).code_degree() == oracle
+                    singular += sum(max(e.degree() for e in row) for row in gen.entries) > oracle
+    assert singular >= 20
 
 
 def test_dual_examples():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import F2, F4, F5, is_left_prime, rand_full_rank, rand_matrix, rand_unimodular
+from helpers import F2, F4, F5, det_laplace, is_left_prime, rand_full_rank, rand_matrix, rand_unimodular
 from sdconv import (
     Poly,
     PolyMatrix,
@@ -158,13 +158,13 @@ def test_unimodular_examples():
 
 
 def test_determinant_bareiss_matches_laplace():
-    from sdconv.matrices import _det_bareiss, _det_laplace
+    from sdconv.matrices import _det_bareiss
 
     rng = random.Random(3)
     for n in (5, 6):
         for _ in range(4):
             a = rand_matrix(rng, F5, n, n, max_deg=1)
-            assert _det_bareiss(a.entries, F5) == _det_laplace(
+            assert _det_bareiss(a.entries, F5) == det_laplace(
                 [list(r) for r in a.entries], F5
             )
     # public path uses Bareiss above 4x4 and must agree on a known case
