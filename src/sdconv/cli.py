@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Commands operate on the text formats of the library: polynomials over z,
-matrices with rows separated by ';' and entries by ',', and field
-selectors like "2", "4" or "3^2".  All output is deterministic.  Exit
-codes: 0 for success (including "false" verdicts), 2 for unparseable
-input, 3 for violated preconditions.
+Commands operate on the text formats of the library: polynomials over z
+in the grammar documented on ``fields._parse_terms``, matrices with rows
+separated by ';' and entries by ',', and field selectors like "2", "4" or
+"3^2".  All output is deterministic.  Exit codes: 0 for success
+(including "false" verdicts), 2 for unparseable input, 3 for violated
+preconditions.
 """
 
 from __future__ import annotations

@@ -40,8 +40,8 @@ class DistanceReport:
 
     ``value`` is the minimum codeword weight over all nonzero messages
     whose components have degree at most ``search_bound``.  The status is
-    "exact-under-bound" when the minimum already stabilized one bound
-    earlier; this is a heuristic stopping signal, not a proof.
+    "exact-under-bound" when the search proved that no longer message is
+    lighter, so the value is the free distance, else "upper-bound".
     """
 
     value: int
@@ -143,9 +143,15 @@ class ConvolutionalCode:
         still owe the next m output blocks (m the largest entry degree) and
         its cost the least weight already emitted.  Weight is invariant
         under shift and scaling, so step 0 takes only nonzero inputs whose
-        first nonzero entry is 1.  The value is the least cost plus owed
-        weight after step ``bound``; it is exact-under-bound when step
-        ``bound - 1`` already reaches it.
+        first nonzero entry is 1.
+
+        After each step but the last, a state goes on only if it still owes
+        output and costs less than the lightest ended message and than it
+        did at any earlier step.  When none goes on, the value is d_free,
+        the least weight of any nonzero message: a lighter message with the
+        fewest steps passes only states that go on, since a state owing
+        nothing, or reached earlier at no higher cost, leaves a shorter
+        message that is no heavier.
         """
         if bound < 0:
             raise OutOfRange("bound must be nonnegative")
@@ -170,6 +176,8 @@ class ConvolutionalCode:
         # each state, what is owed followed by one zero block, maps to its cost
         states = {(zero,) * width: 0}
         pad = (zero,) * n
+        ended = float("inf")  # the least weight of a message whose output ended
+        seen: dict = {}  # the least cost of each state that went on
         for _ in range(bound):
             layer: dict = {}
             for owed, cost in states.items():
@@ -179,16 +187,20 @@ class ConvolutionalCode:
                     nxt = out[n:] + pad
                     if total < layer.get(nxt, total + 1):
                         layer[nxt] = total
-            states = layer
+            ended = min(ended, min(c + width - o.count(zero) for o, c in layer.items()))
+            states = {
+                o: c for o, c in layer.items() if any(o) and c < min(ended, seen.get(o, ended))
+            }
+            if not states:
+                return DistanceReport(value=ended, search_bound=bound, status=STATUS_EXACT)
+            seen.update(states)
             branches = every
-        best_prev = min(c + width - o.count(zero) for o, c in states.items()) if bound else None
         best = min(
             c + width - tuple(map(add, o, b)).count(zero)
             for o, c in states.items()
             for b in branches
         )
-        status = STATUS_EXACT if best_prev == best else STATUS_UPPER
-        return DistanceReport(value=best, search_bound=bound, status=status)
+        return DistanceReport(value=min(ended, best), search_bound=bound, status=STATUS_UPPER)
 
     def __eq__(self, other):
         if isinstance(other, ConvolutionalCode):

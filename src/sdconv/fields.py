@@ -33,8 +33,8 @@ fields use the letter ``a`` for the residue class of x ("a+1", "a^2+2*a").
 from __future__ import annotations
 
 import itertools
-import re
-from typing import Iterable, Optional
+import math
+from typing import Iterable, Iterator, Optional
 
 from .errors import (
     DegreeMismatch,
@@ -412,9 +412,6 @@ class FieldSpec:
     def nonzero_elements(self) -> tuple[FieldElement, ...]:
         return self._els[1:]
 
-    def parse(self, text: str) -> FieldElement:
-        return parse_element(self, text)
-
     def __eq__(self, other):
         if self is other:
             return True
@@ -428,7 +425,7 @@ class FieldSpec:
     def __repr__(self):
         if self.l == 1:
             return f"GF({self.p})"
-        return f"GF({self.q})[{_format_int_poly(self.modulus, 'a')}]"
+        return f"GF({self.q})[{_format_terms(map(str, self.modulus), 'a')}]"
 
 
 _FIELDS: dict[tuple, FieldSpec] = {}
@@ -473,7 +470,7 @@ def _choose_modulus(p: int, l: int, mod: Optional[tuple[int, ...]]) -> tuple[int
         if any(not 0 <= c < p for c in mod):
             raise OutOfRange("modulus coefficients must lie in [0, p)")
         if not _modulus_is_irreducible(mod, p):
-            raise ReducibleModulus(f"{_format_int_poly(mod, 'a')} factors over GF({p})")
+            raise ReducibleModulus(f"{_format_terms(map(str, mod), 'a')} factors over GF({p})")
         return mod
     if l == 1:
         return (0, 1)
@@ -500,18 +497,66 @@ def sqrt_of_minus_one(spec: FieldSpec) -> Optional[FieldElement]:
 # ---------------------------------------------------------------------------
 # Text syntax.
 
-def _format_int_poly(coeffs: Iterable[int], var: str) -> str:
+def _split_terms(s: str) -> list[str]:
+    """``s`` split at the '+' signs outside parentheses."""
+    terms, depth, start = [], 0, 0
+    for i, ch in enumerate(s):
+        depth += (ch == "(") - (ch == ")")
+        if depth < 0:
+            break
+        if ch == "+" and not depth:
+            terms.append(s[start:i])
+            start = i + 1
+    if depth:
+        raise ParseError(f"unbalanced parentheses in {s!r}")
+    terms.append(s[start:])
+    return terms
+
+
+def _parse_terms(text: str, var: str) -> Iterator[tuple[Optional[str], int]]:
+    """The terms of text in the package's one polynomial grammar, which
+    writes field elements and moduli in ``a`` and entries of F_q[z] in
+    ``z``.  Whitespace is ignored, and a '+' inside parentheses does not
+    split terms, so "(a+1)*z" is one term:
+
+        poly  := term ('+' term)*
+        term  := coeff | coeff '*' power | power
+        power := var | var '^' digits
+
+    Yields each term's coefficient text (None for a bare power) and its
+    exponent (0 without the one-letter ``var``), up to MAX_EXPONENT.
+    The caller reads the coefficients and adds those of a repeated power.
+    """
+    s = "".join(text.split())
+    if not s:
+        raise ParseError("empty polynomial text")
+    for term in _split_terms(s) if "(" in s or ")" in s else s.split("+"):
+        if not term:
+            raise ParseError(f"empty term in {text!r}")
+        coeff, star, power = term.rpartition("*")
+        digits = power[2:]
+        if (power == var or power[:2] == var + "^" and digits.isdecimal()) and (coeff or not star):
+            yield coeff or None, _parse_exponent(digits) if digits else 1
+        else:
+            yield term, 0
+
+
+def _format_terms(coefficient_texts: Iterable[str], var: str) -> str:
+    """Text of the polynomial with these coefficient texts, lowest degree
+    first: descending powers, no zero terms, unit coefficients omitted and
+    coefficients that contain '+' parenthesized."""
     terms = []
-    cs = list(coeffs)
-    for exp in range(len(cs) - 1, -1, -1):
-        c = cs[exp]
-        if c == 0:
+    for exp, c in reversed(list(enumerate(coefficient_texts))):
+        if c == "0":
             continue
         if exp == 0:
-            terms.append(str(c))
+            terms.append(c)
+            continue
+        power = var if exp == 1 else f"{var}^{exp}"
+        if c == "1":
+            terms.append(power)
         else:
-            v = var if exp == 1 else f"{var}^{exp}"
-            terms.append(v if c == 1 else f"{c}*{v}")
+            terms.append(f"({c})*{power}" if "+" in c else f"{c}*{power}")
     return "+".join(terms) if terms else "0"
 
 
@@ -536,25 +581,13 @@ def parse_int_poly(text: str, var: str, p: int) -> tuple[int, ...]:
     Returns the dense coefficient tuple, lowest degree first, reduced mod p
     but not trimmed of leading zeros the caller did not write.
     """
-    s = "".join(text.split())
-    if not s:
-        raise ParseError("empty polynomial text")
-    pattern = re.compile(rf"^(?:(\d+)\*)?{re.escape(var)}(?:\^(\d+))?$")
     coeffs: dict[int, int] = {}
-    for term in s.split("+"):
-        if not term:
-            raise ParseError(f"empty term in {text!r}")
-        m = pattern.match(term)
-        if m:
-            c = _parse_coefficient(m.group(1)) if m.group(1) else 1
-            e = _parse_exponent(m.group(2)) if m.group(2) else 1
-        elif term.isdigit():
-            c, e = _parse_coefficient(term), 0
-        else:
-            raise ParseError(f"cannot parse term {term!r} in {text!r}")
-        coeffs[e] = (coeffs.get(e, 0) + c) % p
-    deg = max(coeffs)
-    return tuple(coeffs.get(i, 0) for i in range(deg + 1))
+    for c, e in _parse_terms(text, var):
+        digits = "1" if c is None else c.strip("()")  # balanced: strips pairs only
+        if not digits.isdecimal():
+            raise ParseError(f"cannot parse coefficient {c!r} in {text!r}")
+        coeffs[e] = (coeffs.get(e, 0) + _parse_coefficient(digits)) % p
+    return tuple(coeffs.get(i, 0) for i in range(max(coeffs) + 1))
 
 
 def parse_element(spec: FieldSpec, text: str) -> FieldElement:
@@ -564,21 +597,16 @@ def parse_element(spec: FieldSpec, text: str) -> FieldElement:
         s = s[1:-1]
     if not s:
         raise ParseError("empty field element text")
-    if spec.l == 1:
-        if not s.isdigit():
-            raise ParseError(f"{text!r} is not a valid GF({spec.p}) element")
+    if s.isdecimal():
         return spec.from_int(_parse_coefficient(s))
-    if "a" not in s and not s.isdigit():
+    if spec.l == 1 or "a" not in s:
         raise ParseError(f"{text!r} is not a valid {spec} element")
-    raw = parse_int_poly(s, "a", spec.p)
-    red = _int_poly_mod(raw, list(spec.modulus), spec.p)
+    red = _int_poly_mod(parse_int_poly(s, "a", spec.p), list(spec.modulus), spec.p)
     return spec.element(tuple(red) + (0,) * (spec.l - len(red)))
 
 
 def format_element(e: FieldElement) -> str:
-    if e.spec.l == 1:
-        return str(e.coeffs[0])
-    return _format_int_poly(e.coeffs, "a")
+    return _format_terms(map(str, e.coeffs), "a")
 
 
 def parse_field_selector(text: str, modulus_text: Optional[str] = None) -> FieldSpec:
@@ -587,37 +615,21 @@ def parse_field_selector(text: str, modulus_text: Optional[str] = None) -> Field
     A bare integer is factored as a prime power; "p^l" is explicit.  An
     optional modulus is parsed as a polynomial in ``a`` over F_p.
     """
-    s = text.strip()
-    if "^" in s:
-        base, _, exp = s.partition("^")
-        try:
-            p, l = int(base), int(exp)
-        except ValueError as exc:
-            raise ParseError(f"bad field selector {text!r}") from exc
-    else:
-        try:
-            q = int(s)
-        except ValueError as exc:
-            raise ParseError(f"bad field selector {text!r}") from exc
+    base, caret, exp = text.strip().partition("^")
+    try:
+        p, l = int(base), int(exp) if caret else 0
+    except ValueError as exc:
+        raise ParseError(f"bad field selector {text!r}") from exc
+    if not caret:
+        q = p
         if q < 2:
             raise ParseError(f"bad field selector {text!r}")
         if q > MAX_FIELD_SIZE:
             raise SearchSpaceTooLarge(f"field size {q} exceeds supported maximum {MAX_FIELD_SIZE}")
-        p = 2
-        while p * p <= q and q % p:
-            p += 1
-        if q % p:
-            p = q  # q itself is prime
-        l = 0
-        rest = q
-        while rest % p == 0 and rest > 1:
-            rest //= p
-            l += 1
-        if rest != 1:
+        p, *others = _prime_factors(q)
+        if others:
             raise ParseError(f"{q} is not a prime power")
-    modulus = None
-    if modulus_text is not None:
-        mod = parse_int_poly(modulus_text, "a", p)
-        # parse reduces mod p; keep as written for degree validation
-        modulus = mod
+        l = round(math.log(q, p))
+    # the parsed modulus keeps the length as written for the degree check
+    modulus = None if modulus_text is None else parse_int_poly(modulus_text, "a", p)
     return make_field(p, l, modulus)

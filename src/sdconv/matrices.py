@@ -529,11 +529,10 @@ def solve_left(matrix: PolyMatrix, vec: Sequence[Entryish]) -> Optional[tuple[Po
 # Text format: rows separated by ';', entries by ','.
 
 def parse_matrix(spec: FieldSpec, text: str) -> PolyMatrix:
-    rows_text = [r for r in text.split(";")]
-    if not rows_text or not text.strip():
+    if not text.strip():
         raise ParseError("empty matrix text")
     rows = []
-    for rt in rows_text:
+    for rt in text.split(";"):
         cells = rt.split(",")
         if not any(c.strip() for c in cells):
             raise ParseError(f"empty matrix row in {text!r}")

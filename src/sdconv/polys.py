@@ -9,11 +9,10 @@ arithmetic builds its results without lifting or checking them again.
 
 from __future__ import annotations
 
-import re
 from typing import Iterable, Sequence, Union
 
-from .errors import DimensionMismatch, DivisionByZero, FieldMismatch, OutOfRange, ParseError
-from .fields import FieldElement, FieldSpec, _parse_exponent, parse_element
+from .errors import DimensionMismatch, DivisionByZero, FieldMismatch, OutOfRange
+from .fields import FieldElement, FieldSpec, _format_terms, _parse_terms, parse_element
 
 NEG_INF = float("-inf")
 
@@ -249,72 +248,19 @@ def vec_content(vec: Sequence[Poly]) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# Text format: terms joined by '+', term = coeff | coeff '*' zpow | zpow,
-# zpow = 'z' or 'z^k'.  Multi-term coefficients of extension fields are
-# parenthesized on emission; parsing accepts both forms.
-
-_TERM_RE = re.compile(r"^(?:(?P<coeff>.+?)\*)?z(?:\^(?P<exp>\d+))?$")
-
-
-def _split_terms(s: str) -> list[str]:
-    terms, depth, start = [], 0, 0
-    for i, ch in enumerate(s):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ParseError(f"unbalanced parentheses in {s!r}")
-        elif ch == "+" and depth == 0:
-            terms.append(s[start:i])
-            start = i + 1
-    if depth:
-        raise ParseError(f"unbalanced parentheses in {s!r}")
-    terms.append(s[start:])
-    return terms
+# Text format: polynomials in z whose coefficients are field-element text,
+# in the one grammar documented on fields._parse_terms.
 
 
 def parse_poly(spec: FieldSpec, text: str) -> Poly:
     """Parse polynomial text over z; whitespace-insensitive."""
-    s = "".join(text.split())
-    if not s:
-        raise ParseError("empty polynomial text")
     coeffs: dict[int, FieldElement] = {}
-    for term in _split_terms(s):
-        if not term:
-            raise ParseError(f"empty term in {text!r}")
-        m = _TERM_RE.match(term)
-        if m:
-            ct = m.group("coeff")
-            c = spec.one if ct is None else parse_element(spec, ct)
-            e = _parse_exponent(m.group("exp")) if m.group("exp") else 1
-        else:
-            c, e = parse_element(spec, term), 0
+    for ct, e in _parse_terms(text, "z"):
+        c = spec.one if ct is None else parse_element(spec, ct)
         coeffs[e] = coeffs.get(e, spec.zero) + c
-    out = [spec.zero] * (max(coeffs) + 1)
-    for e, c in coeffs.items():
-        out[e] = c
-    return Poly(spec, out)
+    return _poly(spec, [coeffs.get(e, spec.zero) for e in range(max(coeffs) + 1)])
 
 
 def format_poly(p: Poly) -> str:
     """Canonical emission: descending powers, no zero terms, units omitted."""
-    if not p:
-        return "0"
-    terms = []
-    for exp in range(len(p.coeffs) - 1, -1, -1):
-        c = p.coeffs[exp]
-        if not c:
-            continue
-        cs = str(c)
-        if exp == 0:
-            terms.append(cs)
-            continue
-        zs = "z" if exp == 1 else f"z^{exp}"
-        if c == p.spec.one:
-            terms.append(zs)
-        else:
-            if "+" in cs:
-                cs = f"({cs})"
-            terms.append(f"{cs}*{zs}")
-    return "+".join(terms)
+    return _format_terms(map(str, p.coeffs), "z")

@@ -5,8 +5,6 @@ import random
 from functools import lru_cache, reduce
 
 from sdconv import (
-    STATUS_EXACT,
-    STATUS_UPPER,
     ConvolutionalCode,
     Poly,
     PolyMatrix,
@@ -78,20 +76,14 @@ def scan_21_generators(spec, max_deg: int) -> list[PolyMatrix]:
     return found
 
 
-def bounded_free_distance(code: ConvolutionalCode, bound: int) -> tuple[int, str]:
+def bounded_free_distance(code: ConvolutionalCode, bound: int) -> int:
     """Oracle for ``free_distance``: scans every nonzero message whose
-    components have degree <= bound and returns the least codeword weight
-    with its status, exact when messages of degree < bound reach it too."""
-    polys = iter_bounded_polys(code.spec, bound)
-    best = best_prev = None
-    for msg in itertools.product(polys, repeat=code.k):
-        if not any(msg):
-            continue
-        weight = sum(p.weight() for p in code.encode(msg))
-        best = weight if best is None else min(best, weight)
-        if bound > 0 and all(p.degree() < bound for p in msg):
-            best_prev = weight if best_prev is None else min(best_prev, weight)
-    return best, STATUS_EXACT if best_prev == best else STATUS_UPPER
+    components have degree <= bound and returns the least codeword weight."""
+    return min(
+        sum(p.weight() for p in code.encode(msg))
+        for msg in itertools.product(iter_bounded_polys(code.spec, bound), repeat=code.k)
+        if any(msg)
+    )
 
 
 # Coefficient-vector arithmetic in F_p[x] / (modulus): the oracle for the

@@ -1,4 +1,5 @@
-"""The benchmark's own output checks, run on a slice of each workload.
+"""The benchmark's own output checks, run on a slice of the completion
+workload and on the whole seed-1 cli-mixed stream.
 
 A change of representation that breaks what the benchmark reads, such as
 ``Poly.coeffs`` and ``FieldElement.coeffs`` or the recorded catalog, fails
@@ -29,10 +30,12 @@ def test_completion_slice_passes_the_bench_check():
 
 
 def test_cli_mixed_slice_passes_the_bench_check():
+    # the whole seed-1 stream: every request goes through the text parsers,
+    # and each of the malformed ones, ten of every kind, must exit 2 or 3
     wl = workloads.CliMixed(sdconv, 1)
     ops = wl.ops()
-    chosen = ops[:40] + [op for op in ops if op[0] == workloads.FOUR_TWO_ARGV]
-    assert len(chosen) == 41
-    results = verdicts(wl, chosen)
+    assert len(ops) == 600
+    assert sum(malformed for _, malformed in ops) == 10 * len(workloads.MALFORMED_KINDS) == 70
+    results = verdicts(wl, ops)
     bad = [(op, v) for op, v in results if v != workloads.OK]
     assert not bad

@@ -189,9 +189,27 @@ def test_free_distance_matches_message_scan_oracle():
                 for _ in range(2):
                     c = ConvolutionalCode(rand_full_rank(rng, spec, k, rng.randint(k, 2 * k)))
                     rep = c.free_distance(bound)
-                    assert (rep.value, rep.status) == bounded_free_distance(c, bound), c
+                    assert rep.value == bounded_free_distance(c, bound), c
                     statuses.add(rep.status)
+                    if rep.status == STATUS_EXACT:
+                        # a proven d_free: longer messages are no lighter
+                        assert bounded_free_distance(c, bound + 1) == rep.value, c
     assert statuses == {STATUS_EXACT, STATUS_UPPER}
+
+
+@pytest.mark.parametrize(
+    "generator, bound, lighter",
+    [
+        # non-catastrophic, d_free 3: the message (1, z^2) is longer than bound 1
+        ("z^2+1,z^2,z^2+z ; 1,z+1,1", 1, "1,z^3,z"),
+        # catastrophic: a degree-12 message encodes to (0, 0, z^15+1)
+        ("z^3+1,z^3+z^2+z,z^3+z ; z^3+z,z^3+z^2,z+1", 10, "0,0,z^15+1"),
+    ],
+)
+def test_free_distance_claims_no_unproven_exact_value(generator, bound, lighter):
+    c = code(F2, generator)
+    assert c.contains(parse_vector(F2, lighter))
+    assert c.free_distance(bound).render() == f"d_free <= 4 (bound {bound})"
 
 
 def test_free_distance_search_cap():

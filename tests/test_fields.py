@@ -134,17 +134,21 @@ def test_enumeration_is_lexicographic():
 
 
 def test_element_text_roundtrip():
+    for spec in (field(2), field(4), field(5), field(9), field(16), make_field(2, 8)):
+        for e in spec.elements():
+            assert parse_element(spec, str(e)) is e
     F9 = field(9)
-    for e in F9.elements():
-        assert parse_element(F9, str(e)) == e
     a = F9.element((0, 1))
     assert parse_element(F9, "a^2+2*a") == a * a + F9.from_int(2) * a
+    assert parse_element(F9, "(2)*a+1") == F9.from_int(2) * a + 1
     F5 = field(5)
     assert parse_element(F5, " 3 ") == F5.from_int(3)
+    # "²" is a digit to str.isdigit but not to int()
+    for bad in ("x", "", "²"):
+        with pytest.raises(ParseError):
+            parse_element(F5, bad)
     with pytest.raises(ParseError):
-        parse_element(F5, "x")
-    with pytest.raises(ParseError):
-        parse_element(F5, "")
+        parse_element(F9, "²*a")
 
 
 def test_parse_field_selector():

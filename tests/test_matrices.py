@@ -167,7 +167,8 @@ def test_determinant_bareiss_matches_laplace():
             assert _det_bareiss(a.entries, F5) == det_laplace(
                 [list(r) for r in a.entries], F5
             )
-    # public path uses Bareiss above 4x4 and must agree on a known case
+    # the public path is Bareiss at every size: a unimodular matrix has a
+    # nonzero constant determinant
     u = rand_unimodular(rng, F5, 5)
     d = determinant(u)
     assert d.degree() == 0 and d

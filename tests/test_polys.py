@@ -1,13 +1,16 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdconv import Poly, gcd, make_field, parse_poly, vec_content, xgcd
-from sdconv.errors import DivisionByZero, FieldMismatch, ParseError
-from sdconv.polys import NEG_INF
+from sdconv import Poly, gcd, make_field, parse_element, parse_poly, vec_content, xgcd
+from sdconv.errors import DivisionByZero, FieldMismatch, ParseError, SdconvError
+from sdconv.polys import NEG_INF, format_poly
 
 F2 = make_field(2)
 F4 = make_field(2, 2)
 F5 = make_field(5)
+F9 = make_field(3, 2)
+F16 = make_field(2, 4)
+F256 = make_field(2, 8)
 
 
 def P(spec, *coeffs):
@@ -145,11 +148,30 @@ def test_parse_examples():
         parse_poly(F2, "(z+1")
 
 
-@pytest.mark.parametrize("spec", [F2, F4, F5])
+@pytest.mark.parametrize("spec", [F2, F4, F5, F9, F16, F256])
 def test_format_parse_roundtrip(spec):
     @settings(max_examples=150)
     @given(polys(spec))
     def inner(p):
-        assert parse_poly(spec, str(p)) == p
+        assert parse_poly(spec, format_poly(p)) == p
 
     inner()
+
+
+# Short text over the grammar's alphabet; the two-letter pieces make powers
+# and products likelier than single letters would.
+GRAMMAR_TEXT = st.lists(
+    st.sampled_from([*"az0123456789+*^() ", "z^", "a^", "*z", "*a", "+z", "+a"]), max_size=8
+).map("".join)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from([F2, F5, F9, F256]), GRAMMAR_TEXT)
+def test_arbitrary_text_parses_or_raises_a_typed_error(spec, text):
+    # the polynomial grammar in z and the element grammar in a: a result or
+    # an SdconvError, never another exception
+    for parse in (parse_poly, parse_element):
+        try:
+            parse(spec, text)
+        except SdconvError:
+            pass
