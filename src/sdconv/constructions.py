@@ -270,7 +270,8 @@ def find_completion(gt: PolyMatrix, witness: Optional[Sequence] = None) -> Compl
         if solve_left(span_with_e, cand) is not None:
             return None
         f = _unit_content_vector(spec, cand)
-        assert solve_left(span_with_e, f) is None
+        # only dividing by a content other than 1 could bring f into the span
+        assert f == cand or solve_left(span_with_e, f) is None
         gen = vstack(row_matrix(spec, f), gt)
         if not ConvolutionalCode(gen).is_self_dual():
             return None

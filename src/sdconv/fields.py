@@ -14,14 +14,16 @@ coefficients.  Two elements of one field object are equal exactly when they
 are the same object.
 
 Arithmetic is list indexing into tables the field builds once, in O(q*l)
-steps, from the powers of a primitive element g:
+steps, from the powers of a primitive element g.  The tables hold codes, so
+the polynomial arithmetic runs on them directly, and an element operator
+looks its result code up in :meth:`FieldSpec.elements`:
 
 * log: code -> i with g^i equal to the element (nonzero codes only);
-* antilog: i -> element for i < 2(q-1), so a sum of two logs needs no
+* antilog: i -> code of g^i for i < 2(q-1), so a sum of two logs needs no
   reduction;
 * Zech log: k -> log(1 + g^k), or None when 1 + g^k = 0, which turns a sum
   into g^i + g^j = g^(i + Z(j - i));
-* negation: code -> the element's negative.
+* negation: code -> the code of the element's negative.
 
 :func:`make_field` keeps the fields it built most recently, so repeated
 calls return one object and build its tables once.
@@ -253,7 +255,7 @@ class FieldElement:
         # the Zech table is periodic with period q - 1, so a negative
         # difference of logs indexes it directly
         z = spec._zech[log[b] - i]
-        return spec.zero if z is None else spec._exp[i + z]
+        return spec.zero if z is None else spec._els[spec._exp[i + z]]
 
     __radd__ = __add__
 
@@ -267,12 +269,12 @@ class FieldElement:
         if not b:
             return self
         if not a:
-            return spec._neg[b]
+            return spec._els[spec._neg[b]]
         log = spec._log
         i = log[a]
         # g^i - g^j = g^i + g^(j + h) with g^h = -1
         z = spec._zech[log[b] + spec._log_minus_one - i]
-        return spec.zero if z is None else spec._exp[i + z]
+        return spec.zero if z is None else spec._els[spec._exp[i + z]]
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -281,7 +283,7 @@ class FieldElement:
         return o - self
 
     def __neg__(self):
-        return self.spec._neg[self.code]
+        return self.spec._els[self.spec._neg[self.code]]
 
     def __mul__(self, other):
         spec = self.spec
@@ -293,7 +295,7 @@ class FieldElement:
         if not (a and b):
             return spec.zero
         log = spec._log
-        return spec._exp[log[a] + log[b]]
+        return spec._els[spec._exp[log[a] + log[b]]]
 
     __rmul__ = __mul__
 
@@ -309,14 +311,14 @@ class FieldElement:
         if not a:
             return spec.zero
         log = spec._log
-        return spec._exp[log[a] - log[b] + spec.q - 1]
+        return spec._els[spec._exp[log[a] - log[b] + spec.q - 1]]
 
     def inverse(self) -> "FieldElement":
         """Multiplicative inverse; raises DivisionByZero on 0."""
         spec = self.spec
         if not self.code:
             raise DivisionByZero("zero has no multiplicative inverse")
-        return spec._exp[spec.q - 1 - spec._log[self.code]]
+        return spec._els[spec._exp[spec.q - 1 - spec._log[self.code]]]
 
     def __pow__(self, n: int):
         spec = self.spec
@@ -324,7 +326,7 @@ class FieldElement:
             if n < 0:
                 raise DivisionByZero("zero has no multiplicative inverse")
             return spec.one if n == 0 else self
-        return spec._exp[spec._log[self.code] * n % (spec.q - 1)]
+        return spec._els[spec._exp[spec._log[self.code] * n % (spec.q - 1)]]
 
     def __bool__(self):
         return self.code != 0
@@ -385,12 +387,12 @@ class FieldSpec:
         for i, c in enumerate(power_codes):
             log[c] = i
         self._log = log
-        self._exp = [els[c] for c in power_codes] * 2
+        self._exp = power_codes * 2
         # adding 1 raises the leading base-p digit of a code by 1 mod p
         top = unit * (p - 1)
         self._zech = [log[c + unit if c < top else c - top] for c in power_codes] * 2
         h = self._log_minus_one = log[top]
-        self._neg = (self.zero,) + tuple(self._exp[log[c] + h] for c in range(1, q))
+        self._neg = (0,) + tuple(self._exp[log[c] + h] for c in range(1, q))
 
     def element(self, coeffs: tuple[int, ...]) -> FieldElement:
         """The element with this coefficient vector, lowest degree first."""
@@ -513,6 +515,18 @@ def _split_terms(s: str) -> list[str]:
     return terms
 
 
+def _is_wrapped(s: str) -> bool:
+    """True when s is "(...)" and its first '(' closes at its last character."""
+    if s[:1] != "(":
+        return False
+    depth = 0
+    for i, ch in enumerate(s):
+        depth += (ch == "(") - (ch == ")")
+        if not depth:
+            return i == len(s) - 1
+    return False
+
+
 def _parse_terms(text: str, var: str) -> Iterator[tuple[Optional[str], int]]:
     """The terms of text in the package's one polynomial grammar, which
     writes field elements and moduli in ``a`` and entries of F_q[z] in
@@ -520,7 +534,7 @@ def _parse_terms(text: str, var: str) -> Iterator[tuple[Optional[str], int]]:
     split terms, so "(a+1)*z" is one term:
 
         poly  := term ('+' term)*
-        term  := coeff | coeff '*' power | power
+        term  := coeff | coeff '*' power | power | '(' term ')'
         power := var | var '^' digits
 
     Yields each term's coefficient text (None for a bare power) and its
@@ -531,6 +545,8 @@ def _parse_terms(text: str, var: str) -> Iterator[tuple[Optional[str], int]]:
     if not s:
         raise ParseError("empty polynomial text")
     for term in _split_terms(s) if "(" in s or ")" in s else s.split("+"):
+        if _is_wrapped(term):  # one pair only, which keeps the parse linear
+            term = term[1:-1]
         if not term:
             raise ParseError(f"empty term in {text!r}")
         coeff, star, power = term.rpartition("*")
@@ -593,7 +609,7 @@ def parse_int_poly(text: str, var: str, p: int) -> tuple[int, ...]:
 def parse_element(spec: FieldSpec, text: str) -> FieldElement:
     """Parse field-element text ("3" over GF(5), "a^2+2*a" over GF(9))."""
     s = "".join(text.split())
-    if s.startswith("(") and s.endswith(")"):
+    if _is_wrapped(s):
         s = s[1:-1]
     if not s:
         raise ParseError("empty field element text")

@@ -31,7 +31,7 @@ from .errors import (
     ShapeUnsupported,
 )
 from .fields import FieldElement, FieldSpec
-from .polys import Poly, parse_poly
+from .polys import Poly, dot, parse_poly, sub_mul
 
 Entryish = Union[Poly, FieldElement, int]
 
@@ -97,12 +97,8 @@ class PolyMatrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        zero = Poly.zero(self.spec)
         bt = other.transpose().entries
-        out = [
-            [sum((a * b for a, b in zip(row, col) if a and b), zero) for col in bt]
-            for row in self.entries
-        ]
+        out = [[dot(row, col) for col in bt] for row in self.entries]
         return PolyMatrix(self.spec, out, cols=other.cols)
 
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
@@ -170,16 +166,6 @@ def row_matrix(spec: FieldSpec, vec: Sequence[Entryish]) -> PolyMatrix:
     return PolyMatrix(spec, [list(vec)])
 
 
-def dot(u: Sequence[Poly], v: Sequence[Poly]) -> Poly:
-    if len(u) != len(v):
-        raise DimensionMismatch("dot product of vectors with different lengths")
-    spec = u[0].spec
-    out = Poly.zero(spec)
-    for a, b in zip(u, v):
-        out = out + a * b
-    return out
-
-
 @dataclass(frozen=True)
 class HermiteDecomposition:
     """form = transform @ input (row side) or input @ transform (column side)."""
@@ -228,8 +214,8 @@ def _hermite_core(spec: FieldSpec, entries: Sequence[Sequence[Poly]]):
                 if a[i][j]:
                     q = a[i][j] // a[r][j]
                     if q:
-                        a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-                        u[i] = [x - q * y for x, y in zip(u[i], u[r])]
+                        a[i] = [sub_mul(x, q, y) for x, y in zip(a[i], a[r])]
+                        u[i] = [sub_mul(x, q, y) for x, y in zip(u[i], u[r])]
                     if a[i][j]:
                         done = False
             if done:
@@ -242,8 +228,8 @@ def _hermite_core(spec: FieldSpec, entries: Sequence[Sequence[Poly]]):
             for i in range(r):
                 q = a[i][j] // a[r][j]
                 if q:
-                    a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
+                    a[i] = [sub_mul(x, q, y) for x, y in zip(a[i], a[r])]
+                    u[i] = [sub_mul(x, q, y) for x, y in zip(u[i], u[r])]
             pivots.append(j)
             r += 1
     return a, u, pivots
@@ -263,7 +249,7 @@ def row_reduced(matrix: PolyMatrix) -> PolyMatrix:
     spec = matrix.spec
     rows = [list(row) for row in matrix.entries]
     while True:
-        degrees = [max(len(e.coeffs) for e in row) - 1 for row in rows]
+        degrees = [max(len(e.codes) for e in row) - 1 for row in rows]
         if -1 in degrees:
             raise RankDeficient("matrix rows are linearly dependent")
         lead = [[Poly(spec, e.coeffs[d:]) for e in row] for row, d in zip(rows, degrees)]
@@ -274,8 +260,8 @@ def row_reduced(matrix: PolyMatrix) -> PolyMatrix:
         i = max((j for j in range(len(rows)) if c[j]), key=lambda j: degrees[j])
         for j, cj in enumerate(c):
             if cj and j != i:
-                shift = Poly(spec, [spec.zero] * (degrees[i] - degrees[j]) + [cj / c[i]])
-                rows[i] = [x + shift * y for x, y in zip(rows[i], rows[j])]
+                shift = Poly(spec, [spec.zero] * (degrees[i] - degrees[j]) + [-(cj / c[i])])
+                rows[i] = [sub_mul(x, shift, y) for x, y in zip(rows[i], rows[j])]
 
 
 def row_hermite(matrix: PolyMatrix) -> HermiteDecomposition:
@@ -328,14 +314,14 @@ def smith(matrix: PolyMatrix) -> SmithDecomposition:
     v = [[Poly.one(spec) if i == j else Poly.zero(spec) for j in range(n)] for i in range(n)]
 
     def row_sub(dst, src, q):
-        a[dst] = [x - q * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x - q * y for x, y in zip(u[dst], u[src])]
+        a[dst] = [sub_mul(x, q, y) for x, y in zip(a[dst], a[src])]
+        u[dst] = [sub_mul(x, q, y) for x, y in zip(u[dst], u[src])]
 
     def col_sub(dst, src, q):
         for i in range(k):
-            a[i][dst] = a[i][dst] - q * a[i][src]
+            a[i][dst] = sub_mul(a[i][dst], q, a[i][src])
         for i in range(n):
-            v[i][dst] = v[i][dst] - q * v[i][src]
+            v[i][dst] = sub_mul(v[i][dst], q, v[i][src])
 
     for t in range(k):
         cands = [
@@ -423,7 +409,7 @@ def _det_bareiss(entries, spec: FieldSpec) -> Poly:
             sign = -sign
         for i in range(t + 1, n):
             for j in range(t + 1, n):
-                m[i][j] = (m[t][t] * m[i][j] - m[i][t] * m[t][j]) // prev
+                m[i][j] = sub_mul(m[t][t] * m[i][j], m[i][t], m[t][j]) // prev
             m[i][t] = Poly.zero(spec)
         prev = m[t][t]
     return m[n - 1][n - 1] * sign
@@ -517,7 +503,7 @@ def solve_left(matrix: PolyMatrix, vec: Sequence[Entryish]) -> Optional[tuple[Po
     for i in range(k - 1, -1, -1):
         rhs = w[i]
         for j in range(i + 1, k):
-            rhs = rhs - m[j] * lform.entries[j][i]
+            rhs = sub_mul(rhs, m[j], lform.entries[j][i])
         q, r = divmod(rhs, lform.entries[i][i])
         if r:
             return None

@@ -1,10 +1,17 @@
 """Dense univariate polynomials over a FieldSpec, in the variable z.
 
-Coefficients are stored lowest degree first with no trailing zeros; the
+A polynomial stores its coefficients as the field's int codes, the indices
+in ``spec.elements()``, lowest degree first with no trailing zeros; the
 zero polynomial is the empty tuple and its degree is -infinity, which keeps
-degree comparisons in the canonical-form algorithms uniform.  Every
-coefficient is an element of the polynomial's own spec object, so the
-arithmetic builds its results without lifting or checking them again.
+degree comparisons in the canonical-form algorithms uniform.  Codes depend
+only on the field, not on the spec object.  ``coeffs`` is the API view of
+the codes as the field's interned elements.
+
+All arithmetic runs on code lists through one inner loop, :func:`_mul_into`,
+which adds g^e times a product of code lists into a third with the field's
+log and Zech tables.  Two fused kernels built on it serve the matrix
+algorithms: :func:`sub_mul`, the step x - q*y of an elimination, and
+:func:`dot`.
 """
 
 from __future__ import annotations
@@ -22,22 +29,27 @@ Coeffish = Union[FieldElement, int]
 class Poly:
     """Element of F_q[z]."""
 
-    __slots__ = ("spec", "coeffs")
+    __slots__ = ("spec", "codes")
 
     def __init__(self, spec: FieldSpec, coeffs: Iterable[Coeffish] = ()):
-        lifted = []
+        codes = []
         for c in coeffs:
             if isinstance(c, int):
-                c = spec.from_int(c)
-            elif c.spec is not spec:
-                if c.spec != spec:
-                    raise FieldMismatch("coefficient from a different field")
-                c = spec.element(c.coeffs)
-            lifted.append(c)
-        while lifted and not lifted[-1].code:
-            lifted.pop()
+                codes.append((c % spec.p) * spec.one.code)
+            elif c.spec is spec or c.spec == spec:
+                codes.append(c.code)
+            else:
+                raise FieldMismatch("coefficient from a different field")
+        while codes and not codes[-1]:
+            codes.pop()
         self.spec = spec
-        self.coeffs = tuple(lifted)
+        self.codes = tuple(codes)
+
+    @property
+    def coeffs(self) -> tuple[FieldElement, ...]:
+        """The coefficients as elements of ``spec``, lowest degree first."""
+        els = self.spec._els
+        return tuple([els[c] for c in self.codes])
 
     @classmethod
     def zero(cls, spec: FieldSpec) -> "Poly":
@@ -45,67 +57,57 @@ class Poly:
 
     @classmethod
     def one(cls, spec: FieldSpec) -> "Poly":
-        return _poly(spec, [spec.one])
+        return _poly(spec, [spec.one.code])
 
     @classmethod
     def z(cls, spec: FieldSpec) -> "Poly":
-        return _poly(spec, [spec.zero, spec.one])
+        return _poly(spec, [0, spec.one.code])
 
     def degree(self) -> Union[int, float]:
         """Degree, with degree(0) = -inf so it sorts below every integer."""
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self.codes) - 1 if self.codes else NEG_INF
 
     def lc(self) -> FieldElement:
         """Leading coefficient; undefined for the zero polynomial."""
-        if not self.coeffs:
+        if not self.codes:
             raise DivisionByZero("the zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.spec._els[self.codes[-1]]
 
     def monic(self) -> "Poly":
-        if not self.coeffs:
+        if not self.codes:
             return self
         return self * self.lc().inverse()
 
     def weight(self) -> int:
         """Number of nonzero coefficients."""
-        return sum(1 for c in self.coeffs if c.code)
+        return len(self.codes) - self.codes.count(0)
 
     def _coerce(self, other):
+        """``other`` as a polynomial over a field equal to this one, whose
+        codes therefore mean the same; None if it is not a field value."""
         if isinstance(other, Poly):
-            if other.spec is self.spec:
-                return other
-            if other.spec != self.spec:
+            if other.spec is not self.spec and other.spec != self.spec:
                 raise FieldMismatch("polynomials over different fields")
-            return Poly(self.spec, other.coeffs)
+            return other
         if isinstance(other, (FieldElement, int)):
             return Poly(self.spec, (other,))
         return None
 
-    def __add__(self, other):
+    def _plus(self, other, e: int):
+        """self + g^e * other."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        if not b:
-            return self
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return _poly(self.spec, out)
+        spec = self.spec
+        return _poly(spec, _mul_into(spec, list(self.codes), (spec.one.code,), o.codes, e))
+
+    def __add__(self, other):
+        return self._plus(other, 0)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        out = list(a) + [self.spec.zero] * (len(b) - len(a))
-        for i, c in enumerate(b):
-            out[i] = out[i] - c
-        return _poly(self.spec, out)
+        return self._plus(other, self.spec._log_minus_one)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -114,26 +116,14 @@ class Poly:
         return o - self
 
     def __neg__(self):
-        return _poly(self.spec, [-c for c in self.coeffs])
+        neg = self.spec._neg
+        return _poly(self.spec, [neg[c] for c in self.codes])
 
     def __mul__(self, other):
-        if isinstance(other, (FieldElement, int)):
-            return _poly(self.spec, [c * other for c in self.coeffs])
-        if isinstance(other, Poly):
-            other = self._coerce(other)
-            a, b = self.coeffs, other.coeffs
-            if not a:
-                return self
-            if not b:
-                return other
-            zero = self.spec.zero
-            out = [zero] * (len(a) + len(b) - 1)
-            for i, ca in enumerate(a):
-                if ca:
-                    for j, cb in enumerate(b):
-                        out[i + j] = out[i + j] + ca * cb
-            return _poly(self.spec, out)
-        return NotImplemented
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return _poly(self.spec, _mul_into(self.spec, [], self.codes, o.codes, 0))
 
     __rmul__ = __mul__
 
@@ -153,20 +143,21 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not o:
+        b = o.codes
+        if not b:
             raise DivisionByZero("polynomial division by zero")
         spec = self.spec
-        rem = list(self.coeffs)
-        dv = len(o.coeffs) - 1
-        inv_lead = o.lc().inverse()
-        quo = [spec.zero] * max(len(rem) - dv, 0)
-        while rem and len(rem) - 1 >= dv:
+        log, exp, n = spec._log, spec._exp, spec.q - 1
+        lead = log[b[-1]]
+        minus_inv_lead = (spec._log_minus_one - lead) % n  # the log of -1/lc(o)
+        rem = list(self.codes)
+        dv = len(b) - 1
+        quo = [0] * max(len(rem) - dv, 0)
+        while len(rem) > dv:
             shift = len(rem) - 1 - dv
-            factor = rem[-1] * inv_lead
-            quo[shift] = factor
-            for i, c in enumerate(o.coeffs):
-                rem[shift + i] = rem[shift + i] - factor * c
-            while rem and not rem[-1].code:
+            quo[shift] = exp[log[rem[-1]] - lead + n]
+            _mul_into(spec, rem, (rem[-1],), b, minus_inv_lead, shift)
+            while rem and not rem[-1]:
                 rem.pop()
         return _poly(spec, quo), _poly(spec, rem)
 
@@ -177,19 +168,19 @@ class Poly:
         return divmod(self, other)[1]
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.codes)
 
     def __eq__(self, other):
         # Only polynomials compare equal to polynomials: no hash of a
         # constant could also agree with the hash of an int or an element.
         if isinstance(other, Poly):
-            return self.coeffs == other.coeffs and (
+            return self.codes == other.codes and (
                 self.spec is other.spec or self.spec == other.spec
             )
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.spec, self.coeffs))
+        return hash((self.spec, self.codes))
 
     def __str__(self):
         return format_poly(self)
@@ -198,15 +189,70 @@ class Poly:
         return f"Poly({format_poly(self)!r}, {self.spec!r})"
 
 
-def _poly(spec: FieldSpec, coeffs: list[FieldElement]) -> Poly:
-    """The constructor of arithmetic results: ``coeffs`` are already
-    elements of ``spec``, so only trailing zeros are trimmed."""
-    while coeffs and not coeffs[-1].code:
-        coeffs.pop()
+def _poly(spec: FieldSpec, codes: list[int]) -> Poly:
+    """The constructor of arithmetic results: ``codes`` are already codes
+    of ``spec``, so only trailing zeros are trimmed."""
+    while codes and not codes[-1]:
+        codes.pop()
     out = object.__new__(Poly)
     out.spec = spec
-    out.coeffs = tuple(coeffs)
+    out.codes = tuple(codes)
     return out
+
+
+def _mul_into(
+    spec: FieldSpec, out: list[int], a: Sequence[int], b: Sequence[int], e: int, shift: int = 0
+) -> list[int]:
+    """out[shift + i + j] += g^e * a[i] * b[j] for all i, j, in place on
+    code lists, out padded as needed; returns out.  This is the one inner
+    loop of the arithmetic: a sum g^s + g^t is g^(s + Z(t - s)) by the
+    Zech table, and 0 <= t, s + Z(t - s) < 2(q - 1) index the antilogs."""
+    if not (a and b):
+        return out
+    if len(a) > len(b):
+        a, b = b, a  # fewer passes of the inner loop
+    size = shift + len(a) + len(b) - 1
+    if len(out) < size:
+        out += [0] * (size - len(out))
+    log, exp, zech, n = spec._log, spec._exp, spec._zech, spec.q - 1
+    for i, c in enumerate(a, shift):
+        if c:
+            f = (log[c] + e) % n
+            for j, d in enumerate(b, i):
+                if d:
+                    t = f + log[d]
+                    o = out[j]
+                    if o:
+                        s = log[o]
+                        z = zech[t - s]
+                        out[j] = 0 if z is None else exp[s + z]
+                    else:
+                        out[j] = exp[t]
+    return out
+
+
+def sub_mul(x: Poly, q: Poly, y: Poly) -> Poly:
+    """x - q*y in one pass and one allocation, for polynomials over one
+    field: the row and column step of the elimination algorithms."""
+    spec = x.spec
+    if (q.spec is not spec or y.spec is not spec) and not q.spec == spec == y.spec:
+        raise FieldMismatch("polynomials over different fields")
+    if not (q.codes and y.codes):
+        return x
+    return _poly(spec, _mul_into(spec, list(x.codes), q.codes, y.codes, spec._log_minus_one))
+
+
+def dot(u: Sequence[Poly], v: Sequence[Poly]) -> Poly:
+    """The sum of u[i] * v[i], accumulated in one code list."""
+    if len(u) != len(v):
+        raise DimensionMismatch("dot product of vectors with different lengths")
+    spec = u[0].spec
+    out: list[int] = []
+    for x, y in zip(u, v):
+        if (x.spec is not spec or y.spec is not spec) and not x.spec == spec == y.spec:
+            raise FieldMismatch("polynomials over different fields")
+        _mul_into(spec, out, x.codes, y.codes, 0)
+    return _poly(spec, out)
 
 
 def xgcd(u: Poly, v: Poly) -> tuple[Poly, Poly, Poly]:
@@ -223,8 +269,8 @@ def xgcd(u: Poly, v: Poly) -> tuple[Poly, Poly, Poly]:
     while r1:
         q, r = divmod(r0, r1)
         r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
+        s0, s1 = s1, sub_mul(s0, q, s1)
+        t0, t1 = t1, sub_mul(t0, q, t1)
     if not r0:
         return r0, Poly.zero(spec), Poly.zero(spec)
     c = r0.lc().inverse()
@@ -232,7 +278,12 @@ def xgcd(u: Poly, v: Poly) -> tuple[Poly, Poly, Poly]:
 
 
 def gcd(u: Poly, v: Poly) -> Poly:
-    return xgcd(u, v)[0]
+    """Monic gcd by Euclid's loop, without cofactors; gcd(0, 0) = 0."""
+    if u.spec is not v.spec and u.spec != v.spec:
+        raise FieldMismatch("polynomials over different fields")
+    while v:
+        u, v = v, u % v
+    return u.monic()
 
 
 def vec_content(vec: Sequence[Poly]) -> Poly:
@@ -258,7 +309,7 @@ def parse_poly(spec: FieldSpec, text: str) -> Poly:
     for ct, e in _parse_terms(text, "z"):
         c = spec.one if ct is None else parse_element(spec, ct)
         coeffs[e] = coeffs.get(e, spec.zero) + c
-    return _poly(spec, [coeffs.get(e, spec.zero) for e in range(max(coeffs) + 1)])
+    return _poly(spec, [coeffs.get(e, spec.zero).code for e in range(max(coeffs) + 1)])
 
 
 def format_poly(p: Poly) -> str:

@@ -160,6 +160,56 @@ def vec_inverse(u, modulus, p):
     return _padded([(c * x) % p for x in t0], len(modulus) - 1)
 
 
+# Schoolbook polynomial arithmetic through the FieldElement operators, on
+# coefficient tuples (lowest degree first, no trailing zeros): the oracle
+# for the int-coded kernel of ``sdconv.polys``.
+
+
+def _trimmed(cs) -> tuple:
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def school_add(spec, u, v, sign=1):
+    n = max(len(u), len(v))
+    u, v = (tuple(w) + (spec.zero,) * (n - len(w)) for w in (u, v))
+    return _trimmed(a + b if sign > 0 else a - b for a, b in zip(u, v))
+
+
+def school_mul(spec, u, v):
+    out = [spec.zero] * (len(u) + len(v) - 1) if u and v else []
+    for i, a in enumerate(u):
+        for j, b in enumerate(v):
+            out[i + j] = out[i + j] + a * b
+    return _trimmed(out)
+
+
+def school_divmod(spec, u, v):
+    quo = [spec.zero] * max(len(u) - len(v) + 1, 0)
+    rem = list(u)
+    while len(rem) >= len(v):
+        shift = len(rem) - len(v)
+        factor = rem[-1] / v[-1]
+        quo[shift] = factor
+        for j, b in enumerate(v):
+            rem[shift + j] = rem[shift + j] - factor * b
+        rem = list(_trimmed(rem))
+    return _trimmed(quo), tuple(rem)
+
+
+def school_sub_mul(spec, x, q, y):
+    return school_add(spec, x, school_mul(spec, q, y), sign=-1)
+
+
+def school_dot(spec, us, vs):
+    out = ()
+    for u, v in zip(us, vs):
+        out = school_add(spec, out, school_mul(spec, u, v))
+    return out
+
+
 def rand_poly(rng: random.Random, spec, max_deg: int) -> Poly:
     deg = rng.randrange(-1, max_deg + 1)
     if deg < 0:

@@ -141,6 +141,9 @@ def test_element_text_roundtrip():
     a = F9.element((0, 1))
     assert parse_element(F9, "a^2+2*a") == a * a + F9.from_int(2) * a
     assert parse_element(F9, "(2)*a+1") == F9.from_int(2) * a + 1
+    # parentheses that open and close apart are not one enclosing pair
+    assert parse_element(F9, "(2)*a+(1)") == F9.from_int(2) * a + 1
+    assert parse_element(F9, "(a)+(1)") == a + 1
     F5 = field(5)
     assert parse_element(F5, " 3 ") == F5.from_int(3)
     # "²" is a digit to str.isdigit but not to int()

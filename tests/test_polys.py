@@ -1,11 +1,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdconv import Poly, gcd, make_field, parse_element, parse_poly, vec_content, xgcd
+from helpers import school_add, school_divmod, school_dot, school_mul, school_sub_mul
+from sdconv import FieldSpec, Poly, dot, gcd, make_field, parse_element, parse_poly, vec_content, xgcd
 from sdconv.errors import DivisionByZero, FieldMismatch, ParseError, SdconvError
-from sdconv.polys import NEG_INF, format_poly
+from sdconv.polys import NEG_INF, format_poly, sub_mul
 
 F2 = make_field(2)
+F3 = make_field(3)
 F4 = make_field(2, 2)
 F5 = make_field(5)
 F9 = make_field(3, 2)
@@ -87,6 +89,54 @@ def test_xgcd_bezout_property(spec):
         if g:
             assert g.lc() == spec.one
             assert not u % g and not v % g
+
+    inner()
+
+
+@pytest.mark.parametrize("spec", [F2, F3, F4, F5, F9, F16, F256])
+def test_kernel_matches_the_element_oracle(spec):
+    # an equal field built apart from make_field's cache: a distinct object
+    twin = FieldSpec(spec.p, spec.l, spec.modulus)
+    assert twin is not spec and twin == spec
+
+    pairs = st.lists(st.tuples(polys(spec), polys(spec)), min_size=1, max_size=4)
+
+    @settings(max_examples=60)
+    @given(polys(spec), polys(spec), polys(spec), pairs)
+    def inner(x, q, y, pairs):
+        a, b, c = x.coeffs, q.coeffs, y.coeffs
+        results = {
+            "*": (x * q, school_mul(spec, a, b)),
+            "-": (x - q, school_add(spec, a, b, sign=-1)),
+            "x - q*y": (sub_mul(x, q, y), school_sub_mul(spec, a, b, c)),
+        }
+        us, vs = zip(*pairs)
+        expected = school_dot(spec, [u.coeffs for u in us], [v.coeffs for v in vs])
+        results["dot"] = (dot(us, vs), expected)
+        if q:
+            quo, rem = divmod(x, q)
+            oracle_quo, oracle_rem = school_divmod(spec, a, b)
+            results["//"] = (quo, oracle_quo)
+            results["%"] = (rem, oracle_rem)
+        for op, (got, want) in results.items():
+            assert got.coeffs == want, op
+            els = spec.elements()
+            assert all(e is els[k] for e, k in zip(got.coeffs, got.codes)), op
+        # == and hash agree across equal but distinct field objects
+        x_twin = Poly(twin, a)
+        assert x_twin == x and hash(x_twin) == hash(x)
+        assert all(e is twin.elements()[e.code] for e in x_twin.coeffs)
+        assert x_twin - x == Poly.zero(spec)
+
+    inner()
+
+
+@pytest.mark.parametrize("spec", [F2, F3, F4, F5, F9])
+def test_gcd_is_the_gcd_of_xgcd(spec):
+    @settings(max_examples=100)
+    @given(polys(spec), polys(spec))
+    def inner(u, v):
+        assert gcd(u, v) == xgcd(u, v)[0]
 
     inner()
 
