@@ -30,7 +30,8 @@ from .polys import Poly
 
 STATUS_EXACT = "exact-under-bound"
 STATUS_UPPER = "upper-bound"
-# free_distance refuses to search more candidate messages than this.
+# check_search_size refuses a search over more candidates than this: the
+# messages of free_distance and the candidates and d_free scans of classify.
 MAX_CANDIDATES = 1 << 22
 
 
@@ -131,9 +132,9 @@ class ConvolutionalCode:
         msg = as_poly_vector(self.spec, message)
         if len(msg) != self.k:
             raise DimensionMismatch(f"message of length {len(msg)} for rank-{self.k} code")
-        return tuple(
-            dot(msg, self.generator.column(j)) for j in range(self.n)
-        )
+        if not self.k:
+            return (Poly.zero(self.spec),) * self.n
+        return tuple(dot(msg, col) for col in zip(*self.generator.entries))
 
     def free_distance(self, bound: int) -> DistanceReport:
         """Minimum codeword weight over nonzero messages of degree <= bound.

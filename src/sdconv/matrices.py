@@ -86,7 +86,8 @@ class PolyMatrix:
         return tuple(r[j] for r in self.entries)
 
     def transpose(self) -> "PolyMatrix":
-        return PolyMatrix(self.spec, list(zip(*self.entries)), cols=self.rows)
+        columns = zip(*self.entries) if self.rows else [()] * self.cols
+        return PolyMatrix(self.spec, columns, cols=self.rows)
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if not isinstance(other, PolyMatrix):
@@ -97,6 +98,8 @@ class PolyMatrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
+        if not self.cols:
+            return PolyMatrix.zeros(self.spec, self.rows, other.cols)
         bt = other.transpose().entries
         out = [[dot(row, col) for col in bt] for row in self.entries]
         return PolyMatrix(self.spec, out, cols=other.cols)
@@ -481,34 +484,28 @@ def as_poly_vector(spec: FieldSpec, vec: Sequence[Entryish]) -> tuple[Poly, ...]
 def solve_left(matrix: PolyMatrix, vec: Sequence[Entryish]) -> Optional[tuple[Poly, ...]]:
     """Solve m @ A = v for a full-row-rank A; None when v is outside the span.
 
-    Works through the column Hermite form [L 0]: transforms v, rejects it
-    when a coordinate past the pivots survives, then back-substitutes with
-    exact division (a nonzero remainder also means non-membership).
+    Reduces v by the row Hermite form H = U @ A.  In pivot order, row i is
+    the only row left that reaches its pivot column j_i, so c_i is the
+    quotient of what is left of v there by the monic pivot; a remainder
+    stays at j_i.  So v is in the span iff nothing is left, and m = c @ U.
     """
     k, n = matrix.rows, matrix.cols
     if len(vec) != n:
         raise DimensionMismatch(f"vector of length {len(vec)} against {k}x{n} matrix")
-    lifted = as_poly_vector(matrix.spec, vec)
-    if k == 0:
-        return () if all(not x for x in lifted) else None
-    dec = col_hermite(matrix)
-    lform, v = dec.form, dec.transform
-    if any(not lform.entries[i][i] for i in range(k)):
+    if k > n:
+        raise ShapeUnsupported(f"need rows <= cols, got {k}x{n}")
+    rest = as_poly_vector(matrix.spec, vec)
+    h, u, pivots = _hermite_core(matrix.spec, matrix.entries)
+    if len(pivots) < k:
         raise RankDeficient("matrix does not have full row rank")
-    w = [dot(lifted, v.column(j)) for j in range(n)]
-    if any(w[j] for j in range(k, n)):
+    c = []
+    for row, j in zip(h, pivots):
+        q = rest[j] // row[j]
+        rest = [sub_mul(x, q, y) for x, y in zip(rest, row)]
+        c.append(q)
+    if any(rest):
         return None
-    spec = matrix.spec
-    m: list[Poly] = [Poly.zero(spec)] * k
-    for i in range(k - 1, -1, -1):
-        rhs = w[i]
-        for j in range(i + 1, k):
-            rhs = sub_mul(rhs, m[j], lform.entries[j][i])
-        q, r = divmod(rhs, lform.entries[i][i])
-        if r:
-            return None
-        m[i] = q
-    return tuple(m)
+    return tuple(dot(c, col) for col in zip(*u))
 
 
 # ---------------------------------------------------------------------------

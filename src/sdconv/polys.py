@@ -246,6 +246,8 @@ def dot(u: Sequence[Poly], v: Sequence[Poly]) -> Poly:
     """The sum of u[i] * v[i], accumulated in one code list."""
     if len(u) != len(v):
         raise DimensionMismatch("dot product of vectors with different lengths")
+    if not u:
+        raise DimensionMismatch("empty dot product: no field to sum over")
     spec = u[0].spec
     out: list[int] = []
     for x, y in zip(u, v):

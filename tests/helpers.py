@@ -10,13 +10,17 @@ from sdconv import (
     PolyMatrix,
     classify_21,
     classify_42_binary,
+    col_hermite,
     direct_sum,
+    dot,
     gcd,
     iter_bounded_polys,
     make_field,
     maximal_minors,
     rank,
 )
+from sdconv.matrices import as_poly_vector
+from sdconv.polys import sub_mul
 
 
 @lru_cache(maxsize=None)
@@ -54,6 +58,30 @@ def det_laplace(entries, spec) -> Poly:
         term = top * det_laplace(minor, spec)
         total = total + term if j % 2 == 0 else total - term
     return total
+
+
+def col_hermite_solve_left(matrix: PolyMatrix, vec):
+    """Oracle for ``solve_left`` on a full-row-rank matrix: through the
+    column Hermite form A @ V = [L 0], v @ V must vanish past the pivots,
+    and back-substitution against L with exact division gives m."""
+    k, n = matrix.rows, matrix.cols
+    lifted = as_poly_vector(matrix.spec, vec)
+    dec = col_hermite(matrix)
+    lform, v = dec.form, dec.transform
+    assert all(lform.entries[i][i] for i in range(k))
+    w = [dot(lifted, v.column(j)) for j in range(n)]
+    if any(w[j] for j in range(k, n)):
+        return None
+    m = [Poly.zero(matrix.spec)] * k
+    for i in range(k - 1, -1, -1):
+        rhs = w[i]
+        for j in range(i + 1, k):
+            rhs = sub_mul(rhs, m[j], lform.entries[j][i])
+        q, r = divmod(rhs, lform.entries[i][i])
+        if r:
+            return None
+        m[i] = q
+    return tuple(m)
 
 
 def scan_21_generators(spec, max_deg: int) -> list[PolyMatrix]:

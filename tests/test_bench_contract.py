@@ -1,10 +1,12 @@
 """The benchmark's own output checks, run on every op of the seed-1
-completion workload and of the seed-1 cli-mixed stream.
+completion workload and of the seed-1 cli-mixed stream, and its trace
+table checked against the package.
 
 A change of representation that breaks what the benchmark reads, such as
-``Poly.coeffs`` and ``FieldElement.coeffs`` or the recorded catalog, fails
-here rather than at benchmark time.  The workloads are built from the
-package this suite already imported.
+``Poly.coeffs`` and ``FieldElement.coeffs``, the recorded catalog or a
+function the per-layer trace names, fails here rather than at benchmark
+time.  The workloads are built from the package this suite already
+imported.
 """
 
 import importlib.util
@@ -13,10 +15,17 @@ from pathlib import Path
 import sdconv
 import sdconv.cli  # noqa: F401  (the cli-mixed workload calls sdconv.cli.main)
 
-_PATH = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-_SPEC = importlib.util.spec_from_file_location("bench_workloads", _PATH)
-workloads = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(workloads)
+
+def _load(name: str):
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _load("workloads")
+layers = _load("layers")
 
 
 def verdicts(wl, ops):
@@ -43,3 +52,8 @@ def test_cli_mixed_slice_passes_the_bench_check():
     results = verdicts(wl, ops)
     bad = [(op, v) for op, v in results if v != workloads.OK]
     assert not bad
+
+
+def test_every_traced_function_exists():
+    # a renamed function would read 0 in its per-layer bench metrics
+    assert layers.missing_functions(sdconv) == []

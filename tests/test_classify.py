@@ -106,7 +106,9 @@ def test_classify_42_counts_against_oracle(max_deg, count):
 
 
 def test_classify_42_records_are_self_dual_and_contain_all_ones():
-    for rec in classify42(1):
+    records = classify42(2)
+    assert len(records) == 33
+    for rec in records:
         code = ConvolutionalCode(rec.canonical_generator)
         assert code.is_self_dual()
         assert code.contains([1, 1, 1, 1])
@@ -174,10 +176,11 @@ def test_double_diagonal_k1_matches_classify_21():
 
 
 def test_double_diagonal_counts_roots_to_the_k():
-    recs = classify_double_diagonal(F5, 2)
-    assert recs is not None and len(recs) == 4  # two roots, two rows
-    for r in recs:
-        assert ConvolutionalCode(r.canonical_generator).is_self_dual()
+    for q, k in itertools.product([5, 9, 13], [1, 2]):
+        recs = classify_double_diagonal(field(q), k)
+        assert recs is not None and len(recs) == 2**k  # two roots of -1, k rows
+        for r in recs:
+            assert ConvolutionalCode(r.canonical_generator).is_self_dual()
 
 
 # -- double triangular reduction --------------------------------------------------

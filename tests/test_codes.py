@@ -304,3 +304,10 @@ def test_empty_code_direct_sum_identity():
     empty = ConvolutionalCode(PolyMatrix(F2, [], cols=0))
     assert empty.k == 0 and empty.n == 0
     assert empty.is_self_dual()
+
+
+def test_the_empty_code_of_length_two():
+    empty = ConvolutionalCode(PolyMatrix(F2, [], cols=2))
+    assert empty.is_self_orthogonal()
+    assert not empty.is_self_dual()
+    assert empty.encode([]) == (Poly.zero(F2), Poly.zero(F2))

@@ -2,15 +2,28 @@ import random
 
 import pytest
 
-from helpers import F2, F4, F5, det_laplace, is_left_prime, rand_full_rank, rand_matrix, rand_unimodular
+from helpers import (
+    F2,
+    F4,
+    F5,
+    col_hermite_solve_left,
+    det_laplace,
+    is_left_prime,
+    rand_full_rank,
+    rand_matrix,
+    rand_poly,
+    rand_unimodular,
+)
 from sdconv import (
     Poly,
     PolyMatrix,
     col_hermite,
     determinant,
+    dot,
     gcd,
     inverse_unimodular,
     is_unimodular,
+    make_field,
     maximal_minors,
     parse_matrix,
     parse_vector,
@@ -51,6 +64,19 @@ def test_mul_identity_and_ones():
 def test_mul_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         M(F2, "1,1") @ M(F2, "1,1")
+
+
+def test_empty_shapes_survive_transpose_and_products():
+    empty = PolyMatrix(F2, [], cols=2)
+    assert (empty.transpose().rows, empty.transpose().cols) == (2, 0)
+    assert empty.transpose().transpose() == empty
+    assert (empty @ empty.transpose()).is_zero()
+    assert empty.transpose() @ empty == PolyMatrix.zeros(F2, 2, 2)
+
+
+def test_empty_dot_raises_a_typed_error():
+    with pytest.raises(DimensionMismatch):
+        dot([], [])
 
 
 def test_row_hermite_identity():
@@ -243,6 +269,31 @@ def test_solve_left_errors():
         solve_left(M(F2, "1,1"), parse_vector(F2, "1,1,1"))
     with pytest.raises(RankDeficient):
         solve_left(M(F2, "z,z ; z,z"), parse_vector(F2, "1,1"))
+    with pytest.raises(ShapeUnsupported, match="need rows <= cols, got 2x1"):
+        solve_left(M(F2, "1 ; z"), parse_vector(F2, "1"))
+    empty = PolyMatrix(F2, [], cols=2)
+    assert solve_left(empty, parse_vector(F2, "0,0")) == ()
+    assert solve_left(empty, parse_vector(F2, "0,z")) is None
+
+
+@pytest.mark.parametrize("field", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
+def test_solve_left_matches_the_column_hermite_oracle(field):
+    # members m @ A and random vectors, most of them outside the span
+    spec = make_field(*field)
+    rng = random.Random(41)
+    outside = 0
+    for _ in range(12):
+        k = rng.randint(1, 3)
+        n = rng.randint(k, 6)
+        a = rand_full_rank(rng, spec, k, n)
+        m = tuple(rand_poly(rng, spec, 2) for _ in range(k))
+        member = tuple(dot(m, a.column(j)) for j in range(n))
+        assert solve_left(a, member) == col_hermite_solve_left(a, member) == m
+        for _ in range(3):
+            v = tuple(rand_poly(rng, spec, 3) for _ in range(n))
+            assert solve_left(a, v) == col_hermite_solve_left(a, v)
+            outside += solve_left(a, v) is None
+    assert outside > 18
 
 
 @pytest.mark.parametrize("spec", [F2, F5])
