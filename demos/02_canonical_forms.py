@@ -51,7 +51,8 @@ print("diagonal:", [str(d) for d in sdec.diagonal()], "(each divides the previou
 assert sdec.U @ b @ sdec.V == sdec.S
 
 # A full-row-rank matrix is left-prime exactly when its Smith form is
-# [I 0], equivalently when its maximal minors have unit gcd.
+# [I 0], equivalently when its column Hermite form is [I 0] (the test
+# ConvolutionalCode uses) or its maximal minors have unit gcd.
 coprime = parse_matrix(F2, "1,1,1,1 ; 0,1,z+1,z")
 minors = maximal_minors(coprime)
 print("\nminors of", format_matrix(coprime), "->", [str(m) for m in minors])

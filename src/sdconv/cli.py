@@ -5,7 +5,7 @@ in the grammar documented on ``fields._parse_terms``, matrices with rows
 separated by ';' and entries by ',', and field selectors like "2", "4" or
 "3^2".  All output is deterministic.  Exit codes: 0 for success
 (including "false" verdicts), 2 for unparseable input, 3 for violated
-preconditions.
+preconditions, among them an ``--out`` path that cannot be written.
 """
 
 from __future__ import annotations
@@ -300,7 +300,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ParseError as exc:
         print(f"error: ParseError: {exc}", file=sys.stderr)
         return 2
-    except SdconvError as exc:
+    except (SdconvError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

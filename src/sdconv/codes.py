@@ -3,8 +3,8 @@
 A code is identified with its unique row Hermite canonical generator, so
 two codes compare equal exactly when they are the same submodule.  The
 self-duality predicates follow the equivalence: a code is self-dual iff it
-is self-orthogonal (G G^T = 0) and non-catastrophic (Smith form [I 0]) and
-n = 2k.
+is self-orthogonal (G G^T = 0) and non-catastrophic (column Hermite form
+[I 0]) and n = 2k.
 """
 
 from __future__ import annotations
@@ -18,12 +18,12 @@ from .errors import DimensionMismatch, OutOfRange, RankDeficient, SearchSpaceToo
 from .matrices import (
     PolyMatrix,
     as_poly_vector,
+    col_hermite,
     dot,
     is_identity_padded,
     right_kernel_basis,
     row_hermite,
     row_reduced,
-    smith,
     solve_left,
 )
 from .polys import Poly
@@ -62,13 +62,11 @@ class ConvolutionalCode:
         k, n = generator.rows, generator.cols
         if k > n:
             raise RankDeficient(f"{k}x{n} generator cannot have full row rank")
-        dec = row_hermite(generator) if k else None
-        if dec is not None and any(
-            all(not e for e in dec.form.entries[i]) for i in range(k)
-        ):
+        form = row_hermite(generator).form
+        if any(not any(row) for row in form.entries):
             raise RankDeficient("generator rows are linearly dependent")
         self.generator = generator
-        self._canonical = dec.form if dec is not None else generator
+        self._canonical = form
         self._selforth: Optional[bool] = None
         self._noncat: Optional[bool] = None
         self._degree: Optional[int] = None
@@ -101,8 +99,6 @@ class ConvolutionalCode:
 
     def dual(self) -> "ConvolutionalCode":
         """The dual code, generated by a kernel basis of the generator."""
-        if self.k == 0:
-            return ConvolutionalCode(PolyMatrix.identity(self.spec, self.n))
         return ConvolutionalCode(right_kernel_basis(self.generator))
 
     def is_self_orthogonal(self) -> bool:
@@ -111,8 +107,9 @@ class ConvolutionalCode:
         return self._selforth
 
     def is_noncatastrophic(self) -> bool:
+        """G is left prime (basic) iff its column Hermite form is [I 0]."""
         if self._noncat is None:
-            self._noncat = self.k == 0 or is_identity_padded(smith(self.generator).S)
+            self._noncat = is_identity_padded(col_hermite(self.generator).form)
         return self._noncat
 
     def is_self_dual(self) -> bool:

@@ -338,12 +338,6 @@ class FieldElement:
             return self is other or (self.code == other.code and self.spec == other.spec)
         return NotImplemented
 
-    def __lt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.code < o.code
-
     def __hash__(self):
         return hash((self.spec._hash, self.code))
 

@@ -9,7 +9,9 @@ Conventions used throughout:
   triangular L for full-row-rank input.
 * Smith form: diagonal [diag(g_1..g_k) 0] with monic invariant factors in
   DESCENDING divisibility order, g_{i+1} | g_i.  Most references order them
-  ascending; every consumer in this package expects the descending order.
+  ascending.  Only the output of ``smith`` depends on the order: the
+  kernel basis reads the columns of V past the first k, and the completion
+  witness the rows of V^-1 past the first k, which the order leaves alone.
 
 Elimination pivots are chosen as the lowest-degree nonzero entry with ties
 broken by smallest index, so all outputs are deterministic.
@@ -75,10 +77,6 @@ class PolyMatrix:
         zero = Poly.zero(spec)
         return cls(spec, [[zero] * cols for _ in range(rows)], cols=cols)
 
-    def __getitem__(self, ij) -> Poly:
-        i, j = ij
-        return self.entries[i][j]
-
     def row(self, i: int) -> tuple[Poly, ...]:
         return self.entries[i]
 
@@ -103,28 +101,6 @@ class PolyMatrix:
         bt = other.transpose().entries
         out = [[dot(row, col) for col in bt] for row in self.entries]
         return PolyMatrix(self.spec, out, cols=other.cols)
-
-    def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("shape mismatch in matrix addition")
-        return PolyMatrix(
-            self.spec,
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
-            cols=self.cols,
-        )
-
-    def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("shape mismatch in matrix subtraction")
-        return PolyMatrix(
-            self.spec,
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
-            cols=self.cols,
-        )
 
     def is_zero(self) -> bool:
         return all(not e for row in self.entries for e in row)

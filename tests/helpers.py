@@ -34,7 +34,7 @@ F5 = make_field(5)
 
 
 def is_left_prime(matrix: PolyMatrix) -> bool:
-    """Oracle for the Smith-form route of ``is_noncatastrophic``: a
+    """Oracle for the column-Hermite route of ``is_noncatastrophic``: a
     full-row-rank matrix is left-prime iff the gcd of its maximal minors is
     a nonzero constant."""
     return reduce(gcd, maximal_minors(matrix), Poly.zero(matrix.spec)).degree() == 0

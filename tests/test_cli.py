@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 from pathlib import Path
 from time import perf_counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sdconv import make_field, parse_matrix
 from sdconv.cli import main
@@ -288,6 +291,17 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert len(target.read_text().strip().splitlines()) == 3
 
 
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_unwritable_out_path_exits_3(tmp_path, capsys, where):
+    target = tmp_path / "no" / "such" / "x" if where == "missing" else tmp_path
+    code, out, err = run(capsys, "check", "--out", str(target), "1,1")
+    assert code == 3
+    assert out == ""
+    expected = "FileNotFoundError" if where == "missing" else "IsADirectoryError"
+    assert err.startswith(f"error: {expected}: ")
+    assert err.count("\n") == 1
+
+
 def test_determinism_byte_identical(capsys):
     args = ("classify", "four-two", "--max-deg", "1")
     _, first, _ = run(capsys, *args)
@@ -308,3 +322,88 @@ def test_outputs_match_the_golden_file(capsys):
         for r in records
     ]
     assert replayed == records
+
+
+# -- fuzzing: generated argv must end with exit 0, 2 or 3, promptly ---------
+
+# Matrix text: a k x n grid of small entries ("a" is the generator of an
+# extension field), or any string over a small alphabet.
+FUZZ_ENTRY = st.sampled_from(["0", "1", "2", "z", "z+1", "z^2+z+1", "z^3", "a*z+1"])
+
+
+@st.composite
+def fuzz_grid(draw):
+    k, n = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    return " ; ".join(",".join(draw(FUZZ_ENTRY) for _ in range(n)) for _ in range(k))
+
+
+FUZZ_MATRIX = st.one_of(fuzz_grid(), st.text(alphabet="01az+^*,; ", max_size=12))
+FUZZ_SCALAR = st.sampled_from(["0", "1", "2", "a", "z", "x", ""])
+FUZZ_COUNT = st.sampled_from(["0", "1", "2", "-1", "40", "x"])
+# None leaves the default field; about three in four draws are valid.
+FUZZ_FIELD = st.sampled_from(
+    [None, "2", "3", "4", "5", "9", "3^2", "13", "16", "256"] * 3
+    + ["0", "1", "6", "2^0", "2^40", "x", "", "3^2^2", "1000000000000000003"]
+)
+
+
+@st.composite
+def fuzz_argv(draw):
+    """A command with its own arguments, then the common options, which
+    are drawn whether or not the command takes them."""
+    def m():
+        return draw(FUZZ_MATRIX)
+
+    command = draw(st.sampled_from([
+        "check", "dual", "hermite", "smith", "distance", "direct-sum",
+        "building-up", "orthogonal-chain", "complete", "two-one", "four-two",
+        "double-diagonal",
+    ]))
+    if command in ("check", "dual"):
+        argv = [command] + draw(st.sampled_from([[], ["--canonical"]])) + [m()]
+    elif command == "hermite":
+        argv = [command, "--side", draw(st.sampled_from(["row", "col", "up"])), m()]
+    elif command == "smith":
+        argv = [command, m()]
+    elif command == "distance":
+        argv = [command, "--bound", draw(FUZZ_COUNT), m()]
+    elif command == "direct-sum":
+        argv = ["construct", command, m(), m()]
+    elif command == "building-up":
+        argv = ["construct", command, "--f", m(), m()]
+        argv += draw(st.sampled_from([[], ["--a", draw(FUZZ_SCALAR), "--b", draw(FUZZ_SCALAR)]]))
+    elif command == "orthogonal-chain":
+        argv = ["construct", command, "--m", m(), "--lam", draw(FUZZ_SCALAR), "--perm", m(), m()]
+    elif command == "complete":
+        argv = [command, "--a", m(), m()]
+        argv += draw(st.sampled_from([[], ["--witness", m()]]))
+    elif command == "two-one":
+        argv = ["classify", command]
+    elif command == "four-two":
+        argv = ["classify", command, "--max-deg", draw(FUZZ_COUNT)]
+    else:
+        argv = ["classify", command, "--k", draw(FUZZ_COUNT)]
+    field = draw(FUZZ_FIELD)
+    if field is not None:
+        argv += ["--field", field]
+    argv += draw(st.sampled_from([[], [], ["--format", "json"], ["--format", "xml"]]))
+    return argv, draw(st.sampled_from([None, "file", "missing"]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(fuzz_argv())
+def test_generated_requests_end_with_a_known_exit_code(tmp_path_factory, drawn):
+    argv, out = drawn
+    if out is not None:
+        base = tmp_path_factory.getbasetemp()
+        argv = argv + ["--out", str(base / "out.txt" if out == "file" else base / "no" / "out.txt")]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    start = perf_counter()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    assert perf_counter() - start < 2.0, argv
+    assert code in (0, 2, 3), argv
+    if code or out is not None:
+        assert stdout.getvalue() == "", argv
+    if code:
+        assert stderr.getvalue().strip(), argv

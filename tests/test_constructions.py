@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from helpers import F2, F4, F5, rand_unimodular, self_dual_corpus
+from helpers import F2, F4, F5, classify42, rand_unimodular, self_dual_corpus
 from sdconv import (
     ConvolutionalCode,
     Poly,
@@ -18,12 +18,19 @@ from sdconv import (
     iter_bounded_polys,
     parse_matrix,
     parse_vector,
+    right_kernel_basis,
     row_matrix,
     solve_left,
     vec_content,
     vstack,
 )
-from sdconv.constructions import NON_TRIVIAL, TRIVIAL_ONLY, direct_sum, orthogonal_chain
+from sdconv.constructions import (
+    NON_TRIVIAL,
+    TRIVIAL_ONLY,
+    _exact_completion_witness,
+    direct_sum,
+    orthogonal_chain,
+)
 from sdconv.errors import (
     BadScalars,
     BadVector,
@@ -240,6 +247,31 @@ def test_find_completion_accepts_injected_witness():
     assert result.kind == NON_TRIVIAL
     assert result.witness == witness
     assert result.generator == parse_matrix(F2, "0,z^2+z+1,z,z^2+1 ; 1,1,1,1")
+    # a witness with content z is divided by it before the completion is built
+    scaled = find_completion(
+        parse_matrix(F2, "1,1,1,1"), witness=parse_vector(F2, "0,z^3+z^2+z,z^2,z^3+z")
+    )
+    assert scaled == result
+
+
+def test_exact_completion_witness_completes_every_member_case():
+    # the fallback of find_completion, run directly on every extension of a
+    # (4,2) catalog code by pairings of degree <= 1 that reaches all-ones
+    all_ones = parse_vector(F2, "1,1,1,1,1,1")
+    e_row = parse_vector(F2, "1,1,0,0,0,0")
+    checked = 0
+    for record in classify42(1):
+        base = ConvolutionalCode(record.canonical_generator)
+        for a_vec in itertools.product(iter_bounded_polys(F2, 1), repeat=2):
+            gt = hm_extend(base, a_vec)
+            if solve_left(gt, all_ones) is None:
+                continue
+            x = _exact_completion_witness(gt, e_row, right_kernel_basis(gt))
+            completed = vstack(row_matrix(F2, x), gt)
+            assert ConvolutionalCode(completed).is_self_dual()
+            assert not is_trivial_completion(completed)
+            checked += 1
+    assert checked == 36
 
 
 def test_find_completion_six_column_example():

@@ -15,6 +15,7 @@ from helpers import (
     rand_unimodular,
 )
 from sdconv import (
+    ConvolutionalCode,
     Poly,
     PolyMatrix,
     col_hermite,
@@ -214,12 +215,21 @@ def test_left_prime_examples():
     assert is_left_prime(M(F2, "1,0,0 ; 0,1,0"))
 
 
-@pytest.mark.parametrize("spec", [F2, F4, F5])
+@pytest.mark.parametrize("spec", [F2, F4, F5, make_field(3, 2)])
 def test_left_prime_iff_smith_identity(spec):
+    # three routes to one verdict: the gcd of the maximal minors, the Smith
+    # form [I 0], and the column Hermite form that ConvolutionalCode uses
     rng = random.Random(13)
-    for _ in range(12):
-        a = rand_full_rank(rng, spec, 2, 4)
-        assert is_left_prime(a) == is_identity_padded(smith(a).S)
+    verdicts = set()
+    for k in (1, 2, 3):
+        for n in range(k, 2 * k + 1):
+            for _ in range(12):
+                a = rand_full_rank(rng, spec, k, n)
+                prime = is_left_prime(a)
+                assert is_identity_padded(smith(a).S) == prime
+                assert ConvolutionalCode(a).is_noncatastrophic() == prime
+                verdicts.add(prime)
+    assert verdicts == {False, True}
 
 
 def test_right_kernel_examples():
