@@ -32,12 +32,12 @@ from .fields import FieldElement, sqrt_of_minus_one
 from .matrices import (
     PolyMatrix,
     as_poly_vector,
+    col_hermite,
     dot,
     inverse_unimodular,
     is_identity_padded,
     right_kernel_basis,
     row_matrix,
-    smith,
     solve_left,
     vstack,
 )
@@ -222,19 +222,13 @@ def _validate_extended(gt: PolyMatrix) -> None:
         raise MalformedInput("extended matrix is not self-orthogonal")
 
 
-def _unit_content_vector(spec, vec: Sequence[Poly]) -> tuple[Poly, ...]:
+def _unit_content_vector(vec: Sequence[Poly]) -> tuple[Poly, ...]:
+    """The vector divided by its monic content, the zero vector as it is.
+    For w = c f, w lies in a saturated module (a kernel) iff f does."""
     content = vec_content(vec)
-    if content == Poly.one(spec):
+    if content.degree() < 1:
         return tuple(vec)
-    # Kernel modules are saturated over a domain, so dividing a kernel
-    # vector by its content keeps it in the kernel and outside any span
-    # it was outside of.
-    out = []
-    for entry in vec:
-        q, r = divmod(entry, content)
-        assert not r
-        out.append(q)
-    return tuple(out)
+    return tuple(e // content for e in vec)
 
 
 def find_completion(gt: PolyMatrix, witness: Optional[Sequence] = None) -> CompletionResult:
@@ -242,14 +236,15 @@ def find_completion(gt: PolyMatrix, witness: Optional[Sequence] = None) -> Compl
 
     A non-trivial completion exists iff the all-ones vector lies in the
     row span of the extended matrix.  In that case candidate rows are
-    drawn from the kernel basis (single rows first, then sums of two, in
-    index order), reduced to content 1, and kept only when the completed
-    matrix verifies as self-dual; content 1 and lying outside the span of
-    the extension plus (1,1,0,...,0) are NOT sufficient on their own (the
-    completion can come out catastrophic), so verification is the gate.
-    When no scanned candidate verifies, an exact witness is constructed by
-    completing the extension to a module basis of the kernel, which always
-    succeeds.  A caller-supplied witness is validated instead of searching.
+    drawn from the left-prime kernel basis (single rows first, then sums of
+    two, in index order), so each has content 1 already, and kept only
+    when the completed matrix verifies as self-dual; content 1 and lying
+    outside the span of the extension plus (1,1,0,...,0) are NOT sufficient
+    on their own (the completion can come out catastrophic), so
+    verification is the gate.  When no scanned candidate verifies, an exact
+    witness is constructed by completing the extension to a module basis of
+    the kernel, which always succeeds.  A caller-supplied witness is
+    divided by its content and validated instead of searching.
     """
     _validate_extended(gt)
     spec = gt.spec
@@ -266,12 +261,9 @@ def find_completion(gt: PolyMatrix, witness: Optional[Sequence] = None) -> Compl
 
     span_with_e = vstack(gt, row_matrix(spec, e_row))
 
-    def attempt(cand: Sequence[Poly]) -> Optional[CompletionResult]:
-        if solve_left(span_with_e, cand) is not None:
+    def attempt(f: Sequence[Poly]) -> Optional[CompletionResult]:
+        if solve_left(span_with_e, f) is not None:
             return None
-        f = _unit_content_vector(spec, cand)
-        # only dividing by a content other than 1 could bring f into the span
-        assert f == cand or solve_left(span_with_e, f) is None
         gen = vstack(row_matrix(spec, f), gt)
         if not ConvolutionalCode(gen).is_self_dual():
             return None
@@ -283,7 +275,7 @@ def find_completion(gt: PolyMatrix, witness: Optional[Sequence] = None) -> Compl
             raise BadVector(f"witness must have length {cols}")
         if any(dot(wv, row) for row in gt.entries):
             raise BadVector("witness is not orthogonal to the extended matrix")
-        result = attempt(wv)
+        result = attempt(_unit_content_vector(wv))
         if result is None:
             raise BadVector("witness does not produce a non-trivial self-dual completion")
         return result
@@ -312,7 +304,7 @@ def _exact_completion_witness(
 
     Works in kernel coordinates: expresses the extension rows and the
     (1,1,0,...,0) row there, completes that stack to a unimodular matrix
-    through its Smith column transform, and maps the completing row back.
+    through its column Hermite transform, and maps the completing row back.
     The stacked rows then form a module basis of the kernel, which is
     exactly the condition the completion needs.
     """
@@ -323,12 +315,12 @@ def _exact_completion_witness(
         assert c is not None  # both lie inside the kernel
         coords.append(c)
     stacked = PolyMatrix(spec, coords, cols=kernel.rows)
-    dec = smith(stacked)
+    dec = col_hermite(stacked)
     # the trivial completion is self-dual, so its coordinate module is
-    # saturated and the stack is left-prime
-    assert is_identity_padded(dec.S)
-    v_inv = inverse_unimodular(dec.V)
-    x = v_inv.entries[stacked.rows]
+    # saturated and the stack is left-prime: stacked @ W = [I 0], so the
+    # stack is the first rows of W^-1 and the next row completes it
+    assert is_identity_padded(dec.form)
+    x = inverse_unimodular(dec.transform).entries[stacked.rows]
     return tuple(dot(x, kernel.column(j)) for j in range(kernel.cols))
 
 

@@ -236,8 +236,9 @@ class FieldElement:
             return self.spec.from_int(other)
         return None
 
-    # Each operator tries the common case, an element of the same spec
-    # object, before the general coercion.
+    # Sums and products try the common case, an element of the same spec
+    # object, before the general coercion; differences and quotients are
+    # built from them.
 
     def __add__(self, other):
         spec = self.spec
@@ -260,21 +261,10 @@ class FieldElement:
     __radd__ = __add__
 
     def __sub__(self, other):
-        spec = self.spec
-        if other.__class__ is not FieldElement or other.spec is not spec:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
-        a, b = self.code, other.code
-        if not b:
-            return self
-        if not a:
-            return spec._els[spec._neg[b]]
-        log = spec._log
-        i = log[a]
-        # g^i - g^j = g^i + g^(j + h) with g^h = -1
-        z = spec._zech[log[b] + spec._log_minus_one - i]
-        return spec.zero if z is None else spec._els[spec._exp[i + z]]
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + -o
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -300,18 +290,10 @@ class FieldElement:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        spec = self.spec
-        if other.__class__ is not FieldElement or other.spec is not spec:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
-        a, b = self.code, other.code
-        if not b:
-            raise DivisionByZero("zero has no multiplicative inverse")
-        if not a:
-            return spec.zero
-        log = spec._log
-        return spec._els[spec._exp[log[a] - log[b] + spec.q - 1]]
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self * o.inverse()
 
     def inverse(self) -> "FieldElement":
         """Multiplicative inverse; raises DivisionByZero on 0."""

@@ -9,9 +9,9 @@ Conventions used throughout:
   triangular L for full-row-rank input.
 * Smith form: diagonal [diag(g_1..g_k) 0] with monic invariant factors in
   DESCENDING divisibility order, g_{i+1} | g_i.  Most references order them
-  ascending.  Only the output of ``smith`` depends on the order: the
-  kernel basis reads the columns of V past the first k, and the completion
-  witness the rows of V^-1 past the first k, which the order leaves alone.
+  ascending.  Only the output of ``smith`` itself depends on the order: no
+  other function here calls it.  Kernels, membership, left-primeness, rank
+  and inverses all come from the one Hermite elimination.
 
 Elimination pivots are chosen as the lowest-degree nonzero entry with ties
 broken by smallest index, so all outputs are deterministic.
@@ -271,10 +271,8 @@ def col_hermite(matrix: PolyMatrix) -> HermiteDecomposition:
 
 
 def rank(matrix: PolyMatrix) -> int:
-    """Row rank, from the echelon pivot count."""
-    if matrix.rows <= matrix.cols:
-        return len(_hermite_core(matrix.spec, matrix.entries)[2])
-    return len(_hermite_core(matrix.spec, matrix.transpose().entries)[2])
+    """Row rank, from the echelon pivot count (any shape)."""
+    return len(_hermite_core(matrix.spec, matrix.entries)[2])
 
 
 def smith(matrix: PolyMatrix) -> SmithDecomposition:
@@ -442,14 +440,19 @@ def is_identity_padded(matrix: PolyMatrix) -> bool:
 def right_kernel_basis(matrix: PolyMatrix) -> PolyMatrix:
     """Basis of {v : A v^T = 0} as the rows of an (n-k) x n matrix.
 
-    The rows are the transposed last n-k columns of the Smith column
-    transform, hence left-prime: the kernel module is saturated (over a
-    domain, c*v in the kernel with c nonzero forces v in the kernel).
+    The column Hermite form A @ U^T = [L 0] (Kailath, *Linear Systems*,
+    1980, Sec. 6.3) is the row Hermite form U @ A^T, whose rows past the
+    first k are zero for a full-row-rank A; so the rows of the unimodular U
+    past the first k span the kernel.  They are left-prime, as the kernel
+    module is saturated (c*v in the kernel with c nonzero forces v in it).
     """
-    dec = smith(matrix)
-    n, k = matrix.cols, matrix.rows
-    rows = [tuple(dec.V.entries[i][j] for i in range(n)) for j in range(k, n)]
-    return PolyMatrix(matrix.spec, rows, cols=n)
+    k, n = matrix.rows, matrix.cols
+    if k > n:
+        raise ShapeUnsupported(f"need rows <= cols, got {k}x{n}")
+    _, u, pivots = _hermite_core(matrix.spec, matrix.transpose().entries)
+    if len(pivots) < k:
+        raise RankDeficient(f"rank {len(pivots)} < {k}")
+    return PolyMatrix(matrix.spec, u[k:], cols=n)
 
 
 def as_poly_vector(spec: FieldSpec, vec: Sequence[Entryish]) -> tuple[Poly, ...]:

@@ -18,6 +18,7 @@ from sdconv import (
     make_field,
     maximal_minors,
     rank,
+    smith,
 )
 from sdconv.matrices import as_poly_vector
 from sdconv.polys import sub_mul
@@ -82,6 +83,14 @@ def col_hermite_solve_left(matrix: PolyMatrix, vec):
             return None
         m[i] = q
     return tuple(m)
+
+
+def smith_kernel_basis(matrix: PolyMatrix) -> PolyMatrix:
+    """Oracle for ``right_kernel_basis``: the transposed columns of the
+    Smith column transform V past the first k, where U @ A @ V = [S 0]."""
+    v = smith(matrix).V
+    n = matrix.cols
+    return PolyMatrix(matrix.spec, [v.column(j) for j in range(matrix.rows, n)], cols=n)
 
 
 def scan_21_generators(spec, max_deg: int) -> list[PolyMatrix]:

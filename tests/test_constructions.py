@@ -274,6 +274,26 @@ def test_exact_completion_witness_completes_every_member_case():
     assert checked == 36
 
 
+def test_find_completion_takes_a_pair_sum_of_kernel_rows():
+    # no single kernel row completes this extension, so the witness comes
+    # from the scan over sums of two rows, before the exact witness
+    code = ConvolutionalCode(parse_matrix(F2, "1,1,1,1 ; z^3+z^2+1,z^2+z+1,0,z^3+z"))
+    gt = hm_extend(code, (Poly.one(F2), Poly.z(F2) ** 2))
+    result = find_completion(gt)
+    assert result.kind == NON_TRIVIAL
+    kernel = right_kernel_basis(gt).entries
+    assert result.witness not in kernel
+    pair_sums = {
+        tuple(x + y for x, y in zip(kernel[i], kernel[j]))
+        for i in range(len(kernel))
+        for j in range(i + 1, len(kernel))
+    }
+    assert result.witness in pair_sums
+    assert result.witness == parse_vector(F2, "1,0,1,z+1,z+1,0")
+    assert ConvolutionalCode(vstack(row_matrix(F2, result.witness), gt)).is_self_dual()
+    assert not is_trivial_completion(result.generator)
+
+
 def test_find_completion_six_column_example():
     gt = parse_matrix(F2, "z^2+1,z^2+1,0,z^2+z+1,z,z^2+1 ; 1,1,1,1,1,1")
     result = find_completion(gt)
@@ -292,6 +312,8 @@ def test_find_completion_rejects_bad_witness():
         find_completion(gt, witness=parse_vector(F2, "1,0,0,0"))  # not orthogonal
     with pytest.raises(BadVector):
         find_completion(parse_matrix(F2, "z,z,1,1"), witness=parse_vector(F2, "1,1,0,0"))
+    with pytest.raises(BadVector):
+        find_completion(gt, witness=parse_vector(F2, "0,0,0,0"))  # content 0
 
 
 def test_find_completion_malformed_inputs():

@@ -13,6 +13,7 @@ from helpers import (
     rand_matrix,
     rand_poly,
     rand_unimodular,
+    smith_kernel_basis,
 )
 from sdconv import (
     ConvolutionalCode,
@@ -241,15 +242,40 @@ def test_right_kernel_examples():
     assert row_hermite(h).form == row_hermite(a).form  # equal row spans
 
 
-@pytest.mark.parametrize("spec,k,n", [(F2, 2, 4), (F5, 2, 4), (F4, 1, 3)])
+# Ten samples each on three shapes, three each on the rest of the grid
+# k <= 3, k <= n <= 2k + 2 over GF(2), GF(4), GF(5) and GF(9).
+_KERNEL_SHAPES_DEEP = [(F2, 2, 4), (F5, 2, 4), (F4, 1, 3)]
+_KERNEL_SHAPES = _KERNEL_SHAPES_DEEP + [
+    (spec, k, n)
+    for spec in (F2, F4, F5, make_field(3, 2))
+    for k in (1, 2, 3)
+    for n in range(k, 2 * k + 3)
+    if (spec, k, n) not in _KERNEL_SHAPES_DEEP
+]
+
+
+@pytest.mark.parametrize("spec,k,n", _KERNEL_SHAPES)
 def test_right_kernel_properties(spec, k, n):
+    # the Hermite kernel against the Smith kernel: another basis of the
+    # same module, so the row Hermite forms and the dual codes agree
     rng = random.Random(17)
-    for _ in range(10):
+    for _ in range(10 if (spec, k, n) in _KERNEL_SHAPES_DEEP else 3):
         a = rand_full_rank(rng, spec, k, n)
         h = right_kernel_basis(a)
+        oracle = smith_kernel_basis(a)
         assert h.rows == n - k
         assert (a @ h.transpose()).is_zero()
         assert is_left_prime(h)
+        assert row_hermite(h).form == row_hermite(oracle).form
+        assert ConvolutionalCode(a).dual() == ConvolutionalCode(oracle)
+
+
+def test_right_kernel_errors():
+    with pytest.raises(RankDeficient, match=r"^rank 1 < 2$"):
+        right_kernel_basis(M(F2, "z,z ; z,z"))
+    with pytest.raises(ShapeUnsupported, match="need rows <= cols, got 3x2"):
+        right_kernel_basis(M(F2, "1,0 ; 0,1 ; 1,1"))
+    assert right_kernel_basis(PolyMatrix(F2, [], cols=3)) == PolyMatrix.identity(F2, 3)
 
 
 def test_noncatastrophic_generator_completes_to_unimodular():
@@ -329,6 +355,10 @@ def test_rank_counts_pivots():
     assert rank(M(F2, "1,1 ; 1,1")) == 1
     assert rank(M(F2, "1,0 ; 0,1")) == 2
     assert rank(M(F2, "z,z ; z,z")) == 1
+    # tall matrices: the pivot count needs no transpose
+    for text, expected in (("1,0 ; 0,z ; 1,z", 2), ("z,1 ; z^2,z ; 0,0", 1), ("0,0 ; 0,0 ; 0,0", 0)):
+        a = M(F2, text)
+        assert rank(a) == expected == rank(a.transpose())
 
 
 def test_matrix_text_roundtrip():
