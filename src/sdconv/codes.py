@@ -17,12 +17,11 @@ from typing import Iterator, Optional, Sequence
 from .errors import DimensionMismatch, OutOfRange, RankDeficient, SearchSpaceTooLarge
 from .matrices import (
     PolyMatrix,
+    _hermite_core,
     as_poly_vector,
-    col_hermite,
     dot,
     is_identity_padded,
     right_kernel_basis,
-    row_hermite,
     row_reduced,
     solve_left,
 )
@@ -62,11 +61,11 @@ class ConvolutionalCode:
         k, n = generator.rows, generator.cols
         if k > n:
             raise RankDeficient(f"{k}x{n} generator cannot have full row rank")
-        form = row_hermite(generator).form
-        if any(not any(row) for row in form.entries):
+        form, pivots = _hermite_core(generator.spec, generator.entries, n)
+        if len(pivots) < k:
             raise RankDeficient("generator rows are linearly dependent")
         self.generator = generator
-        self._canonical = form
+        self._canonical = PolyMatrix(generator.spec, form, cols=n)
         self._selforth: Optional[bool] = None
         self._noncat: Optional[bool] = None
         self._degree: Optional[int] = None
@@ -107,9 +106,11 @@ class ConvolutionalCode:
         return self._selforth
 
     def is_noncatastrophic(self) -> bool:
-        """G is left prime (basic) iff its column Hermite form is [I 0]."""
+        """G is left prime (basic) iff its column Hermite form is [I 0],
+        that is iff the row Hermite form of G^T is [I; 0]."""
         if self._noncat is None:
-            self._noncat = is_identity_padded(col_hermite(self.generator).form)
+            form, _ = _hermite_core(self.spec, self.generator.transpose().entries, self.k)
+            self._noncat = is_identity_padded(PolyMatrix(self.spec, form, cols=self.k))
         return self._noncat
 
     def is_self_dual(self) -> bool:

@@ -13,6 +13,13 @@ Conventions used throughout:
   other function here calls it.  Kernels, membership, left-primeness, rank
   and inverses all come from the one Hermite elimination.
 
+One grid per elimination: a transform is never kept beside the matrix,
+it rides along as identity columns.  The rows of [A | I_m] reduce to
+[H | U] with U @ A = H (Kailath, *Linear Systems*, 1980, Sec. 6.3), and
+Smith reduces [[A, I_k], [I_n, 0]] to [[S, U], [V, 0]]; every transform
+is a slice of the reduced grid.  A question about the form alone reduces
+A alone and builds no transform.
+
 Elimination pivots are chosen as the lowest-degree nonzero entry with ties
 broken by smallest index, so all outputs are deterministic.
 """
@@ -28,6 +35,7 @@ from .errors import (
     FieldMismatch,
     NotSquare,
     NotUnit,
+    OutOfRange,
     RankDeficient,
     ParseError,
     ShapeUnsupported,
@@ -60,6 +68,8 @@ class PolyMatrix:
                 raise DimensionMismatch("ragged rows")
             if cols is not None and cols != width:
                 raise DimensionMismatch("cols does not match row width")
+        elif cols is not None and cols < 0:
+            raise OutOfRange(f"negative column count {cols}")
         else:
             width = cols or 0
         self.spec = spec
@@ -69,8 +79,7 @@ class PolyMatrix:
 
     @classmethod
     def identity(cls, spec: FieldSpec, n: int) -> "PolyMatrix":
-        one, zero = Poly.one(spec), Poly.zero(spec)
-        return cls(spec, [[one if i == j else zero for j in range(n)] for i in range(n)], cols=n)
+        return cls(spec, _unit_rows(spec, n), cols=n)
 
     @classmethod
     def zeros(cls, spec: FieldSpec, rows: int, cols: int) -> "PolyMatrix":
@@ -133,6 +142,8 @@ class PolyMatrix:
 
 
 def vstack(*blocks: PolyMatrix) -> PolyMatrix:
+    if not blocks:
+        raise DimensionMismatch("vstack of no blocks has no width")
     spec = blocks[0].spec
     cols = blocks[0].cols
     if any(b.cols != cols for b in blocks):
@@ -167,17 +178,17 @@ class SmithDecomposition:
 
 
 # ---------------------------------------------------------------------------
-# Row echelon Hermite core.  Works for any shape; zero rows sink to the
-# bottom.  Returns mutable lists plus the pivot column list.
+# Row echelon Hermite core.  It pivots only on the first ``width`` columns;
+# the columns past them ride along, so [A | I_m] reduces to [H | U] and A
+# alone to H (see the module docstring).  Zero rows sink to the bottom.
+# Returns the reduced rows as lists plus the pivot column list.
 
-def _hermite_core(spec: FieldSpec, entries: Sequence[Sequence[Poly]]):
-    m = len(entries)
-    n = len(entries[0]) if m else 0
-    a = [list(row) for row in entries]
-    u = [[Poly.one(spec) if i == j else Poly.zero(spec) for j in range(m)] for i in range(m)]
+def _hermite_core(spec: FieldSpec, rows: Iterable[Sequence[Poly]], width: int):
+    a = [list(row) for row in rows]
+    m = len(a)
     pivots: list[int] = []
     r = 0
-    for j in range(n):
+    for j in range(width):
         if r == m:
             break
         while True:
@@ -187,14 +198,12 @@ def _hermite_core(spec: FieldSpec, entries: Sequence[Sequence[Poly]]):
             piv = min(nz, key=lambda i: (a[i][j].degree(), i))
             if piv != r:
                 a[r], a[piv] = a[piv], a[r]
-                u[r], u[piv] = u[piv], u[r]
             done = True
             for i in range(r + 1, m):
                 if a[i][j]:
                     q = a[i][j] // a[r][j]
                     if q:
                         a[i] = [sub_mul(x, q, y) for x, y in zip(a[i], a[r])]
-                        u[i] = [sub_mul(x, q, y) for x, y in zip(u[i], u[r])]
                     if a[i][j]:
                         done = False
             if done:
@@ -203,15 +212,30 @@ def _hermite_core(spec: FieldSpec, entries: Sequence[Sequence[Poly]]):
             c = a[r][j].lc().inverse()
             if a[r][j].lc() != spec.one:
                 a[r] = [x * c for x in a[r]]
-                u[r] = [x * c for x in u[r]]
             for i in range(r):
                 q = a[i][j] // a[r][j]
                 if q:
                     a[i] = [sub_mul(x, q, y) for x, y in zip(a[i], a[r])]
-                    u[i] = [sub_mul(x, q, y) for x, y in zip(u[i], u[r])]
             pivots.append(j)
             r += 1
-    return a, u, pivots
+    return a, pivots
+
+
+def _unit_rows(spec: FieldSpec, m: int, pad: int = 0) -> list[list[Poly]]:
+    """The rows of I_m, each followed by ``pad`` zeros."""
+    one, zero = Poly.one(spec), Poly.zero(spec)
+    return [[one if i == j else zero for j in range(m)] + [zero] * pad for i in range(m)]
+
+
+def _beside_identity(spec: FieldSpec, rows: Sequence[Sequence[Poly]]) -> list[list[Poly]]:
+    """The grid [A | I_m] of the m rows of A."""
+    return [list(row) + unit for row, unit in zip(rows, _unit_rows(spec, len(rows)))]
+
+
+def _split(spec: FieldSpec, grid, width: int, rest: int) -> tuple[PolyMatrix, PolyMatrix]:
+    """The first ``width`` columns of the grid, and the ``rest`` after them."""
+    left = PolyMatrix(spec, [row[:width] for row in grid], cols=width)
+    return left, PolyMatrix(spec, [row[width:] for row in grid], cols=rest)
 
 
 def row_reduced(matrix: PolyMatrix) -> PolyMatrix:
@@ -225,17 +249,17 @@ def row_reduced(matrix: PolyMatrix) -> PolyMatrix:
     largest d_i among those with c_i != 0: row i becomes
     sum_j (c_j / c_i) z^{d_i - d_j} row_j, a unimodular step.
     """
-    spec = matrix.spec
+    spec, n = matrix.spec, matrix.cols
     rows = [list(row) for row in matrix.entries]
     while True:
         degrees = [max(len(e.codes) for e in row) - 1 for row in rows]
         if -1 in degrees:
             raise RankDeficient("matrix rows are linearly dependent")
         lead = [[Poly(spec, e.coeffs[d:]) for e in row] for row, d in zip(rows, degrees)]
-        _, u, pivots = _hermite_core(spec, lead)
+        grid, pivots = _hermite_core(spec, _beside_identity(spec, lead), n)
         if len(pivots) == len(rows):
-            return PolyMatrix(spec, rows, cols=matrix.cols)
-        c = [e.coeffs[0] if e else spec.zero for e in u[len(pivots)]]
+            return PolyMatrix(spec, rows, cols=n)
+        c = [e.coeffs[0] if e else spec.zero for e in grid[len(pivots)][n:]]
         i = max((j for j in range(len(rows)) if c[j]), key=lambda j: degrees[j])
         for j, cj in enumerate(c):
             if cj and j != i:
@@ -250,29 +274,27 @@ def row_hermite(matrix: PolyMatrix) -> HermiteDecomposition:
     entry above a pivot has strictly smaller degree than the pivot; zero
     rows come last.  Row-equivalent inputs yield identical forms.
     """
-    if matrix.rows > matrix.cols:
-        raise ShapeUnsupported(f"need rows <= cols, got {matrix.rows}x{matrix.cols}")
-    a, u, _ = _hermite_core(matrix.spec, matrix.entries)
-    return HermiteDecomposition(
-        form=PolyMatrix(matrix.spec, a, cols=matrix.cols),
-        transform=PolyMatrix(matrix.spec, u, cols=matrix.rows),
-        side="row",
-    )
+    spec, k, n = matrix.spec, matrix.rows, matrix.cols
+    if k > n:
+        raise ShapeUnsupported(f"need rows <= cols, got {k}x{n}")
+    grid, _ = _hermite_core(spec, _beside_identity(spec, matrix.entries), n)
+    form, transform = _split(spec, grid, n, k)
+    return HermiteDecomposition(form=form, transform=transform, side="row")
 
 
 def col_hermite(matrix: PolyMatrix) -> HermiteDecomposition:
     """Unique column Hermite form: input @ transform = form = [L 0]."""
-    if matrix.rows > matrix.cols:
-        raise ShapeUnsupported(f"need rows <= cols, got {matrix.rows}x{matrix.cols}")
-    a, u, _ = _hermite_core(matrix.spec, matrix.transpose().entries)
-    form = PolyMatrix(matrix.spec, a, cols=matrix.rows).transpose()
-    transform = PolyMatrix(matrix.spec, u, cols=matrix.cols).transpose()
-    return HermiteDecomposition(form=form, transform=transform, side="column")
+    spec, k, n = matrix.spec, matrix.rows, matrix.cols
+    if k > n:
+        raise ShapeUnsupported(f"need rows <= cols, got {k}x{n}")
+    grid, _ = _hermite_core(spec, _beside_identity(spec, matrix.transpose().entries), k)
+    form, transform = _split(spec, grid, k, n)
+    return HermiteDecomposition(form=form.transpose(), transform=transform.transpose(), side="column")
 
 
 def rank(matrix: PolyMatrix) -> int:
     """Row rank, from the echelon pivot count (any shape)."""
-    return len(_hermite_core(matrix.spec, matrix.entries)[2])
+    return len(_hermite_core(matrix.spec, matrix.entries, matrix.cols)[1])
 
 
 def smith(matrix: PolyMatrix) -> SmithDecomposition:
@@ -281,55 +303,40 @@ def smith(matrix: PolyMatrix) -> SmithDecomposition:
     S carries the monic invariant factors on its diagonal in descending
     divisibility order (each divides the previous one); rank deficiency
     raises RankDeficient rather than producing zero factors.
+
+    The elimination runs on the one grid [[A, I_k], [I_n, 0]]: row steps
+    touch its first k rows and column steps its first n columns, so it
+    ends as [[S, U], [V, 0]].
     """
-    if matrix.rows > matrix.cols:
-        raise ShapeUnsupported(f"need rows <= cols, got {matrix.rows}x{matrix.cols}")
-    spec = matrix.spec
-    k, n = matrix.rows, matrix.cols
-    a = [list(row) for row in matrix.entries]
-    u = [[Poly.one(spec) if i == j else Poly.zero(spec) for j in range(k)] for i in range(k)]
-    v = [[Poly.one(spec) if i == j else Poly.zero(spec) for j in range(n)] for i in range(n)]
-
-    def row_sub(dst, src, q):
-        a[dst] = [sub_mul(x, q, y) for x, y in zip(a[dst], a[src])]
-        u[dst] = [sub_mul(x, q, y) for x, y in zip(u[dst], u[src])]
-
-    def col_sub(dst, src, q):
-        for i in range(k):
-            a[i][dst] = sub_mul(a[i][dst], q, a[i][src])
-        for i in range(n):
-            v[i][dst] = sub_mul(v[i][dst], q, v[i][src])
-
+    spec, k, n = matrix.spec, matrix.rows, matrix.cols
+    if k > n:
+        raise ShapeUnsupported(f"need rows <= cols, got {k}x{n}")
+    a = _beside_identity(spec, matrix.entries) + _unit_rows(spec, n, pad=k)
     for t in range(k):
-        cands = [
-            (i, j) for i in range(t, k) for j in range(t, n) if a[i][j]
-        ]
-        if not cands:
-            raise RankDeficient(f"rank {t} < {k}")
         while True:
+            cands = [(i, j) for i in range(t, k) for j in range(t, n) if a[i][j]]
+            if not cands:
+                raise RankDeficient(f"rank {t} < {k}")
             i0, j0 = min(cands, key=lambda ij: (a[ij[0]][ij[1]].degree(), ij[0], ij[1]))
             if i0 != t:
                 a[t], a[i0] = a[i0], a[t]
-                u[t], u[i0] = u[i0], u[t]
             if j0 != t:
                 for row in a:
-                    row[t], row[j0] = row[j0], row[t]
-                for row in v:
                     row[t], row[j0] = row[j0], row[t]
             changed = False
             for i in range(t + 1, k):
                 if a[i][t]:
-                    row_sub(i, t, a[i][t] // a[t][t])
-                    if a[i][t]:
-                        changed = True
+                    q = a[i][t] // a[t][t]
+                    a[i] = [sub_mul(x, q, y) for x, y in zip(a[i], a[t])]
+                    changed = changed or bool(a[i][t])
             if not changed:
                 for j in range(t + 1, n):
                     if a[t][j]:
-                        col_sub(j, t, a[t][j] // a[t][t])
-                        if a[t][j]:
-                            changed = True
+                        q = a[t][j] // a[t][t]
+                        for row in a:
+                            row[j] = sub_mul(row[j], q, row[t])
+                        changed = changed or bool(a[t][j])
             if changed:
-                cands = [(i, j) for i in range(t, k) for j in range(t, n) if a[i][j]]
                 continue
             # pivot now alone in its row and column; enforce divisibility
             bad = None
@@ -343,30 +350,20 @@ def smith(matrix: PolyMatrix) -> SmithDecomposition:
             if bad is None:
                 break
             a[t] = [x + y for x, y in zip(a[t], a[bad])]
-            u[t] = [x + y for x, y in zip(u[t], u[bad])]
-            cands = [(i, j) for i in range(t, k) for j in range(t, n) if a[i][j]]
         lead = a[t][t].lc()
         if lead != spec.one:
             c = lead.inverse()
             a[t] = [x * c for x in a[t]]
-            u[t] = [x * c for x in u[t]]
 
     # The loop produces ascending divisibility; flip to the descending
     # convention unless the diagonal is reversal-invariant.
     diag = [a[i][i] for i in range(k)]
     if diag != diag[::-1]:
         a[:k] = a[:k][::-1]
-        u[:k] = u[:k][::-1]
-        perm = list(range(n))
-        perm[:k] = perm[:k][::-1]
-        a = [[row[j] for j in perm] for row in a]
-        v = [[row[j] for j in perm] for row in v]
+        a = [row[:k][::-1] + row[k:] for row in a]
 
-    return SmithDecomposition(
-        U=PolyMatrix(spec, u, cols=k),
-        S=PolyMatrix(spec, a, cols=n),
-        V=PolyMatrix(spec, v, cols=n),
-    )
+    S, U = _split(spec, a[:k], n, k)
+    return SmithDecomposition(U=U, S=S, V=PolyMatrix(spec, [row[:n] for row in a[k:]], cols=n))
 
 
 def _det_bareiss(entries, spec: FieldSpec) -> Poly:
@@ -400,19 +397,24 @@ def determinant(matrix: PolyMatrix) -> Poly:
 
 
 def is_unimodular(matrix: PolyMatrix) -> bool:
-    """True iff the matrix is square with a nonzero constant determinant."""
-    d = determinant(matrix)
-    return bool(d) and d.degree() == 0
+    """True iff the matrix is square and its row Hermite form is I, which
+    is the case iff its determinant is a nonzero constant."""
+    if matrix.rows != matrix.cols:
+        raise NotSquare(f"unimodularity of {matrix.rows}x{matrix.cols} matrix")
+    grid, _ = _hermite_core(matrix.spec, matrix.entries, matrix.cols)
+    return grid == _unit_rows(matrix.spec, matrix.rows)
 
 
 def inverse_unimodular(matrix: PolyMatrix) -> PolyMatrix:
-    """Inverse of a unimodular matrix (its row Hermite form is I)."""
-    if matrix.rows != matrix.cols:
-        raise NotSquare(f"inverse of {matrix.rows}x{matrix.cols} matrix")
-    a, u, _ = _hermite_core(matrix.spec, matrix.entries)
-    if PolyMatrix(matrix.spec, a, cols=matrix.cols) != PolyMatrix.identity(matrix.spec, matrix.rows):
+    """Inverse of a unimodular matrix: [A | I] reduces to [I | A^-1]."""
+    spec, n = matrix.spec, matrix.rows
+    if n != matrix.cols:
+        raise NotSquare(f"inverse of {n}x{matrix.cols} matrix")
+    grid, _ = _hermite_core(spec, _beside_identity(spec, matrix.entries), n)
+    form, inverse = _split(spec, grid, n, n)
+    if form != PolyMatrix.identity(spec, n):
         raise NotUnit("matrix is not unimodular")
-    return PolyMatrix(matrix.spec, u, cols=matrix.rows)
+    return inverse
 
 
 def maximal_minors(matrix: PolyMatrix) -> list[Poly]:
@@ -428,7 +430,7 @@ def maximal_minors(matrix: PolyMatrix) -> list[Poly]:
 
 
 def is_identity_padded(matrix: PolyMatrix) -> bool:
-    """True iff the matrix equals [I_k 0]."""
+    """True iff the matrix equals [I 0] (or [I; 0] when it is tall)."""
     one, zero = Poly.one(matrix.spec), Poly.zero(matrix.spec)
     for i, row in enumerate(matrix.entries):
         for j, e in enumerate(row):
@@ -446,13 +448,13 @@ def right_kernel_basis(matrix: PolyMatrix) -> PolyMatrix:
     past the first k span the kernel.  They are left-prime, as the kernel
     module is saturated (c*v in the kernel with c nonzero forces v in it).
     """
-    k, n = matrix.rows, matrix.cols
+    spec, k, n = matrix.spec, matrix.rows, matrix.cols
     if k > n:
         raise ShapeUnsupported(f"need rows <= cols, got {k}x{n}")
-    _, u, pivots = _hermite_core(matrix.spec, matrix.transpose().entries)
+    grid, pivots = _hermite_core(spec, _beside_identity(spec, matrix.transpose().entries), k)
     if len(pivots) < k:
         raise RankDeficient(f"rank {len(pivots)} < {k}")
-    return PolyMatrix(matrix.spec, u[k:], cols=n)
+    return PolyMatrix(spec, [row[k:] for row in grid[k:]], cols=n)
 
 
 def as_poly_vector(spec: FieldSpec, vec: Sequence[Entryish]) -> tuple[Poly, ...]:
@@ -463,28 +465,26 @@ def as_poly_vector(spec: FieldSpec, vec: Sequence[Entryish]) -> tuple[Poly, ...]
 def solve_left(matrix: PolyMatrix, vec: Sequence[Entryish]) -> Optional[tuple[Poly, ...]]:
     """Solve m @ A = v for a full-row-rank A; None when v is outside the span.
 
-    Reduces v by the row Hermite form H = U @ A.  In pivot order, row i is
-    the only row left that reaches its pivot column j_i, so c_i is the
-    quotient of what is left of v there by the monic pivot; a remainder
-    stays at j_i.  So v is in the span iff nothing is left, and m = c @ U.
+    Reduces [v | 0] by the rows of [H | U], H = U @ A the row Hermite
+    form.  In pivot order, row i is the only row left that reaches its
+    pivot column j_i, so c_i is the quotient of what is left of v there by
+    the monic pivot; a remainder stays at j_i.  So v is in the span iff
+    nothing is left of it, and then the tail is -c @ U = -m.
     """
-    k, n = matrix.rows, matrix.cols
+    spec, k, n = matrix.spec, matrix.rows, matrix.cols
     if len(vec) != n:
         raise DimensionMismatch(f"vector of length {len(vec)} against {k}x{n} matrix")
     if k > n:
         raise ShapeUnsupported(f"need rows <= cols, got {k}x{n}")
-    rest = as_poly_vector(matrix.spec, vec)
-    h, u, pivots = _hermite_core(matrix.spec, matrix.entries)
+    rest = as_poly_vector(spec, vec) + (Poly.zero(spec),) * k
+    grid, pivots = _hermite_core(spec, _beside_identity(spec, matrix.entries), n)
     if len(pivots) < k:
         raise RankDeficient("matrix does not have full row rank")
-    c = []
-    for row, j in zip(h, pivots):
-        q = rest[j] // row[j]
-        rest = [sub_mul(x, q, y) for x, y in zip(rest, row)]
-        c.append(q)
-    if any(rest):
+    for row, j in zip(grid, pivots):
+        rest = [sub_mul(x, rest[j] // row[j], y) for x, y in zip(rest, row)]
+    if any(rest[:n]):
         return None
-    return tuple(dot(c, col) for col in zip(*u))
+    return tuple(-x for x in rest[n:])
 
 
 # ---------------------------------------------------------------------------

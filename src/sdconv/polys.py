@@ -36,10 +36,10 @@ class Poly:
         for c in coeffs:
             if isinstance(c, int):
                 codes.append((c % spec.p) * spec.one.code)
-            elif c.spec is spec or c.spec == spec:
+            elif isinstance(c, FieldElement) and (c.spec is spec or c.spec == spec):
                 codes.append(c.code)
             else:
-                raise FieldMismatch("coefficient from a different field")
+                raise FieldMismatch(f"coefficient {c!r} is not an element of {spec!r}")
         while codes and not codes[-1]:
             codes.pop()
         self.spec = spec

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+EXPECTED = Path(__file__).resolve().parent / "data" / "demo_stdout"
 
 
 @pytest.mark.parametrize(
@@ -18,6 +19,7 @@ ROOT = Path(__file__).resolve().parent.parent
     ],
 )
 def test_demo_runs(demo):
+    # each demo prints exactly its recorded output, byte for byte
     proc = subprocess.run(
         [sys.executable, str(ROOT / "demos" / demo)],
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
@@ -26,3 +28,5 @@ def test_demo_runs(demo):
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+    expected = (EXPECTED / demo).with_suffix(".txt").read_text(encoding="utf-8")
+    assert proc.stdout == expected

@@ -38,9 +38,12 @@ from sdconv import (
 )
 from sdconv.errors import (
     DimensionMismatch,
+    FieldMismatch,
     NotSquare,
+    OutOfRange,
     ParseError,
     RankDeficient,
+    SdconvError,
     ShapeUnsupported,
 )
 from sdconv.matrices import is_identity_padded
@@ -181,8 +184,23 @@ def test_unimodular_examples():
     assert is_unimodular(a)
     assert not is_unimodular(M(F2, "z,0 ; 0,1"))
     assert is_unimodular(PolyMatrix.identity(F2, 3))
+    assert not is_unimodular(M(F2, "z,z ; z,z"))
+    assert is_unimodular(M(F5, "2"))
+    assert is_unimodular(PolyMatrix(F2, [], cols=0))
     with pytest.raises(NotSquare):
         is_unimodular(M(F2, "1,0"))
+    # the Hermite verdict against the determinant on random square matrices
+    rng = random.Random(29)
+    verdicts = set()
+    for n in (1, 2, 3):
+        for max_deg in (0, 1):
+            for _ in range(8):
+                a = rand_matrix(rng, F5, n, n, max_deg=max_deg)
+                d = determinant(a)
+                verdicts.add(is_unimodular(a))
+                assert is_unimodular(a) == (d.degree() == 0)
+        assert is_unimodular(rand_unimodular(rng, F5, n) @ rand_unimodular(rng, F5, n))
+    assert verdicts == {False, True}
 
 
 def test_determinant_bareiss_matches_laplace():
@@ -200,6 +218,22 @@ def test_determinant_bareiss_matches_laplace():
     u = rand_unimodular(rng, F5, 5)
     d = determinant(u)
     assert d.degree() == 0 and d
+
+
+def test_decompositions_of_empty_shapes():
+    # the augmented grids keep their widths when there are no rows
+    empty = PolyMatrix(F2, [], cols=2)
+    dec = smith(empty)
+    assert [(m.rows, m.cols) for m in (dec.U, dec.S)] == [(0, 0), (0, 2)]
+    assert dec.V == PolyMatrix.identity(F2, 2)
+    row = row_hermite(empty)
+    assert [(m.rows, m.cols) for m in (row.form, row.transform)] == [(0, 2), (0, 0)]
+    col = col_hermite(empty)
+    assert (col.form.rows, col.form.cols) == (0, 2)
+    assert col.transform == PolyMatrix.identity(F2, 2)
+    none = PolyMatrix(F2, [], cols=0)
+    assert inverse_unimodular(none) == none == PolyMatrix.identity(F2, 0)
+    assert rank(none) == 0 == rank(empty)
 
 
 def test_inverse_unimodular():
@@ -268,6 +302,22 @@ def test_right_kernel_properties(spec, k, n):
         assert is_left_prime(h)
         assert row_hermite(h).form == row_hermite(oracle).form
         assert ConvolutionalCode(a).dual() == ConvolutionalCode(oracle)
+
+
+@pytest.mark.parametrize("spec,k,n", _KERNEL_SHAPES)
+def test_form_only_paths_match_the_decompositions(spec, k, n):
+    # a code, its non-catastrophic check, rank and is_unimodular reduce the
+    # matrix alone; each must read what the decomposition with its
+    # transform reads
+    rng = random.Random(31)
+    for _ in range(3):
+        a = rand_unimodular(rng, spec, k) @ rand_full_rank(rng, spec, k, n)
+        code = ConvolutionalCode(a)
+        assert code.canonical_generator() == row_hermite(a).form
+        assert code.is_noncatastrophic() == is_identity_padded(col_hermite(a).form)
+        assert rank(a) == k == rank(a.transpose())
+        if k == n:
+            assert is_unimodular(a) == (row_hermite(a).form == PolyMatrix.identity(spec, k))
 
 
 def test_right_kernel_errors():
@@ -359,6 +409,21 @@ def test_rank_counts_pivots():
     for text, expected in (("1,0 ; 0,z ; 1,z", 2), ("z,1 ; z^2,z ; 0,0", 1), ("0,0 ; 0,0 ; 0,0", 0)):
         a = M(F2, text)
         assert rank(a) == expected == rank(a.transpose())
+
+
+@pytest.mark.parametrize(
+    "build,error",
+    [
+        pytest.param(lambda: vstack(), DimensionMismatch, id="vstack-of-no-blocks"),
+        pytest.param(lambda: PolyMatrix(F2, [], cols=-1), OutOfRange, id="negative-cols"),
+        pytest.param(lambda: Poly(F2, ["1"]), FieldMismatch, id="text-coefficient"),
+        pytest.param(lambda: PolyMatrix(F2, [["1"]]), FieldMismatch, id="text-entry"),
+    ],
+)
+def test_matrix_api_edges_raise_typed_errors(build, error):
+    with pytest.raises(error) as info:
+        build()
+    assert isinstance(info.value, SdconvError)
 
 
 def test_matrix_text_roundtrip():
