@@ -18,12 +18,13 @@ from .errors import DimensionMismatch, OutOfRange, RankDeficient, SearchSpaceToo
 from .matrices import (
     PolyMatrix,
     _hermite_core,
+    _reduce,
     as_poly_vector,
     dot,
     is_identity_padded,
+    is_self_orthogonal,
     right_kernel_basis,
     row_reduced,
-    solve_left,
 )
 from .polys import Poly
 
@@ -65,7 +66,8 @@ class ConvolutionalCode:
         if len(pivots) < k:
             raise RankDeficient("generator rows are linearly dependent")
         self.generator = generator
-        self._canonical = PolyMatrix(generator.spec, form, cols=n)
+        self._canonical = PolyMatrix._of(generator.spec, tuple(map(tuple, form)), n)
+        self._pivots = pivots
         self._selforth: Optional[bool] = None
         self._noncat: Optional[bool] = None
         self._degree: Optional[int] = None
@@ -102,15 +104,16 @@ class ConvolutionalCode:
 
     def is_self_orthogonal(self) -> bool:
         if self._selforth is None:
-            self._selforth = (self.generator @ self.generator.transpose()).is_zero()
+            self._selforth = is_self_orthogonal(self.generator)
         return self._selforth
 
     def is_noncatastrophic(self) -> bool:
         """G is left prime (basic) iff its column Hermite form is [I 0],
         that is iff the row Hermite form of G^T is [I; 0]."""
         if self._noncat is None:
-            form, _ = _hermite_core(self.spec, self.generator.transpose().entries, self.k)
-            self._noncat = is_identity_padded(PolyMatrix(self.spec, form, cols=self.k))
+            grid, _ = _hermite_core(self.spec, self.generator.transpose().entries, self.k)
+            form = PolyMatrix._of(self.spec, tuple(map(tuple, grid)), self.k)
+            self._noncat = is_identity_padded(form)
         return self._noncat
 
     def is_self_dual(self) -> bool:
@@ -121,9 +124,11 @@ class ConvolutionalCode:
         )
 
     def contains(self, vec: Sequence) -> bool:
+        """True iff nothing is left of the vector reduced by the canonical generator."""
         if len(vec) != self.n:
             raise DimensionMismatch(f"vector of length {len(vec)} in length-{self.n} code")
-        return solve_left(self.generator, as_poly_vector(self.spec, vec)) is not None
+        rest = _reduce(self._canonical.entries, self._pivots, as_poly_vector(self.spec, vec))
+        return not any(rest)
 
     def encode(self, message: Sequence) -> tuple[Poly, ...]:
         """The codeword m @ G for a length-k message vector."""

@@ -36,6 +36,7 @@ from .matrices import (
     dot,
     inverse_unimodular,
     is_identity_padded,
+    is_self_orthogonal,
     right_kernel_basis,
     row_matrix,
     solve_left,
@@ -207,7 +208,7 @@ def hm_extend(code: ConvolutionalCode, a_vec: Sequence) -> PolyMatrix:
         raise DimensionMismatch(f"need {code.k} pairing polynomials, got {len(av)}")
     rows = [[ai, ai, *g_row] for ai, g_row in zip(av, code.generator.entries)]
     out = PolyMatrix(code.spec, rows, cols=code.n + 2)
-    assert (out @ out.transpose()).is_zero()
+    assert is_self_orthogonal(out)
     return out
 
 
@@ -218,7 +219,7 @@ def _validate_extended(gt: PolyMatrix) -> None:
         raise MalformedInput(f"expected k x (2k+2) matrix, got {gt.rows}x{gt.cols}")
     if any(row[0] != row[1] for row in gt.entries):
         raise MalformedInput("first two columns are not paired")
-    if not (gt @ gt.transpose()).is_zero():
+    if not is_self_orthogonal(gt):
         raise MalformedInput("extended matrix is not self-orthogonal")
 
 
@@ -250,19 +251,17 @@ def find_completion(gt: PolyMatrix, witness: Optional[Sequence] = None) -> Compl
     spec = gt.spec
     cols = gt.cols
     e_row = as_poly_vector(spec, (1, 1) + (0,) * (cols - 2))
-    all_ones = as_poly_vector(spec, (1,) * cols)
-    has_all_ones = solve_left(gt, all_ones) is not None
-    if not has_all_ones:
+    if not ConvolutionalCode(gt).contains((1,) * cols):
         if witness is not None:
             raise BadVector("only trivial completions exist for this extension")
         trivial = vstack(row_matrix(spec, e_row), gt)
         assert ConvolutionalCode(trivial).is_self_dual()
         return CompletionResult(kind=TRIVIAL_ONLY, generator=trivial, witness=e_row)
 
-    span_with_e = vstack(gt, row_matrix(spec, e_row))
+    span_with_e = ConvolutionalCode(vstack(gt, row_matrix(spec, e_row)))
 
     def attempt(f: Sequence[Poly]) -> Optional[CompletionResult]:
-        if solve_left(span_with_e, f) is not None:
+        if span_with_e.contains(f):
             return None
         gen = vstack(row_matrix(spec, f), gt)
         if not ConvolutionalCode(gen).is_self_dual():
@@ -337,11 +336,10 @@ def is_trivial_completion(g1: PolyMatrix) -> bool:
         raise MalformedInput("completions are defined over GF(2) only")
     if any(row[0] != row[1] for row in g1.entries[1:]):
         raise MalformedInput("first two columns of the extension rows are not paired")
-    if not ConvolutionalCode(g1).is_self_dual():
+    code = ConvolutionalCode(g1)
+    if not code.is_self_dual():
         raise MalformedInput("matrix does not generate a self-dual code")
-    spec = g1.spec
-    e_row = as_poly_vector(spec, (1, 1) + (0,) * (g1.cols - 2))
-    return solve_left(g1, e_row) is not None
+    return code.contains((1, 1) + (0,) * (g1.cols - 2))
 
 
 def default_a_vec(code: ConvolutionalCode) -> tuple[Poly, ...]:

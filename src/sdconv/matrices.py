@@ -18,7 +18,9 @@ it rides along as identity columns.  The rows of [A | I_m] reduce to
 [H | U] with U @ A = H (Kailath, *Linear Systems*, 1980, Sec. 6.3), and
 Smith reduces [[A, I_k], [I_n, 0]] to [[S, U], [V, 0]]; every transform
 is a slice of the reduced grid.  A question about the form alone reduces
-A alone and builds no transform.
+A alone and builds no transform: membership reduces a vector by the
+canonical form H alone (``_reduce``), and a transform is read only where
+coefficients are needed (``solve_left``).
 
 Elimination pivots are chosen as the lowest-degree nonzero entry with ties
 broken by smallest index, so all outputs are deterministic.
@@ -78,11 +80,24 @@ class PolyMatrix:
         self.entries = tuple(grid)
 
     @classmethod
+    def _of(cls, spec: FieldSpec, grid: tuple, cols: int) -> "PolyMatrix":
+        """The constructor of internal results: ``grid`` is a tuple of
+        ``cols``-wide tuples of Poly over ``spec``, so nothing is re-checked."""
+        out = object.__new__(cls)
+        out.spec = spec
+        out.rows = len(grid)
+        out.cols = cols
+        out.entries = grid
+        return out
+
+    @classmethod
     def identity(cls, spec: FieldSpec, n: int) -> "PolyMatrix":
         return cls(spec, _unit_rows(spec, n), cols=n)
 
     @classmethod
     def zeros(cls, spec: FieldSpec, rows: int, cols: int) -> "PolyMatrix":
+        if rows < 0 or cols < 0:
+            raise OutOfRange(f"negative shape {rows}x{cols}")
         zero = Poly.zero(spec)
         return cls(spec, [[zero] * cols for _ in range(rows)], cols=cols)
 
@@ -93,8 +108,8 @@ class PolyMatrix:
         return tuple(r[j] for r in self.entries)
 
     def transpose(self) -> "PolyMatrix":
-        columns = zip(*self.entries) if self.rows else [()] * self.cols
-        return PolyMatrix(self.spec, columns, cols=self.rows)
+        columns = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
+        return PolyMatrix._of(self.spec, columns, self.rows)
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if not isinstance(other, PolyMatrix):
@@ -108,8 +123,8 @@ class PolyMatrix:
         if not self.cols:
             return PolyMatrix.zeros(self.spec, self.rows, other.cols)
         bt = other.transpose().entries
-        out = [[dot(row, col) for col in bt] for row in self.entries]
-        return PolyMatrix(self.spec, out, cols=other.cols)
+        out = tuple(tuple(dot(row, col) for col in bt) for row in self.entries)
+        return PolyMatrix._of(self.spec, out, other.cols)
 
     def is_zero(self) -> bool:
         return all(not e for row in self.entries for e in row)
@@ -148,8 +163,9 @@ def vstack(*blocks: PolyMatrix) -> PolyMatrix:
     cols = blocks[0].cols
     if any(b.cols != cols for b in blocks):
         raise DimensionMismatch("vstack blocks with different widths")
-    rows = [row for b in blocks for row in b.entries]
-    return PolyMatrix(spec, rows, cols=cols)
+    if any(b.spec is not spec and b.spec != spec for b in blocks):
+        raise FieldMismatch("vstack blocks over different fields")
+    return PolyMatrix._of(spec, tuple(row for b in blocks for row in b.entries), cols)
 
 
 def row_matrix(spec: FieldSpec, vec: Sequence[Entryish]) -> PolyMatrix:
@@ -234,8 +250,8 @@ def _beside_identity(spec: FieldSpec, rows: Sequence[Sequence[Poly]]) -> list[li
 
 def _split(spec: FieldSpec, grid, width: int, rest: int) -> tuple[PolyMatrix, PolyMatrix]:
     """The first ``width`` columns of the grid, and the ``rest`` after them."""
-    left = PolyMatrix(spec, [row[:width] for row in grid], cols=width)
-    return left, PolyMatrix(spec, [row[width:] for row in grid], cols=rest)
+    left = PolyMatrix._of(spec, tuple(tuple(row[:width]) for row in grid), width)
+    return left, PolyMatrix._of(spec, tuple(tuple(row[width:]) for row in grid), rest)
 
 
 def row_reduced(matrix: PolyMatrix) -> PolyMatrix:
@@ -258,7 +274,7 @@ def row_reduced(matrix: PolyMatrix) -> PolyMatrix:
         lead = [[Poly(spec, e.coeffs[d:]) for e in row] for row, d in zip(rows, degrees)]
         grid, pivots = _hermite_core(spec, _beside_identity(spec, lead), n)
         if len(pivots) == len(rows):
-            return PolyMatrix(spec, rows, cols=n)
+            return PolyMatrix._of(spec, tuple(map(tuple, rows)), n)
         c = [e.coeffs[0] if e else spec.zero for e in grid[len(pivots)][n:]]
         i = max((j for j in range(len(rows)) if c[j]), key=lambda j: degrees[j])
         for j, cj in enumerate(c):
@@ -363,7 +379,8 @@ def smith(matrix: PolyMatrix) -> SmithDecomposition:
         a = [row[:k][::-1] + row[k:] for row in a]
 
     S, U = _split(spec, a[:k], n, k)
-    return SmithDecomposition(U=U, S=S, V=PolyMatrix(spec, [row[:n] for row in a[k:]], cols=n))
+    V = PolyMatrix._of(spec, tuple(tuple(row[:n]) for row in a[k:]), n)
+    return SmithDecomposition(U=U, S=S, V=V)
 
 
 def _det_bareiss(entries, spec: FieldSpec) -> Poly:
@@ -454,7 +471,16 @@ def right_kernel_basis(matrix: PolyMatrix) -> PolyMatrix:
     grid, pivots = _hermite_core(spec, _beside_identity(spec, matrix.transpose().entries), k)
     if len(pivots) < k:
         raise RankDeficient(f"rank {len(pivots)} < {k}")
-    return PolyMatrix(spec, [row[k:] for row in grid[k:]], cols=n)
+    return PolyMatrix._of(spec, tuple(tuple(row[k:]) for row in grid[k:]), n)
+
+
+def is_self_orthogonal(matrix: PolyMatrix) -> bool:
+    """True iff A @ A^T = 0.  The product is symmetric, so each pair of rows
+    i <= j is dotted once, up to the first nonzero product."""
+    rows = matrix.entries
+    if not matrix.cols:
+        return True
+    return not any(dot(rows[i], rows[j]) for i in range(len(rows)) for j in range(i, len(rows)))
 
 
 def as_poly_vector(spec: FieldSpec, vec: Sequence[Entryish]) -> tuple[Poly, ...]:
@@ -462,14 +488,28 @@ def as_poly_vector(spec: FieldSpec, vec: Sequence[Entryish]) -> tuple[Poly, ...]
     return row_matrix(spec, vec).row(0)
 
 
+def _reduce(grid, pivots: Sequence[int], rest: Sequence[Poly]) -> Sequence[Poly]:
+    """What is left of the row ``rest`` after reduction by the echelon rows
+    of ``grid``, whose monic pivots sit in the columns ``pivots``.
+
+    In pivot order, row i is the only row left that reaches its pivot
+    column j_i, so its multiple c_i is the quotient of what is left of
+    ``rest`` there by the pivot; a remainder stays at j_i.  So a vector
+    reduced by a Hermite form H lies in its row span iff nothing is left.
+    """
+    for row, j in zip(grid, pivots):
+        q = rest[j] // row[j]
+        if q:
+            rest = [sub_mul(x, q, y) for x, y in zip(rest, row)]
+    return rest
+
+
 def solve_left(matrix: PolyMatrix, vec: Sequence[Entryish]) -> Optional[tuple[Poly, ...]]:
     """Solve m @ A = v for a full-row-rank A; None when v is outside the span.
 
     Reduces [v | 0] by the rows of [H | U], H = U @ A the row Hermite
-    form.  In pivot order, row i is the only row left that reaches its
-    pivot column j_i, so c_i is the quotient of what is left of v there by
-    the monic pivot; a remainder stays at j_i.  So v is in the span iff
-    nothing is left of it, and then the tail is -c @ U = -m.
+    form (``_reduce``).  The multiples c of the rows of H give c @ H = v
+    when nothing is left of v, and then the tail is -c @ U = -m.
     """
     spec, k, n = matrix.spec, matrix.rows, matrix.cols
     if len(vec) != n:
@@ -480,8 +520,7 @@ def solve_left(matrix: PolyMatrix, vec: Sequence[Entryish]) -> Optional[tuple[Po
     grid, pivots = _hermite_core(spec, _beside_identity(spec, matrix.entries), n)
     if len(pivots) < k:
         raise RankDeficient("matrix does not have full row rank")
-    for row, j in zip(grid, pivots):
-        rest = [sub_mul(x, rest[j] // row[j], y) for x, y in zip(rest, row)]
+    rest = _reduce(grid, pivots, rest)
     if any(rest[:n]):
         return None
     return tuple(-x for x in rest[n:])

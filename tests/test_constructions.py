@@ -24,6 +24,7 @@ from sdconv import (
     vec_content,
     vstack,
 )
+from sdconv import constructions
 from sdconv.constructions import (
     NON_TRIVIAL,
     TRIVIAL_ONLY,
@@ -291,6 +292,21 @@ def test_find_completion_takes_a_pair_sum_of_kernel_rows():
     assert result.witness in pair_sums
     assert result.witness == parse_vector(F2, "1,0,1,z+1,z+1,0")
     assert ConvolutionalCode(vstack(row_matrix(F2, result.witness), gt)).is_self_dual()
+    assert not is_trivial_completion(result.generator)
+
+
+def test_find_completion_asks_membership_by_the_canonical_form(monkeypatch):
+    # membership needs no coefficients, so the pair-sum search above runs
+    # with solve_left, the transform route, out of reach
+    code = ConvolutionalCode(parse_matrix(F2, "1,1,1,1 ; z^3+z^2+1,z^2+z+1,0,z^3+z"))
+    gt = hm_extend(code, (Poly.one(F2), Poly.z(F2) ** 2))
+
+    def refuse(*args):
+        raise AssertionError("solve_left called for a membership question")
+
+    monkeypatch.setattr(constructions, "solve_left", refuse)
+    result = find_completion(gt)
+    assert result.witness == parse_vector(F2, "1,0,1,z+1,z+1,0")
     assert not is_trivial_completion(result.generator)
 
 

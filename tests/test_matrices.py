@@ -6,6 +6,7 @@ from helpers import (
     F2,
     F4,
     F5,
+    classify42,
     col_hermite_solve_left,
     det_laplace,
     is_left_prime,
@@ -46,7 +47,7 @@ from sdconv.errors import (
     SdconvError,
     ShapeUnsupported,
 )
-from sdconv.matrices import is_identity_padded
+from sdconv.matrices import is_identity_padded, is_self_orthogonal
 from sdconv.polys import NEG_INF
 
 
@@ -320,6 +321,49 @@ def test_form_only_paths_match_the_decompositions(spec, k, n):
             assert is_unimodular(a) == (row_hermite(a).form == PolyMatrix.identity(spec, k))
 
 
+@pytest.mark.parametrize("spec,k,n", _KERNEL_SHAPES)
+def test_form_only_membership_and_self_orthogonality_match_the_oracles(spec, k, n):
+    # contains reduces by the canonical form alone and is_self_orthogonal
+    # dots row pairs; the [H | U] route of solve_left and the Gram product
+    # are the oracles
+    rng = random.Random(37)
+    z = Poly.z(spec)
+    verdicts = set()
+    for _ in range(3):
+        a = rand_unimodular(rng, spec, k) @ rand_full_rank(rng, spec, k, n)
+        code = ConvolutionalCode(a)
+        m = tuple(rand_poly(rng, spec, 2) for _ in range(k))
+        word = tuple(dot(m, a.column(j)) for j in range(n))
+        other = tuple(x + rand_poly(rng, spec, 3) for x in word)
+        shifted = tuple(z * x for x in a.row(rng.randrange(k)))
+        for v in (word, other, shifted):
+            member = code.contains(v)
+            assert member == (solve_left(a, v) is not None)
+            verdicts.add(member)
+        assert is_self_orthogonal(a) == (a @ a.transpose()).is_zero()
+    # a square generator may be unimodular, and then every vector is a word
+    assert verdicts == {True, False} or (k == n and verdicts == {True})
+
+
+def test_self_orthogonality_matches_the_gram_product():
+    F9 = make_field(3, 2)
+    cases = [
+        PolyMatrix(F2, [], cols=4),
+        PolyMatrix(F9, [], cols=0),
+        PolyMatrix(F2, [[], []], cols=0),
+        PolyMatrix(F5, [[]] * 3, cols=0),
+        M(F5, "1,2,0 ; 0,0,1"),  # only the last row's own product is nonzero
+        M(F2, "1,1,0,0 ; 0,1,1,0"),  # only the product of the two rows is
+        M(F2, "1,0"),
+    ]
+    cases += [rec.canonical_generator for rec in classify42(2)]
+    cases += [rand_unimodular(random.Random(i), F2, 2) @ c for i, c in enumerate(cases[-6:])]
+    verdicts = [is_self_orthogonal(a) for a in cases]
+    assert verdicts == [(a @ a.transpose()).is_zero() for a in cases]
+    assert verdicts[:7] == [True] * 4 + [False] * 3
+    assert all(verdicts[7:])
+
+
 def test_right_kernel_errors():
     with pytest.raises(RankDeficient, match=r"^rank 1 < 2$"):
         right_kernel_basis(M(F2, "z,z ; z,z"))
@@ -416,6 +460,7 @@ def test_rank_counts_pivots():
     [
         pytest.param(lambda: vstack(), DimensionMismatch, id="vstack-of-no-blocks"),
         pytest.param(lambda: PolyMatrix(F2, [], cols=-1), OutOfRange, id="negative-cols"),
+        pytest.param(lambda: PolyMatrix.zeros(F2, -1, 2), OutOfRange, id="zeros-negative-rows"),
         pytest.param(lambda: Poly(F2, ["1"]), FieldMismatch, id="text-coefficient"),
         pytest.param(lambda: PolyMatrix(F2, [["1"]]), FieldMismatch, id="text-entry"),
     ],
