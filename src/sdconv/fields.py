@@ -11,7 +11,9 @@ freely between threads.  Each element keeps its coefficient vector
 :meth:`FieldSpec.elements`, which lists the vectors in lexicographic order,
 so the base-p digits of the code, most significant first, are the
 coefficients.  Two elements of one field object are equal exactly when they
-are the same object.
+are the same object.  An element's canonical text lives in its field's text
+table, indexed by code like the elements, and the parser reads text
+straight to a code.
 
 Arithmetic is list indexing into tables the field builds once, in O(q*l)
 steps, from the powers of a primitive element g.  The tables hold codes, so
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     DegreeMismatch,
@@ -95,7 +97,7 @@ def _trim(v: list[int]) -> list[int]:
     return v
 
 
-def _int_poly_mod(u: Iterable[int], v: list[int], p: int) -> list[int]:
+def _int_poly_mod(u: Iterable[int], v: Sequence[int], p: int) -> list[int]:
     """Remainder of u mod v over F_p; v must be monic."""
     r = _trim(list(u))
     dv = len(v) - 1
@@ -335,13 +337,13 @@ class FieldSpec:
 
     Instances are immutable; two specs compare equal iff they have the same
     characteristic, degree and modulus, and elements of equal specs combine.
-    The elements and the arithmetic tables are built by the constructor;
-    :meth:`element` and :meth:`from_int` look elements up.
+    The elements, the arithmetic tables and the text table are built by the
+    constructor; :meth:`element` and :meth:`from_int` look elements up.
     """
 
     __slots__ = (
         "p", "l", "q", "modulus", "zero", "one",
-        "_hash", "_els", "_log", "_exp", "_zech", "_neg", "_log_minus_one",
+        "_hash", "_els", "_text", "_log", "_exp", "_zech", "_neg", "_log_minus_one",
     )
 
     def __init__(self, p: int, l: int, modulus: tuple[int, ...]):
@@ -355,6 +357,7 @@ class FieldSpec:
             for code, coeffs in enumerate(itertools.product(range(p), repeat=l))
         )
         self._els = els
+        self._text = _element_texts(p, l)
         self.zero = els[0]
         unit = p ** (l - 1)  # the code of 1
         self.one = els[unit]
@@ -520,44 +523,63 @@ def _parse_terms(text: str, var: str) -> Iterator[tuple[Optional[str], int]]:
     s = "".join(text.split())
     if not s:
         raise ParseError("empty polynomial text")
+    caret = var + "^"
     for term in _split_terms(s) if "(" in s or ")" in s else s.split("+"):
-        if _is_wrapped(term):  # one pair only, which keeps the parse linear
+        if term[:1] == "(" and _is_wrapped(term):  # one pair only: the parse stays linear
             term = term[1:-1]
         if not term:
             raise ParseError(f"empty term in {text!r}")
         coeff, star, power = term.rpartition("*")
-        digits = power[2:]
-        if (power == var or power[:2] == var + "^" and digits.isdecimal()) and (coeff or not star):
-            yield coeff or None, _parse_exponent(digits) if digits else 1
+        if star and not coeff:
+            yield term, 0
+        elif power == var:
+            yield coeff or None, 1
+        elif power[:2] == caret and power[2:].isdecimal():
+            yield coeff or None, _parse_exponent(power[2:])
         else:
             yield term, 0
 
 
+def _term(c: str, exp: int, var: str) -> str:
+    """Text of the term c * var^exp: empty for the coefficient "0", the bare
+    power for "1", and a coefficient that contains '+' parenthesized."""
+    if c == "0":
+        return ""
+    if exp == 0:
+        return c
+    power = var if exp == 1 else f"{var}^{exp}"
+    if c == "1":
+        return power
+    return f"({c})*{power}" if "+" in c else f"{c}*{power}"
+
+
 def _format_terms(coefficient_texts: Iterable[str], var: str) -> str:
     """Text of the polynomial with these coefficient texts, lowest degree
-    first: descending powers, no zero terms, unit coefficients omitted and
-    coefficients that contain '+' parenthesized."""
-    terms = []
-    for exp, c in reversed(list(enumerate(coefficient_texts))):
-        if c == "0":
-            continue
-        if exp == 0:
-            terms.append(c)
-            continue
-        power = var if exp == 1 else f"{var}^{exp}"
-        if c == "1":
-            terms.append(power)
-        else:
-            terms.append(f"({c})*{power}" if "+" in c else f"{c}*{power}")
-    return "+".join(terms) if terms else "0"
+    first: its nonzero terms in descending powers, or "0"."""
+    terms = [_term(c, exp, var) for exp, c in enumerate(coefficient_texts)]
+    return "+".join(filter(None, reversed(terms))) or "0"
+
+
+def _element_texts(p: int, l: int) -> tuple[str, ...]:
+    """The text of every element of F_{p^l} in ``a``, indexed by its code,
+    in O(q) concatenations.  The table is grown one code digit at a time,
+    from the least significant, which is the coefficient of a^(l-1) and so
+    the term written first."""
+    texts = [""]
+    for exp in reversed(range(l)):
+        terms = [_term(str(d), exp, "a") for d in range(p)]
+        texts = [s + "+" + t if s and t else s or t for t in terms for s in texts]
+    texts[0] = "0"
+    return tuple(texts)
 
 
 def _parse_exponent(digits: str) -> int:
     """A decimal exponent, refused above MAX_EXPONENT before anything is
-    sized by it."""
-    if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+    sized by it; leading zeros do not count against the cap."""
+    significant = digits.lstrip("0") or "0"
+    if len(significant) > len(str(MAX_EXPONENT)) or int(significant) > MAX_EXPONENT:
         raise SearchSpaceTooLarge(f"exponent exceeds the cap of {MAX_EXPONENT}")
-    return int(digits)
+    return int(significant)
 
 
 def _parse_coefficient(digits: str) -> int:
@@ -567,38 +589,57 @@ def _parse_coefficient(digits: str) -> int:
     return int(digits)
 
 
-def parse_int_poly(text: str, var: str, p: int) -> tuple[int, ...]:
+def parse_int_poly(text: str, var: str, p: int) -> list[int]:
     """Parse an integer-coefficient polynomial in ``var`` over F_p.
 
-    Returns the dense coefficient tuple, lowest degree first, reduced mod p
+    Returns the dense coefficient list, lowest degree first, reduced mod p
     but not trimmed of leading zeros the caller did not write.
     """
-    coeffs: dict[int, int] = {}
+    coeffs: list[int] = []
     for c, e in _parse_terms(text, var):
-        digits = "1" if c is None else c.strip("()")  # balanced: strips pairs only
-        if not digits.isdecimal():
-            raise ParseError(f"cannot parse coefficient {c!r} in {text!r}")
-        coeffs[e] = (coeffs.get(e, 0) + _parse_coefficient(digits)) % p
-    return tuple(coeffs.get(i, 0) for i in range(max(coeffs) + 1))
+        if c is None:
+            n = 1
+        else:
+            digits = c.strip("()")  # balanced: strips pairs only
+            if not digits.isdecimal():
+                raise ParseError(f"cannot parse coefficient {c!r} in {text!r}")
+            n = _parse_coefficient(digits)
+        if e >= len(coeffs):
+            coeffs += [0] * (e + 1 - len(coeffs))
+        coeffs[e] = (coeffs[e] + n) % p
+    return coeffs
+
+
+def _element_code(spec: FieldSpec, s: str, text: str) -> int:
+    """The code of the element written ``s``, which has no whitespace; the
+    errors quote ``text``.  A decimal is a constant of the prime subfield,
+    and a polynomial in ``a`` is read to a digit vector mod p, which is
+    reduced by the modulus only when it has a power a^l or higher."""
+    if s[:1] == "(" and _is_wrapped(s):
+        s = s[1:-1]
+    if not s:
+        raise ParseError("empty field element text")
+    p, l = spec.p, spec.l
+    if s.isdecimal():
+        return _parse_coefficient(s) % p * spec.one.code
+    if l == 1 or "a" not in s:
+        raise ParseError(f"{text!r} is not a valid {spec} element")
+    digits = parse_int_poly(s, "a", p)
+    if len(digits) > l:
+        digits = _int_poly_mod(digits, spec.modulus, p)
+    code = 0
+    for c in digits:  # the constant term is the most significant digit
+        code = code * p + c
+    return code * p ** (l - len(digits))
 
 
 def parse_element(spec: FieldSpec, text: str) -> FieldElement:
     """Parse field-element text ("3" over GF(5), "a^2+2*a" over GF(9))."""
-    s = "".join(text.split())
-    if _is_wrapped(s):
-        s = s[1:-1]
-    if not s:
-        raise ParseError("empty field element text")
-    if s.isdecimal():
-        return spec.from_int(_parse_coefficient(s))
-    if spec.l == 1 or "a" not in s:
-        raise ParseError(f"{text!r} is not a valid {spec} element")
-    red = _int_poly_mod(parse_int_poly(s, "a", spec.p), list(spec.modulus), spec.p)
-    return spec.element(tuple(red) + (0,) * (spec.l - len(red)))
+    return spec._els[_element_code(spec, "".join(text.split()), text)]
 
 
 def format_element(e: FieldElement) -> str:
-    return _format_terms(map(str, e.coeffs), "a")
+    return e.spec._text[e.code]
 
 
 def parse_field_selector(text: str, modulus_text: Optional[str] = None) -> FieldSpec:

@@ -43,7 +43,7 @@ from .errors import (
     ShapeUnsupported,
 )
 from .fields import FieldElement, FieldSpec
-from .polys import Poly, dot, parse_poly, sub_mul
+from .polys import Poly, dot, format_poly, parse_poly, sub_mul
 
 Entryish = Union[Poly, FieldElement, int]
 
@@ -537,11 +537,11 @@ def parse_matrix(spec: FieldSpec, text: str) -> PolyMatrix:
         cells = rt.split(",")
         if not any(c.strip() for c in cells):
             raise ParseError(f"empty matrix row in {text!r}")
-        rows.append([parse_poly(spec, c) for c in cells])
+        rows.append(tuple([parse_poly(spec, c) for c in cells]))
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise ParseError("rows of different lengths")
-    return PolyMatrix(spec, rows, cols=width)
+    return PolyMatrix._of(spec, tuple(rows), width)
 
 
 def parse_vector(spec: FieldSpec, text: str) -> tuple[Poly, ...]:
@@ -551,7 +551,7 @@ def parse_vector(spec: FieldSpec, text: str) -> tuple[Poly, ...]:
 
 
 def format_matrix(matrix: PolyMatrix) -> str:
-    return " ; ".join(",".join(str(e) for e in row) for row in matrix.entries)
+    return " ; ".join([",".join(map(format_poly, row)) for row in matrix.entries])
 
 
 def format_vector(vec: Sequence[Poly]) -> str:

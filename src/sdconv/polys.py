@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence, Union
 
 from .errors import DimensionMismatch, DivisionByZero, FieldMismatch, OutOfRange
-from .fields import FieldElement, FieldSpec, _format_terms, _parse_terms, parse_element
+from .fields import FieldElement, FieldSpec, _element_code, _format_terms, _parse_terms
 
 NEG_INF = float("-inf")
 
@@ -302,18 +302,26 @@ def vec_content(vec: Sequence[Poly]) -> Poly:
 
 # ---------------------------------------------------------------------------
 # Text format: polynomials in z whose coefficients are field-element text,
-# in the one grammar documented on fields._parse_terms.
+# in the one grammar documented on fields._parse_terms.  Both directions run
+# on codes: the parser reads each coefficient straight to a code, in the
+# order the terms are written, so the first fault in the text is the one
+# reported, and the formatter looks each coefficient's text up in the
+# field's text table.
 
 
 def parse_poly(spec: FieldSpec, text: str) -> Poly:
     """Parse polynomial text over z; whitespace-insensitive."""
-    coeffs: dict[int, FieldElement] = {}
-    for ct, e in _parse_terms(text, "z"):
-        c = spec.one if ct is None else parse_element(spec, ct)
-        coeffs[e] = coeffs.get(e, spec.zero) + c
-    return _poly(spec, [coeffs.get(e, spec.zero).code for e in range(max(coeffs) + 1)])
+    one = spec.one.code
+    codes: dict[int, int] = {}
+    for ct, e in _parse_terms(text, "z"):  # whitespace is gone from ct
+        c = one if ct is None else _element_code(spec, ct, ct)
+        if e in codes:  # a repeated power: its coefficients add on codes
+            c = _mul_into(spec, [codes[e]], (one,), (c,), 0)[0]
+        codes[e] = c
+    return _poly(spec, [codes.get(e, 0) for e in range(max(codes) + 1)])
 
 
 def format_poly(p: Poly) -> str:
     """Canonical emission: descending powers, no zero terms, units omitted."""
-    return _format_terms(map(str, p.coeffs), "z")
+    text = p.spec._text
+    return _format_terms([text[c] for c in p.codes], "z")

@@ -20,6 +20,8 @@ from sdconv import (
     rank,
     smith,
 )
+from sdconv.errors import ParseError
+from sdconv.fields import _int_poly_mod, _is_wrapped, _parse_coefficient, _parse_terms, parse_int_poly
 from sdconv.matrices import as_poly_vector
 from sdconv.polys import sub_mul
 
@@ -245,6 +247,59 @@ def school_dot(spec, us, vs):
     for u, v in zip(us, vs):
         out = school_add(spec, out, school_mul(spec, u, v))
     return out
+
+
+# The text codec through FieldElement objects and per-coefficient
+# formatting: the oracle for the int-coded parser and the element-text
+# tables of ``sdconv.fields`` and ``sdconv.polys``.  Terms come from the one
+# grammar, ``fields._parse_terms``, and are read in text order, so the
+# first fault written is the one reported.
+
+
+def oracle_format_terms(coefficient_texts, var: str) -> str:
+    terms = []
+    for exp, c in reversed(list(enumerate(coefficient_texts))):
+        if c == "0":
+            continue
+        if exp == 0:
+            terms.append(c)
+            continue
+        power = var if exp == 1 else f"{var}^{exp}"
+        if c == "1":
+            terms.append(power)
+        else:
+            terms.append(f"({c})*{power}" if "+" in c else f"{c}*{power}")
+    return "+".join(terms) if terms else "0"
+
+
+def oracle_format_element(e) -> str:
+    return oracle_format_terms(map(str, e.coeffs), "a")
+
+
+def oracle_format_poly(p: Poly) -> str:
+    return oracle_format_terms(map(oracle_format_element, p.coeffs), "z")
+
+
+def oracle_parse_element(spec, text: str):
+    s = "".join(text.split())
+    if _is_wrapped(s):
+        s = s[1:-1]
+    if not s:
+        raise ParseError("empty field element text")
+    if s.isdecimal():
+        return spec.from_int(_parse_coefficient(s))
+    if spec.l == 1 or "a" not in s:
+        raise ParseError(f"{text!r} is not a valid {spec} element")
+    red = _int_poly_mod(parse_int_poly(s, "a", spec.p), list(spec.modulus), spec.p)
+    return spec.element(tuple(red) + (0,) * (spec.l - len(red)))
+
+
+def oracle_parse_poly(spec, text: str) -> Poly:
+    coeffs = {}
+    for ct, e in _parse_terms(text, "z"):
+        c = spec.one if ct is None else oracle_parse_element(spec, ct)
+        coeffs[e] = coeffs.get(e, spec.zero) + c
+    return Poly(spec, [coeffs.get(e, spec.zero) for e in range(max(coeffs) + 1)])
 
 
 def rand_poly(rng: random.Random, spec, max_deg: int) -> Poly:

@@ -1,6 +1,7 @@
 """The benchmark's own output checks, run on every op of the seed-1
-completion workload and of the seed-1 cli-mixed stream, and its trace
-table checked against the package.
+completion workload and of the seed-1 cli-mixed stream, its trace table
+checked against the package, and the bytes the cli-mixed streams print
+checked against a recorded digest.
 
 A change of representation that breaks what the benchmark reads, such as
 ``Poly.coeffs`` and ``FieldElement.coeffs``, the recorded catalog or a
@@ -9,7 +10,9 @@ time.  The workloads are built from the package this suite already
 imported.
 """
 
+import hashlib
 import importlib.util
+import json
 from pathlib import Path
 
 import sdconv
@@ -52,6 +55,19 @@ def test_cli_mixed_slice_passes_the_bench_check():
     results = verdicts(wl, ops)
     bad = [(op, v) for op, v in results if v != workloads.OK]
     assert not bad
+
+
+def test_cli_mixed_streams_print_the_recorded_bytes():
+    # the bench checks exit codes and that JSON parses; this pins every byte
+    # the 600 requests of seeds 1-3 print, one SHA-256 over each request's
+    # JSON-encoded [exit code, stdout] and a newline, in stream order
+    digest = hashlib.sha256()
+    for seed in (1, 2, 3):
+        for argv, _ in workloads.cli_requests(seed):
+            rc, stdout, _ = workloads.call_cli(sdconv.cli, argv)
+            digest.update(json.dumps([rc, stdout]).encode() + b"\n")
+    recorded = Path(__file__).with_name("data") / "cli_mixed.sha256"
+    assert digest.hexdigest() == recorded.read_text(encoding="utf-8").strip()
 
 
 def test_every_traced_function_exists():

@@ -95,6 +95,7 @@ def test_huge_field_is_refused_before_factoring(capsys, field):
         ("classify", "four-two", "--max-deg", "40"),
         ("classify", "double-diagonal", "--k", "40"),
         ("classify", "double-diagonal", "--field", "5", "--k", "40"),
+        ("check", "z^01025,1"),
     ],
 )
 def test_oversized_exponents_and_searches_are_refused_promptly(capsys, argv):
@@ -163,6 +164,10 @@ def test_hermite_and_smith_output(capsys):
     code, out, _ = run(capsys, "smith", "--field", "2", "1+z,1+z,0,0 ; z,z,1,1")
     assert code == 0
     assert "S: z+1,0,0,0 ; 0,1,0,0" in out
+    # leading zeros of an exponent do not count against its cap
+    code, out, _ = run(capsys, "hermite", "--field", "9", "a^00002*z^00001,1")
+    assert code == 0
+    assert "form: z,2" in out
 
 
 def test_distance_rendering(capsys):

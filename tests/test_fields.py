@@ -5,7 +5,7 @@ from time import perf_counter
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import vec_add, vec_inverse, vec_mul, vec_neg
+from helpers import oracle_format_element, vec_add, vec_inverse, vec_mul, vec_neg
 from sdconv import FieldSpec, Poly, fields, make_field, parse_element, parse_field_selector, sqrt_of_minus_one
 from sdconv.errors import (
     DegreeMismatch,
@@ -134,9 +134,15 @@ def test_enumeration_is_lexicographic():
 
 
 def test_element_text_roundtrip():
-    for spec in (field(2), field(4), field(5), field(9), field(16), make_field(2, 8)):
+    # every element of the fields up to 256 elements has the oracle's text,
+    # which parses back to the element itself
+    for p, l in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4), (5, 2),
+                 (3, 3), (7, 2), (2, 6), (3, 4), (5, 3), (3, 5), (2, 8)):
+        spec = make_field(p, l)
         for e in spec.elements():
-            assert parse_element(spec, str(e)) is e
+            text = str(e)
+            assert text == oracle_format_element(e)
+            assert parse_element(spec, text) is e
     F9 = field(9)
     a = F9.element((0, 1))
     assert parse_element(F9, "a^2+2*a") == a * a + F9.from_int(2) * a
@@ -222,6 +228,7 @@ def test_largest_fields_build_within_budget(p, l):
     spec = make_field(p, l)
     a, b = spec.elements()[-1], spec.elements()[-2]
     assert a * b == b * a
+    assert parse_element(spec, str(a)) is a  # the text table is part of the build
     assert perf_counter() - start < 1.0
 
 

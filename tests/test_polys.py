@@ -1,9 +1,18 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from helpers import school_add, school_divmod, school_dot, school_mul, school_sub_mul
+from helpers import (
+    oracle_format_poly,
+    oracle_parse_element,
+    oracle_parse_poly,
+    school_add,
+    school_divmod,
+    school_dot,
+    school_mul,
+    school_sub_mul,
+)
 from sdconv import FieldSpec, Poly, dot, gcd, make_field, parse_element, parse_poly, vec_content, xgcd
-from sdconv.errors import DivisionByZero, FieldMismatch, ParseError, SdconvError
+from sdconv.errors import DivisionByZero, FieldMismatch, ParseError, SdconvError, SearchSpaceTooLarge
 from sdconv.polys import NEG_INF, format_poly, sub_mul
 
 F2 = make_field(2)
@@ -196,6 +205,23 @@ def test_parse_examples():
         parse_poly(F2, "z^2 +")
     with pytest.raises(ParseError):
         parse_poly(F2, "(z+1")
+    # of two faults, the one written first is reported
+    with pytest.raises(SearchSpaceTooLarge):
+        parse_poly(F16, "a^5002+")
+    with pytest.raises(SearchSpaceTooLarge):
+        parse_element(F16, "a^5002+")
+    with pytest.raises(ParseError):
+        parse_poly(F2, "*a+z^7518")
+
+
+def test_leading_zeros_do_not_count_against_the_exponent_cap():
+    assert parse_poly(F2, "z^00001") == Poly.z(F2)
+    a = F9.element((0, 1))
+    assert parse_element(F9, "a^00002") is a * a
+    assert parse_poly(F2, "z^0001024") == Poly.z(F2) ** 1024
+    for text in ("z^01025", "z^1025", "z^99999"):
+        with pytest.raises(SearchSpaceTooLarge):
+            parse_poly(F2, text)
 
 
 @pytest.mark.parametrize("spec", [F2, F4, F5, F9, F16, F256])
@@ -203,7 +229,9 @@ def test_format_parse_roundtrip(spec):
     @settings(max_examples=150)
     @given(polys(spec))
     def inner(p):
-        assert parse_poly(spec, format_poly(p)) == p
+        text = format_poly(p)
+        assert text == oracle_format_poly(p)
+        assert parse_poly(spec, text) == p
 
     inner()
 
@@ -215,13 +243,19 @@ GRAMMAR_TEXT = st.lists(
 ).map("".join)
 
 
-@settings(max_examples=300)
-@given(st.sampled_from([F2, F5, F9, F256]), GRAMMAR_TEXT)
+def _outcome(parse, spec, text):
+    try:
+        return parse(spec, text)
+    except SdconvError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=600)
+@given(st.sampled_from([F2, F4, F5, F9, F16, F256]), GRAMMAR_TEXT)
+@example(F9, " ( a ^ 3 + 2*a) *z^2 + z + z+(1)")
 def test_arbitrary_text_parses_or_raises_a_typed_error(spec, text):
-    # the polynomial grammar in z and the element grammar in a: a result or
-    # an SdconvError, never another exception
-    for parse in (parse_poly, parse_element):
-        try:
-            parse(spec, text)
-        except SdconvError:
-            pass
+    # the polynomial grammar in z and the element grammar in a, against the
+    # FieldElement route: the same value, or an SdconvError of the same type
+    # and message; never another exception
+    for parse, oracle in ((parse_poly, oracle_parse_poly), (parse_element, oracle_parse_element)):
+        assert _outcome(parse, spec, text) == _outcome(oracle, spec, text)
