@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import add
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import DimensionMismatch, OutOfRange, RankDeficient, SearchSpaceTooLarge
 from .matrices import (
@@ -26,7 +25,7 @@ from .matrices import (
     right_kernel_basis,
     row_reduced,
 )
-from .polys import Poly
+from .polys import Poly, _mul_into
 
 STATUS_EXACT = "exact-under-bound"
 STATUS_UPPER = "upper-bound"
@@ -142,12 +141,14 @@ class ConvolutionalCode:
     def free_distance(self, bound: int) -> DistanceReport:
         """Minimum codeword weight over nonzero messages of degree <= bound.
 
-        A forward dynamic program over the encoder trellis.  Step t feeds
-        the input block u_t in F_q^k; a state is what the inputs so far
-        still owe the next m output blocks (m the largest entry degree) and
-        its cost the least weight already emitted.  Weight is invariant
-        under shift and scaling, so step 0 takes only nonzero inputs whose
-        first nonzero entry is 1.
+        A forward dynamic program over the encoder trellis, on int codes.
+        Step t feeds the input block u_t in F_q^k; a state is the code tuple
+        that the inputs so far still owe the next m output blocks (m the
+        largest entry degree), its cost the least weight already emitted.
+        ``polys._mul_into`` builds each branch output sum(u_i * row_i) and
+        each step owed + branch.  Weight is invariant under shift and
+        scaling, so step 0 takes only nonzero inputs whose first nonzero
+        entry is 1.
 
         After each step but the last, a state goes on only if it still owes
         output and costs less than the lightest ended message and than it
@@ -161,37 +162,42 @@ class ConvolutionalCode:
             raise OutOfRange("bound must be nonnegative")
         if self.k == 0:
             raise OutOfRange("the empty code has no nonzero codewords")
-        spec = self.spec
-        check_search_size(spec.q, self.k * (bound + 1))
-        n, zero = self.n, spec.zero
-        width = n * max(len(e.coeffs) for row in self.generator.entries for e in row)
-        # scaled[i][c.code] is c times row i as one vector of output blocks,
-        # entry d*n + j being the coefficient of z^d in column j
-        scaled = []
-        for row in self.generator.entries:
-            flat = [zero] * width
+        spec, k, n = self.spec, self.k, self.n
+        check_search_size(spec.q, k * (bound + 1))
+        one, codes = spec.one.code, range(spec.q)
+        width = n * max(len(e.codes) for row in self.generator.entries for e in row)
+        rows = [[0] * width for _ in range(k)]  # entry d*n + j: z^d in column j
+        for flat, row in zip(rows, self.generator.entries):
             for j, entry in enumerate(row):
-                flat[j : j + n * len(entry.coeffs) : n] = entry.coeffs
-            scaled.append([tuple(c * x for x in flat) for c in spec.elements()])
-        branches = itertools.chain.from_iterable(
-            _sums(scaled[i][spec.one.code], scaled[i + 1 :]) for i in range(self.k)
+                flat[j : j + n * len(entry.codes) : n] = entry.codes
+
+        def output(u):  # sum(u_i * row_i) as one code list of output blocks
+            out = [0] * width
+            for c, row in zip(u, rows):
+                _mul_into(spec, out, (c,), row, 0)
+            return out
+
+        branches = (  # streamed: step 0 has one state
+            output((0,) * i + (one,) + u)
+            for i in range(k)
+            for u in itertools.product(codes, repeat=k - i - 1)
         )
-        every = list(_sums((zero,) * width, scaled)) if bound else None
+        every = [output(u) for u in itertools.product(codes, repeat=k)] if bound else None
         # each state, what is owed followed by one zero block, maps to its cost
-        states = {(zero,) * width: 0}
-        pad = (zero,) * n
+        states = {(0,) * width: 0}
+        pad = [0] * n
         ended = float("inf")  # the least weight of a message whose output ended
         seen: dict = {}  # the least cost of each state that went on
         for _ in range(bound):
             layer: dict = {}
             for owed, cost in states.items():
                 for branch in branches:
-                    out = tuple(map(add, owed, branch))
-                    total = cost + n - out[:n].count(zero)
-                    nxt = out[n:] + pad
+                    out = _mul_into(spec, list(owed), (one,), branch, 0)
+                    total = cost + n - out[:n].count(0)
+                    nxt = tuple(out[n:] + pad)
                     if total < layer.get(nxt, total + 1):
                         layer[nxt] = total
-            ended = min(ended, min(c + width - o.count(zero) for o, c in layer.items()))
+            ended = min(ended, min(c + width - o.count(0) for o, c in layer.items()))
             states = {
                 o: c for o, c in layer.items() if any(o) and c < min(ended, seen.get(o, ended))
             }
@@ -200,7 +206,7 @@ class ConvolutionalCode:
             seen.update(states)
             branches = every
         best = min(
-            c + width - tuple(map(add, o, b)).count(zero)
+            c + width - _mul_into(spec, list(o), (one,), b, 0).count(0)
             for o, c in states.items()
             for b in branches
         )
@@ -223,13 +229,6 @@ def check_search_size(base: int, exp: int) -> None:
     without computing a power far above the cap."""
     if base > 1 and (exp >= MAX_CANDIDATES.bit_length() or base**exp > MAX_CANDIDATES):
         raise SearchSpaceTooLarge(f"{base}^{exp} candidates exceed the cap of {MAX_CANDIDATES}")
-
-
-def _sums(base: tuple, tables: list) -> Iterator[tuple]:
-    """Yields base plus one vector from each table, for every choice."""
-    if not tables:
-        return iter((base,))
-    return (s for v in tables[0] for s in _sums(tuple(map(add, base, v)), tables[1:]))
 
 
 def iter_bounded_polys(spec, max_deg: int) -> list[Poly]:

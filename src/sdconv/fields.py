@@ -575,8 +575,9 @@ def _element_texts(p: int, l: int) -> tuple[str, ...]:
 
 def _parse_exponent(digits: str) -> int:
     """A decimal exponent, refused above MAX_EXPONENT before anything is
-    sized by it; leading zeros do not count against the cap."""
-    significant = digits.lstrip("0") or "0"
+    sized by it; leading zeros, in any decimal script, do not count
+    against the cap."""
+    significant = "".join(itertools.dropwhile(lambda d: not int(d), digits)) or "0"
     if len(significant) > len(str(MAX_EXPONENT)) or int(significant) > MAX_EXPONENT:
         raise SearchSpaceTooLarge(f"exponent exceeds the cap of {MAX_EXPONENT}")
     return int(significant)

@@ -11,7 +11,7 @@ All arithmetic runs on code lists through one inner loop, :func:`_mul_into`,
 which adds g^e times a product of code lists into a third with the field's
 log and Zech tables.  Two fused kernels built on it serve the matrix
 algorithms: :func:`sub_mul`, the step x - q*y of an elimination, and
-:func:`dot`.
+:func:`dot`.  The d_free trellis of ``codes`` adds its branches with it.
 """
 
 from __future__ import annotations

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -19,6 +20,7 @@ from sdconv import (
     reduce_double_triangular,
     sqrt_of_minus_one,
 )
+from sdconv.codes import STATUS_EXACT
 from sdconv.errors import NotBinary, NotSelfDual, NotTriangularPattern
 
 EXISTENCE = {2: True, 3: False, 4: True, 5: True, 7: False, 8: True, 9: True,
@@ -126,6 +128,16 @@ def test_classify_42_monotone_injective_and_matching_partitions():
         assert len(records) == len(brute_force_coprime_pairs(d))
         sets.append(keys)
     assert sets[0] < sets[1] < sets[2]  # strictly increasing chains
+
+
+def test_classify_42_degree_four_catalog_structure():
+    # 3 codes at delta = 0 with d_free 2, then 6*4^(delta-1) codes at each
+    # delta >= 1 with d_free 4; every d_free proven at the record's bound
+    records = classify42(4)
+    assert len(records) == 513
+    assert all(r.dfree.status == STATUS_EXACT for r in records)
+    by_degree = collections.Counter((r.degree, r.dfree.value) for r in records)
+    assert by_degree == {(0, 2): 3, **{(d, 4): 6 * 4 ** (d - 1) for d in range(1, 5)}}
 
 
 def test_every_42_record_is_a_completion_of_the_length_two_code():

@@ -15,6 +15,8 @@ from helpers import (
 )
 from sdconv import (
     ConvolutionalCode,
+    DistanceReport,
+    FieldElement,
     Poly,
     PolyMatrix,
     building_up,
@@ -181,7 +183,7 @@ def test_free_distance_upper_bound_status_at_zero():
 def test_free_distance_matches_message_scan_oracle():
     rng = random.Random(4087)
     statuses = set()
-    for spec in (F2, F4, F5):
+    for spec in (F2, F4, F5, make_field(3, 2), make_field(13), make_field(2, 4)):
         for k in (1, 2, 3):
             for bound in range(3):
                 if spec.q ** (k * (bound + 1)) > 4096:
@@ -195,6 +197,21 @@ def test_free_distance_matches_message_scan_oracle():
                         # a proven d_free: longer messages are no lighter
                         assert bounded_free_distance(c, bound + 1) == rep.value, c
     assert statuses == {STATUS_EXACT, STATUS_UPPER}
+
+
+def test_free_distance_does_no_element_arithmetic(monkeypatch):
+    # the trellis runs on int codes: FieldElement operators are never called
+    c = code(make_field(3, 2), "a*z+1,z,1,a ; 1,a*z,z+2,2")
+    expected = c.free_distance(2)
+    assert expected == DistanceReport(value=4, search_bound=2, status=STATUS_UPPER)
+
+    def refuse(*args):
+        raise AssertionError("FieldElement arithmetic in free_distance")
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__",
+                 "__rmul__", "__truediv__", "__pow__", "inverse", "__eq__", "__hash__"):
+        monkeypatch.setattr(FieldElement, name, refuse)
+    assert c.free_distance(2) == expected
 
 
 @pytest.mark.parametrize(

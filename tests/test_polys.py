@@ -219,7 +219,11 @@ def test_leading_zeros_do_not_count_against_the_exponent_cap():
     a = F9.element((0, 1))
     assert parse_element(F9, "a^00002") is a * a
     assert parse_poly(F2, "z^0001024") == Poly.z(F2) ** 1024
-    for text in ("z^01025", "z^1025", "z^99999"):
+    # leading zeros in another decimal script (Arabic-Indic digits)
+    assert parse_poly(F2, "z^٠٠٠٠١") == Poly.z(F2)
+    assert parse_poly(F2, "z^٠١٠٢٤") == Poly.z(F2) ** 1024
+    assert parse_element(F9, "a^٠٠٠٠٢") is a * a
+    for text in ("z^01025", "z^1025", "z^99999", "z^٠١٠٢٥"):
         with pytest.raises(SearchSpaceTooLarge):
             parse_poly(F2, text)
 
