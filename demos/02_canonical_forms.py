@@ -7,17 +7,17 @@ diagonal entry divides the one before it.
 """
 
 from functools import reduce
+from itertools import combinations
 
 from sdconv import (
     ConvolutionalCode,
     PolyMatrix,
     col_hermite,
+    determinant,
     format_matrix,
     gcd,
     inverse_unimodular,
-    is_unimodular,
     make_field,
-    maximal_minors,
     parse_matrix,
     parse_vector,
     right_kernel_basis,
@@ -52,9 +52,14 @@ assert sdec.U @ b @ sdec.V == sdec.S
 
 # A full-row-rank matrix is left-prime exactly when its Smith form is
 # [I 0], equivalently when its column Hermite form is [I 0] (the test
-# ConvolutionalCode uses) or its maximal minors have unit gcd.
+# ConvolutionalCode uses) or its maximal minors have unit gcd.  The
+# minors are the determinants of the 2x2 column selections; the library
+# decides left-primeness without them, so the demo takes them itself.
 coprime = parse_matrix(F2, "1,1,1,1 ; 0,1,z+1,z")
-minors = maximal_minors(coprime)
+minors = [
+    determinant(PolyMatrix(F2, [[row[j] for j in cols] for row in coprime.entries]))
+    for cols in combinations(range(4), 2)
+]
 print("\nminors of", format_matrix(coprime), "->", [str(m) for m in minors])
 print("gcd of the minors:", reduce(gcd, minors))
 print("non-catastrophic:", ConvolutionalCode(coprime).is_noncatastrophic())
@@ -77,4 +82,4 @@ v_inv = inverse_unimodular(smith(coprime).V)
 completion = PolyMatrix(F2, v_inv.entries[2:], cols=4)
 stacked = vstack(coprime, completion)
 print("\ncompleted square matrix:", format_matrix(stacked))
-print("unimodular:", is_unimodular(stacked))
+print("unimodular:", determinant(stacked).degree() == 0)

@@ -7,7 +7,7 @@ both, a binary code that is self-orthogonal yet catastrophic, and column
 operations that silently destroy self-duality.
 """
 
-from sdconv import ConvolutionalCode, determinant, make_field, parse_matrix, parse_vector
+from sdconv import ConvolutionalCode, PolyMatrix, determinant, make_field, parse_matrix, parse_vector
 
 F5 = make_field(5)
 F2 = make_field(2)
@@ -18,7 +18,7 @@ g5 = parse_matrix(F5, "3,z,1,3*z ; 1,2*z+4,2,z+2")
 c5 = ConvolutionalCode(g5)
 print("generator:", g5)
 print("G G^T == 0:", (g5 @ g5.transpose()).is_zero())
-print("leading 2x2 minor:", determinant(g5.submatrix((0, 1), (0, 1))))
+print("leading 2x2 minor:", determinant(PolyMatrix(F5, [row[:2] for row in g5.entries])))
 print("self-dual:", c5.is_self_dual())
 
 # -- self-orthogonal does not imply self-dual --------------------------------------

@@ -54,6 +54,12 @@ def _record(code: ConvolutionalCode, dfree_bound: int) -> ClassificationRecord:
     )
 
 
+def _catalog(codes, dfree_bound: int) -> list[ClassificationRecord]:
+    """One record per distinct code, in first-seen order: codes compare
+    and hash by their canonical generator."""
+    return [_record(c, dfree_bound) for c in dict.fromkeys(codes)]
+
+
 def classify_21(spec: FieldSpec) -> list[ClassificationRecord]:
     """All self-dual (2,1) codes over the field, up to code equality.
 
@@ -80,21 +86,12 @@ def classify_42_binary(max_deg: int) -> list[ClassificationRecord]:
     one = Poly.one(spec)
     zero = Poly.zero(spec)
     candidates = iter_bounded_polys(spec, max_deg)
-    records = []
-    seen = set()
-    for g23, g24 in itertools.product(candidates, candidates):
-        if gcd(g23, g24) != one:
-            continue
-        gen = PolyMatrix(
-            spec,
-            [[one, one, one, one], [zero, g23 + g24, g23, g24]],
-        )
-        code = ConvolutionalCode(gen)
-        key = code.canonical_generator()
-        if key not in seen:
-            seen.add(key)
-            records.append(_record(code, max_deg + DFREE_BOUND_MARGIN))
-    return records
+    codes = (
+        ConvolutionalCode(PolyMatrix(spec, [[one, one, one, one], [zero, g23 + g24, g23, g24]]))
+        for g23, g24 in itertools.product(candidates, candidates)
+        if gcd(g23, g24) == one
+    )
+    return _catalog(codes, max_deg + DFREE_BOUND_MARGIN)
 
 
 def classify_double_diagonal(spec: FieldSpec, k: int) -> Optional[list[ClassificationRecord]]:
@@ -114,21 +111,14 @@ def classify_double_diagonal(spec: FieldSpec, k: int) -> Optional[list[Classific
     check_search_size(spec.q, k * (DFREE_BOUND_CONSTANT + 1))
     zero = Poly.zero(spec)
     one = Poly.one(spec)
-    records = []
-    seen = set()
-    for bs in itertools.product(roots, repeat=k):
-        rows = []
-        for i, b in enumerate(bs):
-            row = [zero] * (2 * k)
-            row[i] = one
-            row[k + i] = Poly(spec, (b,))
-            rows.append(row)
-        code = ConvolutionalCode(PolyMatrix(spec, rows, cols=2 * k))
-        key = code.canonical_generator()
-        if key not in seen:
-            seen.add(key)
-            records.append(_record(code, DFREE_BOUND_CONSTANT))
-    return records
+    codes = (
+        ConvolutionalCode(PolyMatrix(spec, [
+            [one if j == i else Poly(spec, (b,)) if j == k + i else zero for j in range(2 * k)]
+            for i, b in enumerate(bs)
+        ], cols=2 * k))
+        for bs in itertools.product(roots, repeat=k)
+    )
+    return _catalog(codes, DFREE_BOUND_CONSTANT)
 
 
 def reduce_double_triangular(gen: PolyMatrix) -> PolyMatrix:

@@ -233,6 +233,9 @@ def check_search_size(base: int, exp: int) -> None:
 
 def iter_bounded_polys(spec, max_deg: int) -> list[Poly]:
     """All polynomials of degree <= max_deg, lexicographic in coefficients."""
+    if max_deg < 0:
+        raise OutOfRange("max_deg must be nonnegative")
+    check_search_size(spec.q, max_deg + 1)
     return [
         Poly(spec, coeffs)
         for coeffs in itertools.product(spec.elements(), repeat=max_deg + 1)

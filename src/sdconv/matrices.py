@@ -11,7 +11,8 @@ Conventions used throughout:
   DESCENDING divisibility order, g_{i+1} | g_i.  Most references order them
   ascending.  Only the output of ``smith`` itself depends on the order: no
   other function here calls it.  Kernels, membership, left-primeness, rank
-  and inverses all come from the one Hermite elimination.
+  and inverses all come from the one Hermite elimination.  The one routine
+  outside it, the Bareiss ``determinant``, is kept for worked-example minors.
 
 One grid per elimination: a transform is never kept beside the matrix,
 it rides along as identity columns.  The rows of [A | I_m] reduce to
@@ -28,7 +29,6 @@ broken by smallest index, so all outputs are deterministic.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
@@ -128,13 +128,6 @@ class PolyMatrix:
 
     def is_zero(self) -> bool:
         return all(not e for row in self.entries for e in row)
-
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "PolyMatrix":
-        return PolyMatrix(
-            self.spec,
-            [[self.entries[i][j] for j in col_idx] for i in row_idx],
-            cols=len(col_idx),
-        )
 
     def __eq__(self, other):
         if isinstance(other, PolyMatrix):
@@ -413,15 +406,6 @@ def determinant(matrix: PolyMatrix) -> Poly:
     return _det_bareiss(matrix.entries, matrix.spec)
 
 
-def is_unimodular(matrix: PolyMatrix) -> bool:
-    """True iff the matrix is square and its row Hermite form is I, which
-    is the case iff its determinant is a nonzero constant."""
-    if matrix.rows != matrix.cols:
-        raise NotSquare(f"unimodularity of {matrix.rows}x{matrix.cols} matrix")
-    grid, _ = _hermite_core(matrix.spec, matrix.entries, matrix.cols)
-    return grid == _unit_rows(matrix.spec, matrix.rows)
-
-
 def inverse_unimodular(matrix: PolyMatrix) -> PolyMatrix:
     """Inverse of a unimodular matrix: [A | I] reduces to [I | A^-1]."""
     spec, n = matrix.spec, matrix.rows
@@ -432,18 +416,6 @@ def inverse_unimodular(matrix: PolyMatrix) -> PolyMatrix:
     if form != PolyMatrix.identity(spec, n):
         raise NotUnit("matrix is not unimodular")
     return inverse
-
-
-def maximal_minors(matrix: PolyMatrix) -> list[Poly]:
-    """The C(n, k) determinants of k x k column selections (k = rows), in
-    lexicographic order of the selections."""
-    if matrix.rows > matrix.cols:
-        raise ShapeUnsupported(f"need rows <= cols, got {matrix.rows}x{matrix.cols}")
-    rows = range(matrix.rows)
-    return [
-        determinant(matrix.submatrix(rows, cols))
-        for cols in itertools.combinations(range(matrix.cols), matrix.rows)
-    ]
 
 
 def is_identity_padded(matrix: PolyMatrix) -> bool:

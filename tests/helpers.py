@@ -11,16 +11,16 @@ from sdconv import (
     classify_21,
     classify_42_binary,
     col_hermite,
+    determinant,
     direct_sum,
     dot,
     gcd,
     iter_bounded_polys,
     make_field,
-    maximal_minors,
     rank,
     smith,
 )
-from sdconv.errors import ParseError
+from sdconv.errors import NotSquare, ParseError, ShapeUnsupported
 from sdconv.fields import _int_poly_mod, _is_wrapped, _parse_coefficient, _parse_terms, parse_int_poly
 from sdconv.matrices import as_poly_vector
 from sdconv.polys import sub_mul
@@ -34,6 +34,26 @@ def classify42(max_deg: int):
 F2 = make_field(2)
 F4 = make_field(2, 2)
 F5 = make_field(5)
+
+
+def maximal_minors(matrix: PolyMatrix) -> list[Poly]:
+    """The C(n, k) Bareiss determinants of the k x k column selections
+    (k = rows), in ``itertools.combinations`` order."""
+    k, n = matrix.rows, matrix.cols
+    if k > n:
+        raise ShapeUnsupported(f"need rows <= cols, got {k}x{n}")
+    return [
+        determinant(PolyMatrix(matrix.spec, [[row[j] for j in cols] for row in matrix.entries], cols=k))
+        for cols in itertools.combinations(range(n), k)
+    ]
+
+
+def is_unimodular(matrix: PolyMatrix) -> bool:
+    """Oracle for the Hermite elimination's unimodularity verdict
+    (``inverse_unimodular``): the Bareiss determinant is a nonzero constant."""
+    if matrix.rows != matrix.cols:
+        raise NotSquare(f"unimodularity of {matrix.rows}x{matrix.cols} matrix")
+    return determinant(matrix).degree() == 0
 
 
 def is_left_prime(matrix: PolyMatrix) -> bool:

@@ -9,6 +9,7 @@ from helpers import (
     F5,
     bounded_free_distance,
     classify42,
+    maximal_minors,
     rand_full_rank,
     rand_unimodular,
     self_dual_corpus,
@@ -26,13 +27,12 @@ from sdconv import (
     hm_extend,
     iter_bounded_polys,
     make_field,
-    maximal_minors,
     orthogonal_chain,
     parse_matrix,
     parse_vector,
 )
 from sdconv.codes import MAX_CANDIDATES, STATUS_EXACT, STATUS_UPPER
-from sdconv.errors import DimensionMismatch, RankDeficient, SearchSpaceTooLarge
+from sdconv.errors import DimensionMismatch, OutOfRange, RankDeficient, SearchSpaceTooLarge
 
 
 def code(spec, text):
@@ -234,6 +234,19 @@ def test_free_distance_search_cap():
     assert 2 ** 24 > MAX_CANDIDATES
     with pytest.raises(SearchSpaceTooLarge):
         code(F2, NBU).free_distance(11)
+
+
+def test_iter_bounded_polys_typed_errors_and_cap():
+    # a negative degree is refused, and a search above the cap is refused
+    # before anything is built
+    for max_deg in (-2, -1):
+        with pytest.raises(OutOfRange):
+            iter_bounded_polys(F2, max_deg)
+    with pytest.raises(SearchSpaceTooLarge):
+        iter_bounded_polys(F2, 40)
+    polys = iter_bounded_polys(F2, 3)
+    assert len(polys) == 16
+    assert polys == [Poly(F2, c) for c in itertools.product(F2.elements(), repeat=4)]
 
 
 def test_even_weight_of_binary_self_dual_codewords():

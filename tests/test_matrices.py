@@ -10,6 +10,8 @@ from helpers import (
     col_hermite_solve_left,
     det_laplace,
     is_left_prime,
+    is_unimodular,
+    maximal_minors,
     rand_full_rank,
     rand_matrix,
     rand_poly,
@@ -25,9 +27,7 @@ from sdconv import (
     dot,
     gcd,
     inverse_unimodular,
-    is_unimodular,
     make_field,
-    maximal_minors,
     parse_matrix,
     parse_vector,
     rank,
@@ -41,6 +41,7 @@ from sdconv.errors import (
     DimensionMismatch,
     FieldMismatch,
     NotSquare,
+    NotUnit,
     OutOfRange,
     ParseError,
     RankDeficient,
@@ -179,28 +180,44 @@ def test_smith_reconstruction_uniqueness_divisibility(spec, k, n):
 
 
 def test_unimodular_examples():
+    # inverse_unimodular returns an inverse exactly when the Bareiss oracle
+    # says unimodular, and raises NotUnit otherwise
+    def hermite_verdict(a):
+        try:
+            inv = inverse_unimodular(a)
+        except NotUnit:
+            return False
+        assert inv @ a == PolyMatrix.identity(a.spec, a.rows)
+        return True
+
     h = Poly.z(F2) ** 3
     a = PolyMatrix(F2, [[h, h + 1, 0], [1, 1, 1], [1, 1, 0]])
     assert determinant(a) == Poly.one(F2)
-    assert is_unimodular(a)
-    assert not is_unimodular(M(F2, "z,0 ; 0,1"))
-    assert is_unimodular(PolyMatrix.identity(F2, 3))
-    assert not is_unimodular(M(F2, "z,z ; z,z"))
-    assert is_unimodular(M(F5, "2"))
-    assert is_unimodular(PolyMatrix(F2, [], cols=0))
+    cases = [
+        (a, True),
+        (M(F2, "z,0 ; 0,1"), False),
+        (PolyMatrix.identity(F2, 3), True),
+        (M(F2, "z,z ; z,z"), False),
+        (M(F5, "2"), True),
+        (PolyMatrix(F2, [], cols=0), True),
+    ]
+    for m, expected in cases:
+        assert is_unimodular(m) == expected == hermite_verdict(m)
     with pytest.raises(NotSquare):
         is_unimodular(M(F2, "1,0"))
-    # the Hermite verdict against the determinant on random square matrices
+    with pytest.raises(NotSquare):
+        inverse_unimodular(M(F2, "1,0"))
+    # the Hermite verdict against the Bareiss oracle on random square matrices
     rng = random.Random(29)
     verdicts = set()
     for n in (1, 2, 3):
         for max_deg in (0, 1):
             for _ in range(8):
                 a = rand_matrix(rng, F5, n, n, max_deg=max_deg)
-                d = determinant(a)
                 verdicts.add(is_unimodular(a))
-                assert is_unimodular(a) == (d.degree() == 0)
-        assert is_unimodular(rand_unimodular(rng, F5, n) @ rand_unimodular(rng, F5, n))
+                assert hermite_verdict(a) == is_unimodular(a)
+        u = rand_unimodular(rng, F5, n) @ rand_unimodular(rng, F5, n)
+        assert is_unimodular(u) and hermite_verdict(u)
     assert verdicts == {False, True}
 
 
@@ -307,9 +324,10 @@ def test_right_kernel_properties(spec, k, n):
 
 @pytest.mark.parametrize("spec,k,n", _KERNEL_SHAPES)
 def test_form_only_paths_match_the_decompositions(spec, k, n):
-    # a code, its non-catastrophic check, rank and is_unimodular reduce the
-    # matrix alone; each must read what the decomposition with its
-    # transform reads
+    # a code, its non-catastrophic check and rank reduce the matrix alone;
+    # each must read what the decomposition with its transform reads, and a
+    # square row Hermite form is I exactly when the Bareiss oracle says
+    # unimodular
     rng = random.Random(31)
     for _ in range(3):
         a = rand_unimodular(rng, spec, k) @ rand_full_rank(rng, spec, k, n)
