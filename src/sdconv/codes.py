@@ -16,11 +16,13 @@ from typing import Optional, Sequence
 from .errors import DimensionMismatch, OutOfRange, RankDeficient, SearchSpaceTooLarge
 from .matrices import (
     PolyMatrix,
+    _grid,
     _hermite_core,
+    _is_identity,
+    _matrix,
     _reduce,
     as_poly_vector,
     dot,
-    is_identity_padded,
     is_self_orthogonal,
     right_kernel_basis,
     row_reduced,
@@ -61,11 +63,12 @@ class ConvolutionalCode:
         k, n = generator.rows, generator.cols
         if k > n:
             raise RankDeficient(f"{k}x{n} generator cannot have full row rank")
-        form, pivots = _hermite_core(generator.spec, generator.entries, n)
+        grid = _grid(generator.entries)
+        pivots = _hermite_core(generator.spec, grid, n)
         if len(pivots) < k:
             raise RankDeficient("generator rows are linearly dependent")
         self.generator = generator
-        self._canonical = PolyMatrix._of(generator.spec, tuple(map(tuple, form)), n)
+        self._canonical = _matrix(generator.spec, grid, n)
         self._pivots = pivots
         self._selforth: Optional[bool] = None
         self._noncat: Optional[bool] = None
@@ -110,9 +113,9 @@ class ConvolutionalCode:
         """G is left prime (basic) iff its column Hermite form is [I 0],
         that is iff the row Hermite form of G^T is [I; 0]."""
         if self._noncat is None:
-            grid, _ = _hermite_core(self.spec, self.generator.transpose().entries, self.k)
-            form = PolyMatrix._of(self.spec, tuple(map(tuple, grid)), self.k)
-            self._noncat = is_identity_padded(form)
+            grid = _grid(self.generator.transpose().entries)
+            _hermite_core(self.spec, grid, self.k)
+            self._noncat = _is_identity(grid, self.k, self.spec.one.code)
         return self._noncat
 
     def is_self_dual(self) -> bool:
@@ -126,8 +129,9 @@ class ConvolutionalCode:
         """True iff nothing is left of the vector reduced by the canonical generator."""
         if len(vec) != self.n:
             raise DimensionMismatch(f"vector of length {len(vec)} in length-{self.n} code")
-        rest = _reduce(self._canonical.entries, self._pivots, as_poly_vector(self.spec, vec))
-        return not any(rest)
+        form = [[e.codes for e in row] for row in self._canonical.entries]
+        rest = _grid([as_poly_vector(self.spec, vec)])[0]
+        return not any(_reduce(self.spec, form, self._pivots, rest))
 
     def encode(self, message: Sequence) -> tuple[Poly, ...]:
         """The codeword m @ G for a length-k message vector."""

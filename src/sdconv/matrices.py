@@ -23,6 +23,14 @@ A alone and builds no transform: membership reduces a vector by the
 canonical form H alone (``_reduce``), and a transform is read only where
 coefficients are needed (``solve_left``).
 
+The eliminations run on code grids: a list of rows, each a list of
+trimmed code lists (``Poly.codes`` as a list), every entry its own list
+object.  Code grid in, pivots out: ``_hermite_core`` reduces one in
+place, each step a quotient by ``polys._divmod_codes`` and the one row
+step ``_sub_mul_row``.  Poly objects and ``PolyMatrix._of`` are built
+only from the slices a caller returns (``_matrix``); rank, membership,
+self-orthogonality and the non-catastrophic test build none.
+
 Elimination pivots are chosen as the lowest-degree nonzero entry with ties
 broken by smallest index, so all outputs are deterministic.
 """
@@ -43,7 +51,7 @@ from .errors import (
     ShapeUnsupported,
 )
 from .fields import FieldElement, FieldSpec
-from .polys import Poly, dot, format_poly, parse_poly, sub_mul
+from .polys import Poly, _divmod_codes, _mul_into, _poly, dot, format_poly, parse_poly, sub_mul
 
 Entryish = Union[Poly, FieldElement, int]
 
@@ -54,16 +62,7 @@ class PolyMatrix:
     __slots__ = ("spec", "rows", "cols", "entries")
 
     def __init__(self, spec: FieldSpec, rows: Iterable[Iterable[Entryish]], cols: Optional[int] = None):
-        grid = []
-        for row in rows:
-            lifted = []
-            for e in row:
-                if not isinstance(e, Poly):
-                    e = Poly(spec, (e,))
-                elif e.spec is not spec and e.spec != spec:
-                    raise FieldMismatch("matrix entry from a different field")
-                lifted.append(e)
-            grid.append(tuple(lifted))
+        grid = [as_poly_vector(spec, row) for row in rows]
         if grid:
             width = len(grid[0])
             if any(len(r) != width for r in grid):
@@ -92,7 +91,9 @@ class PolyMatrix:
 
     @classmethod
     def identity(cls, spec: FieldSpec, n: int) -> "PolyMatrix":
-        return cls(spec, _unit_rows(spec, n), cols=n)
+        if n < 0:
+            raise OutOfRange(f"negative column count {n}")
+        return _matrix(spec, _unit_rows(spec, n), n)
 
     @classmethod
     def zeros(cls, spec: FieldSpec, rows: int, cols: int) -> "PolyMatrix":
@@ -187,64 +188,101 @@ class SmithDecomposition:
 
 
 # ---------------------------------------------------------------------------
-# Row echelon Hermite core.  It pivots only on the first ``width`` columns;
-# the columns past them ride along, so [A | I_m] reduces to [H | U] and A
-# alone to H (see the module docstring).  Zero rows sink to the bottom.
-# Returns the reduced rows as lists plus the pivot column list.
+# Row echelon Hermite core: code grid in, pivots out.  It reduces the grid
+# in place and pivots only on its first ``width`` columns; the columns past
+# them ride along, so [A | I_m] reduces to [H | U] and A alone to H (see
+# the module docstring).  The pivot of a column is its shortest code list,
+# ties to the smallest row index.  Zero rows sink to the bottom.
 
-def _hermite_core(spec: FieldSpec, rows: Iterable[Sequence[Poly]], width: int):
-    a = [list(row) for row in rows]
-    m = len(a)
+def _hermite_core(spec: FieldSpec, grid: list, width: int) -> list[int]:
+    m = len(grid)
+    one = spec.one.code
     pivots: list[int] = []
     r = 0
     for j in range(width):
         if r == m:
             break
         while True:
-            nz = [i for i in range(r, m) if a[i][j]]
+            nz = [(len(grid[i][j]), i) for i in range(r, m) if grid[i][j]]
             if not nz:
                 break
-            piv = min(nz, key=lambda i: (a[i][j].degree(), i))
+            piv = min(nz)[1]
             if piv != r:
-                a[r], a[piv] = a[piv], a[r]
+                grid[r], grid[piv] = grid[piv], grid[r]
+            top = grid[r]
             done = True
             for i in range(r + 1, m):
-                if a[i][j]:
-                    q = a[i][j] // a[r][j]
+                if grid[i][j]:
+                    q = _divmod_codes(spec, grid[i][j], top[j])[0]
                     if q:
-                        a[i] = [sub_mul(x, q, y) for x, y in zip(a[i], a[r])]
-                    if a[i][j]:
+                        _sub_mul_row(spec, grid[i], q, top)
+                    if grid[i][j]:
                         done = False
             if done:
                 break
-        if r < m and a[r][j]:
-            c = a[r][j].lc().inverse()
-            if a[r][j].lc() != spec.one:
-                a[r] = [x * c for x in a[r]]
+        top = grid[r]
+        if top[j]:
+            if top[j][-1] != one:
+                _scale_row(spec, top, top[j][-1])
             for i in range(r):
-                q = a[i][j] // a[r][j]
+                q = _divmod_codes(spec, grid[i][j], top[j])[0]
                 if q:
-                    a[i] = [sub_mul(x, q, y) for x, y in zip(a[i], a[r])]
+                    _sub_mul_row(spec, grid[i], q, top)
             pivots.append(j)
             r += 1
-    return a, pivots
+    return pivots
 
 
-def _unit_rows(spec: FieldSpec, m: int, pad: int = 0) -> list[list[Poly]]:
-    """The rows of I_m, each followed by ``pad`` zeros."""
-    one, zero = Poly.one(spec), Poly.zero(spec)
-    return [[one if i == j else zero for j in range(m)] + [zero] * pad for i in range(m)]
+def _sub_mul_row(spec: FieldSpec, row: list, q: Sequence[int], top: Sequence) -> None:
+    """The one row step: row -= q * top, in place on the code lists of
+    ``row``, skipping the zero entries of ``top``.  ``row`` and ``top`` may
+    also list the entries of two columns, which then step in their grid."""
+    e = spec._log_minus_one
+    for x, y in zip(row, top):
+        if y:
+            _mul_into(spec, x, q, y, e)
+            while x and not x[-1]:
+                x.pop()
 
 
-def _beside_identity(spec: FieldSpec, rows: Sequence[Sequence[Poly]]) -> list[list[Poly]]:
-    """The grid [A | I_m] of the m rows of A."""
-    return [list(row) + unit for row, unit in zip(rows, _unit_rows(spec, len(rows)))]
+def _scale_row(spec: FieldSpec, row: list, c: int) -> None:
+    """Divides the code lists of ``row`` in place by the nonzero code c."""
+    log, exp = spec._log, spec._exp
+    s = spec.q - 1 - log[c]
+    for x in row:
+        x[:] = [exp[log[v] + s] if v else 0 for v in x]
+
+
+def _grid(rows: Iterable[Sequence[Poly]]) -> list:
+    """The code grid of rows of Poly, a fresh code list per entry."""
+    return [[list(e.codes) for e in row] for row in rows]
+
+
+def _matrix(spec: FieldSpec, grid: Sequence[Sequence[list]], cols: int) -> "PolyMatrix":
+    """The PolyMatrix of a code grid ``cols`` wide: the one way out of it."""
+    return PolyMatrix._of(spec, tuple([tuple([_poly(spec, e) for e in row]) for row in grid]), cols)
+
+
+def _unit_rows(spec: FieldSpec, m: int, pad: int = 0) -> list:
+    """The code grid of I_m, each row followed by ``pad`` zeros."""
+    one = spec.one.code
+    return [[[one] if i == j else [] for j in range(m + pad)] for i in range(m)]
+
+
+def _beside_identity(spec: FieldSpec, grid: list) -> list:
+    """The code grid [A | I_m] of the m rows of the code grid A."""
+    return [row + unit for row, unit in zip(grid, _unit_rows(spec, len(grid)))]
+
+
+def _is_identity(grid: Sequence[Sequence[list]], width: int, one: int) -> bool:
+    """True iff the first ``width`` columns of the code grid are [I; 0]."""
+    return all(row[j] == ([one] if i == j else []) for i, row in enumerate(grid) for j in range(width))
 
 
 def _split(spec: FieldSpec, grid, width: int, rest: int) -> tuple[PolyMatrix, PolyMatrix]:
-    """The first ``width`` columns of the grid, and the ``rest`` after them."""
-    left = PolyMatrix._of(spec, tuple(tuple(row[:width]) for row in grid), width)
-    return left, PolyMatrix._of(spec, tuple(tuple(row[width:]) for row in grid), rest)
+    """The first ``width`` columns of the code grid, and the ``rest`` after them."""
+    left = _matrix(spec, [row[:width] for row in grid], width)
+    return left, _matrix(spec, [row[width:] for row in grid], rest)
 
 
 def row_reduced(matrix: PolyMatrix) -> PolyMatrix:
@@ -259,21 +297,24 @@ def row_reduced(matrix: PolyMatrix) -> PolyMatrix:
     sum_j (c_j / c_i) z^{d_i - d_j} row_j, a unimodular step.
     """
     spec, n = matrix.spec, matrix.cols
-    rows = [list(row) for row in matrix.entries]
+    log, exp, neg = spec._log, spec._exp, spec._neg
+    rows = _grid(matrix.entries)
     while True:
-        degrees = [max(len(e.codes) for e in row) - 1 for row in rows]
+        degrees = [max(len(e) for e in row) - 1 for row in rows]
         if -1 in degrees:
             raise RankDeficient("matrix rows are linearly dependent")
-        lead = [[Poly(spec, e.coeffs[d:]) for e in row] for row, d in zip(rows, degrees)]
-        grid, pivots = _hermite_core(spec, _beside_identity(spec, lead), n)
+        lead = [[e[d:] for e in row] for row, d in zip(rows, degrees)]
+        grid = _beside_identity(spec, lead)
+        pivots = _hermite_core(spec, grid, n)
         if len(pivots) == len(rows):
-            return PolyMatrix._of(spec, tuple(map(tuple, rows)), n)
-        c = [e.coeffs[0] if e else spec.zero for e in grid[len(pivots)][n:]]
+            return _matrix(spec, rows, n)
+        c = [e[0] if e else 0 for e in grid[len(pivots)][n:]]
         i = max((j for j in range(len(rows)) if c[j]), key=lambda j: degrees[j])
         for j, cj in enumerate(c):
             if cj and j != i:
-                shift = Poly(spec, [spec.zero] * (degrees[i] - degrees[j]) + [-(cj / c[i])])
-                rows[i] = [sub_mul(x, shift, y) for x, y in zip(rows[i], rows[j])]
+                # the code of -(c_j / c_i), at power d_i - d_j
+                ratio = neg[exp[log[cj] - log[c[i]] + spec.q - 1]]
+                _sub_mul_row(spec, rows[i], [0] * (degrees[i] - degrees[j]) + [ratio], rows[j])
 
 
 def row_hermite(matrix: PolyMatrix) -> HermiteDecomposition:
@@ -286,7 +327,8 @@ def row_hermite(matrix: PolyMatrix) -> HermiteDecomposition:
     spec, k, n = matrix.spec, matrix.rows, matrix.cols
     if k > n:
         raise ShapeUnsupported(f"need rows <= cols, got {k}x{n}")
-    grid, _ = _hermite_core(spec, _beside_identity(spec, matrix.entries), n)
+    grid = _beside_identity(spec, _grid(matrix.entries))
+    _hermite_core(spec, grid, n)
     form, transform = _split(spec, grid, n, k)
     return HermiteDecomposition(form=form, transform=transform, side="row")
 
@@ -296,14 +338,15 @@ def col_hermite(matrix: PolyMatrix) -> HermiteDecomposition:
     spec, k, n = matrix.spec, matrix.rows, matrix.cols
     if k > n:
         raise ShapeUnsupported(f"need rows <= cols, got {k}x{n}")
-    grid, _ = _hermite_core(spec, _beside_identity(spec, matrix.transpose().entries), k)
+    grid = _beside_identity(spec, _grid(matrix.transpose().entries))
+    _hermite_core(spec, grid, k)
     form, transform = _split(spec, grid, k, n)
     return HermiteDecomposition(form=form.transpose(), transform=transform.transpose(), side="column")
 
 
 def rank(matrix: PolyMatrix) -> int:
     """Row rank, from the echelon pivot count (any shape)."""
-    return len(_hermite_core(matrix.spec, matrix.entries, matrix.cols)[1])
+    return len(_hermite_core(matrix.spec, _grid(matrix.entries), matrix.cols))
 
 
 def smith(matrix: PolyMatrix) -> SmithDecomposition:
@@ -320,13 +363,14 @@ def smith(matrix: PolyMatrix) -> SmithDecomposition:
     spec, k, n = matrix.spec, matrix.rows, matrix.cols
     if k > n:
         raise ShapeUnsupported(f"need rows <= cols, got {k}x{n}")
-    a = _beside_identity(spec, matrix.entries) + _unit_rows(spec, n, pad=k)
+    one = spec.one.code
+    a = _beside_identity(spec, _grid(matrix.entries)) + _unit_rows(spec, n, pad=k)
     for t in range(k):
         while True:
-            cands = [(i, j) for i in range(t, k) for j in range(t, n) if a[i][j]]
+            cands = [(len(a[i][j]), i, j) for i in range(t, k) for j in range(t, n) if a[i][j]]
             if not cands:
                 raise RankDeficient(f"rank {t} < {k}")
-            i0, j0 = min(cands, key=lambda ij: (a[ij[0]][ij[1]].degree(), ij[0], ij[1]))
+            _, i0, j0 = min(cands)
             if i0 != t:
                 a[t], a[i0] = a[i0], a[t]
             if j0 != t:
@@ -335,34 +379,24 @@ def smith(matrix: PolyMatrix) -> SmithDecomposition:
             changed = False
             for i in range(t + 1, k):
                 if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    a[i] = [sub_mul(x, q, y) for x, y in zip(a[i], a[t])]
+                    _sub_mul_row(spec, a[i], _divmod_codes(spec, a[i][t], a[t][t])[0], a[t])
                     changed = changed or bool(a[i][t])
             if not changed:
                 for j in range(t + 1, n):
                     if a[t][j]:
-                        q = a[t][j] // a[t][t]
-                        for row in a:
-                            row[j] = sub_mul(row[j], q, row[t])
+                        q = _divmod_codes(spec, a[t][j], a[t][t])[0]
+                        _sub_mul_row(spec, [row[j] for row in a], q, [row[t] for row in a])
                         changed = changed or bool(a[t][j])
             if changed:
                 continue
             # pivot now alone in its row and column; enforce divisibility
-            bad = None
-            for i in range(t + 1, k):
-                for j in range(t + 1, n):
-                    if a[i][j] and a[i][j] % a[t][t]:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
+            bad = next((i for i in range(t + 1, k) for j in range(t + 1, n)
+                        if a[i][j] and _divmod_codes(spec, a[i][j], a[t][t])[1]), None)
             if bad is None:
                 break
-            a[t] = [x + y for x, y in zip(a[t], a[bad])]
-        lead = a[t][t].lc()
-        if lead != spec.one:
-            c = lead.inverse()
-            a[t] = [x * c for x in a[t]]
+            _sub_mul_row(spec, a[t], [spec._neg[one]], a[bad])  # row t += row bad
+        if a[t][t][-1] != one:
+            _scale_row(spec, a[t], a[t][t][-1])
 
     # The loop produces ascending divisibility; flip to the descending
     # convention unless the diagonal is reversal-invariant.
@@ -372,8 +406,7 @@ def smith(matrix: PolyMatrix) -> SmithDecomposition:
         a = [row[:k][::-1] + row[k:] for row in a]
 
     S, U = _split(spec, a[:k], n, k)
-    V = PolyMatrix._of(spec, tuple(tuple(row[:n]) for row in a[k:]), n)
-    return SmithDecomposition(U=U, S=S, V=V)
+    return SmithDecomposition(U=U, S=S, V=_matrix(spec, [row[:n] for row in a[k:]], n))
 
 
 def _det_bareiss(entries, spec: FieldSpec) -> Poly:
@@ -411,21 +444,16 @@ def inverse_unimodular(matrix: PolyMatrix) -> PolyMatrix:
     spec, n = matrix.spec, matrix.rows
     if n != matrix.cols:
         raise NotSquare(f"inverse of {n}x{matrix.cols} matrix")
-    grid, _ = _hermite_core(spec, _beside_identity(spec, matrix.entries), n)
-    form, inverse = _split(spec, grid, n, n)
-    if form != PolyMatrix.identity(spec, n):
+    grid = _beside_identity(spec, _grid(matrix.entries))
+    _hermite_core(spec, grid, n)
+    if not _is_identity(grid, n, spec.one.code):
         raise NotUnit("matrix is not unimodular")
-    return inverse
+    return _matrix(spec, [row[n:] for row in grid], n)
 
 
 def is_identity_padded(matrix: PolyMatrix) -> bool:
     """True iff the matrix equals [I 0] (or [I; 0] when it is tall)."""
-    one, zero = Poly.one(matrix.spec), Poly.zero(matrix.spec)
-    for i, row in enumerate(matrix.entries):
-        for j, e in enumerate(row):
-            if e != (one if i == j else zero):
-                return False
-    return True
+    return _is_identity(_grid(matrix.entries), matrix.cols, matrix.spec.one.code)
 
 
 def right_kernel_basis(matrix: PolyMatrix) -> PolyMatrix:
@@ -440,29 +468,43 @@ def right_kernel_basis(matrix: PolyMatrix) -> PolyMatrix:
     spec, k, n = matrix.spec, matrix.rows, matrix.cols
     if k > n:
         raise ShapeUnsupported(f"need rows <= cols, got {k}x{n}")
-    grid, pivots = _hermite_core(spec, _beside_identity(spec, matrix.transpose().entries), k)
+    grid = _beside_identity(spec, _grid(matrix.transpose().entries))
+    pivots = _hermite_core(spec, grid, k)
     if len(pivots) < k:
         raise RankDeficient(f"rank {len(pivots)} < {k}")
-    return PolyMatrix._of(spec, tuple(tuple(row[k:]) for row in grid[k:]), n)
+    return _matrix(spec, [row[k:] for row in grid[k:]], n)
 
 
 def is_self_orthogonal(matrix: PolyMatrix) -> bool:
     """True iff A @ A^T = 0.  The product is symmetric, so each pair of rows
-    i <= j is dotted once, up to the first nonzero product."""
-    rows = matrix.entries
-    if not matrix.cols:
-        return True
-    return not any(dot(rows[i], rows[j]) for i in range(len(rows)) for j in range(i, len(rows)))
+    i <= j is summed into one code list once, up to the first nonzero one."""
+    spec, rows = matrix.spec, matrix.entries
+    for i, u in enumerate(rows):
+        for v in rows[i:]:
+            out: list[int] = []
+            for x, y in zip(u, v):
+                _mul_into(spec, out, x.codes, y.codes, 0)
+            if any(out):
+                return False
+    return True
 
 
-def as_poly_vector(spec: FieldSpec, vec: Sequence[Entryish]) -> tuple[Poly, ...]:
+def as_poly_vector(spec: FieldSpec, vec: Iterable[Entryish]) -> tuple[Poly, ...]:
     """Lift a sequence of Poly / FieldElement / int entries to Poly."""
-    return row_matrix(spec, vec).row(0)
+    out = []
+    for e in vec:
+        if not isinstance(e, Poly):
+            e = Poly(spec, (e,))
+        elif e.spec is not spec and e.spec != spec:
+            raise FieldMismatch("matrix entry from a different field")
+        out.append(e)
+    return tuple(out)
 
 
-def _reduce(grid, pivots: Sequence[int], rest: Sequence[Poly]) -> Sequence[Poly]:
-    """What is left of the row ``rest`` after reduction by the echelon rows
-    of ``grid``, whose monic pivots sit in the columns ``pivots``.
+def _reduce(spec: FieldSpec, grid, pivots: Sequence[int], rest: list) -> list:
+    """What is left of the code row ``rest``, reduced in place, after
+    reduction by the echelon code rows of ``grid``, whose monic pivots sit
+    in the columns ``pivots``.
 
     In pivot order, row i is the only row left that reaches its pivot
     column j_i, so its multiple c_i is the quotient of what is left of
@@ -470,9 +512,9 @@ def _reduce(grid, pivots: Sequence[int], rest: Sequence[Poly]) -> Sequence[Poly]
     reduced by a Hermite form H lies in its row span iff nothing is left.
     """
     for row, j in zip(grid, pivots):
-        q = rest[j] // row[j]
+        q = _divmod_codes(spec, rest[j], row[j])[0]
         if q:
-            rest = [sub_mul(x, q, y) for x, y in zip(rest, row)]
+            _sub_mul_row(spec, rest, q, row)
     return rest
 
 
@@ -488,14 +530,16 @@ def solve_left(matrix: PolyMatrix, vec: Sequence[Entryish]) -> Optional[tuple[Po
         raise DimensionMismatch(f"vector of length {len(vec)} against {k}x{n} matrix")
     if k > n:
         raise ShapeUnsupported(f"need rows <= cols, got {k}x{n}")
-    rest = as_poly_vector(spec, vec) + (Poly.zero(spec),) * k
-    grid, pivots = _hermite_core(spec, _beside_identity(spec, matrix.entries), n)
+    rest = _grid([as_poly_vector(spec, vec)])[0] + [[] for _ in range(k)]
+    grid = _beside_identity(spec, _grid(matrix.entries))
+    pivots = _hermite_core(spec, grid, n)
     if len(pivots) < k:
         raise RankDeficient("matrix does not have full row rank")
-    rest = _reduce(grid, pivots, rest)
+    _reduce(spec, grid, pivots, rest)
     if any(rest[:n]):
         return None
-    return tuple(-x for x in rest[n:])
+    neg = spec._neg
+    return tuple([_poly(spec, [neg[c] for c in x]) for x in rest[n:]])
 
 
 # ---------------------------------------------------------------------------

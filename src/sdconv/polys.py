@@ -9,9 +9,13 @@ the codes as the field's interned elements.
 
 All arithmetic runs on code lists through one inner loop, :func:`_mul_into`,
 which adds g^e times a product of code lists into a third with the field's
-log and Zech tables.  Two fused kernels built on it serve the matrix
-algorithms: :func:`sub_mul`, the step x - q*y of an elimination, and
-:func:`dot`.  The d_free trellis of ``codes`` adds its branches with it.
+log and Zech tables, and one division loop built on it,
+:func:`_divmod_codes`.  ``Poly`` operators wrap them.  The Hermite and
+Smith eliminations of ``matrices`` run on grids of code lists with the two
+loops directly, and the d_free trellis of ``codes`` adds its branches with
+:func:`_mul_into`.  Two fused kernels on ``Poly`` values remain:
+:func:`sub_mul`, the step x - q*y of the Bareiss determinant, and
+:func:`dot`, the product of two vectors.
 """
 
 from __future__ import annotations
@@ -143,23 +147,10 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        b = o.codes
-        if not b:
+        if not o.codes:
             raise DivisionByZero("polynomial division by zero")
-        spec = self.spec
-        log, exp, n = spec._log, spec._exp, spec.q - 1
-        lead = log[b[-1]]
-        minus_inv_lead = (spec._log_minus_one - lead) % n  # the log of -1/lc(o)
-        rem = list(self.codes)
-        dv = len(b) - 1
-        quo = [0] * max(len(rem) - dv, 0)
-        while len(rem) > dv:
-            shift = len(rem) - 1 - dv
-            quo[shift] = exp[log[rem[-1]] - lead + n]
-            _mul_into(spec, rem, (rem[-1],), b, minus_inv_lead, shift)
-            while rem and not rem[-1]:
-                rem.pop()
-        return _poly(spec, quo), _poly(spec, rem)
+        quo, rem = _divmod_codes(self.spec, self.codes, o.codes)
+        return _poly(self.spec, quo), _poly(self.spec, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -231,9 +222,28 @@ def _mul_into(
     return out
 
 
+def _divmod_codes(spec: FieldSpec, a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of the code list a by the nonzero trimmed
+    code list b, both trimmed: the one division loop.  Each step cancels
+    the leading term of the remainder by _mul_into with the log of -1/lc(b)."""
+    log, exp, n = spec._log, spec._exp, spec.q - 1
+    lead = log[b[-1]]
+    minus_inv_lead = (spec._log_minus_one - lead) % n
+    rem = list(a)
+    dv = len(b) - 1
+    quo = [0] * max(len(rem) - dv, 0)
+    while len(rem) > dv:
+        shift = len(rem) - 1 - dv
+        quo[shift] = exp[log[rem[-1]] - lead + n]
+        _mul_into(spec, rem, (rem[-1],), b, minus_inv_lead, shift)
+        while rem and not rem[-1]:
+            rem.pop()
+    return quo, rem
+
+
 def sub_mul(x: Poly, q: Poly, y: Poly) -> Poly:
     """x - q*y in one pass and one allocation, for polynomials over one
-    field: the row and column step of the elimination algorithms."""
+    field: the step of the Bareiss determinant."""
     spec = x.spec
     if (q.spec is not spec or y.spec is not spec) and not q.spec == spec == y.spec:
         raise FieldMismatch("polynomials over different fields")

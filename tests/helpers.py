@@ -20,9 +20,16 @@ from sdconv import (
     rank,
     smith,
 )
-from sdconv.errors import NotSquare, ParseError, ShapeUnsupported
+from sdconv.errors import (
+    DimensionMismatch,
+    NotSquare,
+    NotUnit,
+    ParseError,
+    RankDeficient,
+    ShapeUnsupported,
+)
 from sdconv.fields import _int_poly_mod, _is_wrapped, _parse_coefficient, _parse_terms, parse_int_poly
-from sdconv.matrices import as_poly_vector
+from sdconv.matrices import HermiteDecomposition, SmithDecomposition, as_poly_vector, is_identity_padded
 from sdconv.polys import sub_mul
 
 
@@ -113,6 +120,219 @@ def smith_kernel_basis(matrix: PolyMatrix) -> PolyMatrix:
     v = smith(matrix).V
     n = matrix.cols
     return PolyMatrix(matrix.spec, [v.column(j) for j in range(matrix.rows, n)], cols=n)
+
+
+# The eliminations on Poly entries, through the Poly operators: the oracle
+# for the code-grid kernel of ``sdconv.matrices``.  Each returns the same
+# objects and raises the same typed errors as the library function of its
+# name without the ``oracle_`` prefix.
+
+
+def oracle_hermite_core(spec, rows, width: int):
+    """The reduced rows of [A | rest] as lists of Poly, and the pivots."""
+    a = [list(row) for row in rows]
+    m = len(a)
+    pivots: list[int] = []
+    r = 0
+    for j in range(width):
+        if r == m:
+            break
+        while True:
+            nz = [i for i in range(r, m) if a[i][j]]
+            if not nz:
+                break
+            piv = min(nz, key=lambda i: (a[i][j].degree(), i))
+            if piv != r:
+                a[r], a[piv] = a[piv], a[r]
+            done = True
+            for i in range(r + 1, m):
+                if a[i][j]:
+                    q = a[i][j] // a[r][j]
+                    if q:
+                        a[i] = [sub_mul(x, q, y) for x, y in zip(a[i], a[r])]
+                    if a[i][j]:
+                        done = False
+            if done:
+                break
+        if r < m and a[r][j]:
+            c = a[r][j].lc().inverse()
+            if a[r][j].lc() != spec.one:
+                a[r] = [x * c for x in a[r]]
+            for i in range(r):
+                q = a[i][j] // a[r][j]
+                if q:
+                    a[i] = [sub_mul(x, q, y) for x, y in zip(a[i], a[r])]
+            pivots.append(j)
+            r += 1
+    return a, pivots
+
+
+def _oracle_unit_rows(spec, m: int, pad: int = 0):
+    one, zero = Poly.one(spec), Poly.zero(spec)
+    return [[one if i == j else zero for j in range(m)] + [zero] * pad for i in range(m)]
+
+
+def _oracle_beside_identity(spec, rows):
+    return [list(row) + unit for row, unit in zip(rows, _oracle_unit_rows(spec, len(rows)))]
+
+
+def _oracle_split(spec, grid, width: int, rest: int):
+    left = PolyMatrix(spec, [row[:width] for row in grid], cols=width)
+    return left, PolyMatrix(spec, [row[width:] for row in grid], cols=rest)
+
+
+def oracle_smith(matrix: PolyMatrix) -> SmithDecomposition:
+    spec, k, n = matrix.spec, matrix.rows, matrix.cols
+    if k > n:
+        raise ShapeUnsupported(f"need rows <= cols, got {k}x{n}")
+    a = _oracle_beside_identity(spec, matrix.entries) + _oracle_unit_rows(spec, n, pad=k)
+    for t in range(k):
+        while True:
+            cands = [(i, j) for i in range(t, k) for j in range(t, n) if a[i][j]]
+            if not cands:
+                raise RankDeficient(f"rank {t} < {k}")
+            i0, j0 = min(cands, key=lambda ij: (a[ij[0]][ij[1]].degree(), ij[0], ij[1]))
+            if i0 != t:
+                a[t], a[i0] = a[i0], a[t]
+            if j0 != t:
+                for row in a:
+                    row[t], row[j0] = row[j0], row[t]
+            changed = False
+            for i in range(t + 1, k):
+                if a[i][t]:
+                    q = a[i][t] // a[t][t]
+                    a[i] = [sub_mul(x, q, y) for x, y in zip(a[i], a[t])]
+                    changed = changed or bool(a[i][t])
+            if not changed:
+                for j in range(t + 1, n):
+                    if a[t][j]:
+                        q = a[t][j] // a[t][t]
+                        for row in a:
+                            row[j] = sub_mul(row[j], q, row[t])
+                        changed = changed or bool(a[t][j])
+            if changed:
+                continue
+            # pivot now alone in its row and column; enforce divisibility
+            bad = None
+            for i in range(t + 1, k):
+                for j in range(t + 1, n):
+                    if a[i][j] and a[i][j] % a[t][t]:
+                        bad = i
+                        break
+                if bad is not None:
+                    break
+            if bad is None:
+                break
+            a[t] = [x + y for x, y in zip(a[t], a[bad])]
+        lead = a[t][t].lc()
+        if lead != spec.one:
+            c = lead.inverse()
+            a[t] = [x * c for x in a[t]]
+
+    # The loop produces ascending divisibility; flip to the descending
+    # convention unless the diagonal is reversal-invariant.
+    diag = [a[i][i] for i in range(k)]
+    if diag != diag[::-1]:
+        a[:k] = a[:k][::-1]
+        a = [row[:k][::-1] + row[k:] for row in a]
+
+    S, U = _oracle_split(spec, a[:k], n, k)
+    V = PolyMatrix(spec, [row[:n] for row in a[k:]], cols=n)
+    return SmithDecomposition(U=U, S=S, V=V)
+
+
+def oracle_row_hermite(matrix: PolyMatrix) -> HermiteDecomposition:
+    spec, k, n = matrix.spec, matrix.rows, matrix.cols
+    if k > n:
+        raise ShapeUnsupported(f"need rows <= cols, got {k}x{n}")
+    grid, _ = oracle_hermite_core(spec, _oracle_beside_identity(spec, matrix.entries), n)
+    form, transform = _oracle_split(spec, grid, n, k)
+    return HermiteDecomposition(form=form, transform=transform, side="row")
+
+
+def oracle_col_hermite(matrix: PolyMatrix) -> HermiteDecomposition:
+    spec, k, n = matrix.spec, matrix.rows, matrix.cols
+    if k > n:
+        raise ShapeUnsupported(f"need rows <= cols, got {k}x{n}")
+    grid, _ = oracle_hermite_core(spec, _oracle_beside_identity(spec, matrix.transpose().entries), k)
+    form, transform = _oracle_split(spec, grid, k, n)
+    return HermiteDecomposition(form=form.transpose(), transform=transform.transpose(), side="column")
+
+
+def oracle_rank(matrix: PolyMatrix) -> int:
+    return len(oracle_hermite_core(matrix.spec, matrix.entries, matrix.cols)[1])
+
+
+def oracle_inverse_unimodular(matrix: PolyMatrix) -> PolyMatrix:
+    spec, n = matrix.spec, matrix.rows
+    if n != matrix.cols:
+        raise NotSquare(f"inverse of {n}x{matrix.cols} matrix")
+    grid, _ = oracle_hermite_core(spec, _oracle_beside_identity(spec, matrix.entries), n)
+    form, inverse = _oracle_split(spec, grid, n, n)
+    if form != PolyMatrix.identity(spec, n):
+        raise NotUnit("matrix is not unimodular")
+    return inverse
+
+
+def oracle_right_kernel_basis(matrix: PolyMatrix) -> PolyMatrix:
+    spec, k, n = matrix.spec, matrix.rows, matrix.cols
+    if k > n:
+        raise ShapeUnsupported(f"need rows <= cols, got {k}x{n}")
+    grid, pivots = oracle_hermite_core(spec, _oracle_beside_identity(spec, matrix.transpose().entries), k)
+    if len(pivots) < k:
+        raise RankDeficient(f"rank {len(pivots)} < {k}")
+    return PolyMatrix(spec, [row[k:] for row in grid[k:]], cols=n)
+
+
+def oracle_solve_left(matrix: PolyMatrix, vec):
+    spec, k, n = matrix.spec, matrix.rows, matrix.cols
+    if len(vec) != n:
+        raise DimensionMismatch(f"vector of length {len(vec)} against {k}x{n} matrix")
+    if k > n:
+        raise ShapeUnsupported(f"need rows <= cols, got {k}x{n}")
+    rest = as_poly_vector(spec, vec) + (Poly.zero(spec),) * k
+    grid, pivots = oracle_hermite_core(spec, _oracle_beside_identity(spec, matrix.entries), n)
+    if len(pivots) < k:
+        raise RankDeficient("matrix does not have full row rank")
+    for row, j in zip(grid, pivots):
+        q = rest[j] // row[j]
+        if q:
+            rest = [sub_mul(x, q, y) for x, y in zip(rest, row)]
+    if any(rest[:n]):
+        return None
+    return tuple(-x for x in rest[n:])
+
+
+def oracle_row_reduced(matrix: PolyMatrix) -> PolyMatrix:
+    spec, n = matrix.spec, matrix.cols
+    rows = [list(row) for row in matrix.entries]
+    while True:
+        degrees = [max(len(e.codes) for e in row) - 1 for row in rows]
+        if -1 in degrees:
+            raise RankDeficient("matrix rows are linearly dependent")
+        lead = [[Poly(spec, e.coeffs[d:]) for e in row] for row, d in zip(rows, degrees)]
+        grid, pivots = oracle_hermite_core(spec, _oracle_beside_identity(spec, lead), n)
+        if len(pivots) == len(rows):
+            return PolyMatrix(spec, rows, cols=n)
+        c = [e.coeffs[0] if e else spec.zero for e in grid[len(pivots)][n:]]
+        i = max((j for j in range(len(rows)) if c[j]), key=lambda j: degrees[j])
+        for j, cj in enumerate(c):
+            if cj and j != i:
+                shift = Poly(spec, [spec.zero] * (degrees[i] - degrees[j]) + [-(cj / c[i])])
+                rows[i] = [sub_mul(x, shift, y) for x, y in zip(rows[i], rows[j])]
+
+
+def oracle_is_noncatastrophic(matrix: PolyMatrix) -> bool:
+    """For a full-row-rank generator: the row Hermite form of G^T is [I; 0]."""
+    grid, _ = oracle_hermite_core(matrix.spec, matrix.transpose().entries, matrix.rows)
+    return is_identity_padded(PolyMatrix(matrix.spec, grid, cols=matrix.rows))
+
+
+def oracle_is_self_orthogonal(matrix: PolyMatrix) -> bool:
+    rows = matrix.entries
+    if not matrix.cols:
+        return True
+    return not any(dot(rows[i], rows[j]) for i in range(len(rows)) for j in range(i, len(rows)))
 
 
 def scan_21_generators(spec, max_deg: int) -> list[PolyMatrix]:

@@ -6,12 +6,24 @@ from helpers import (
     F2,
     F4,
     F5,
+    base_self_dual_codes,
     classify42,
     col_hermite_solve_left,
     det_laplace,
     is_left_prime,
     is_unimodular,
     maximal_minors,
+    oracle_col_hermite,
+    oracle_hermite_core,
+    oracle_inverse_unimodular,
+    oracle_is_noncatastrophic,
+    oracle_is_self_orthogonal,
+    oracle_rank,
+    oracle_right_kernel_basis,
+    oracle_row_hermite,
+    oracle_row_reduced,
+    oracle_smith,
+    oracle_solve_left,
     rand_full_rank,
     rand_matrix,
     rand_poly,
@@ -20,6 +32,7 @@ from helpers import (
 )
 from sdconv import (
     ConvolutionalCode,
+    FieldElement,
     Poly,
     PolyMatrix,
     col_hermite,
@@ -48,7 +61,15 @@ from sdconv.errors import (
     SdconvError,
     ShapeUnsupported,
 )
-from sdconv.matrices import is_identity_padded, is_self_orthogonal
+from sdconv import codes, matrices, polys
+from sdconv.matrices import (
+    _beside_identity,
+    _grid,
+    _hermite_core,
+    is_identity_padded,
+    is_self_orthogonal,
+    row_reduced,
+)
 from sdconv.polys import NEG_INF
 
 
@@ -518,3 +539,122 @@ def test_minors_of_coprime_pair_code():
 
 def test_degree_of_zero_sorts_below_everything():
     assert NEG_INF < Poly.one(F2).degree()
+
+
+def outcome(f, *args):
+    """What f(*args) returns, or the type and message of its typed error."""
+    try:
+        return f(*args)
+    except SdconvError as e:
+        return type(e), str(e)
+
+
+def _differential_cases(rng, spec):
+    """Every shape k <= 3, k <= n <= 2k + 1, entries of degree <= 2; some
+    with a zero row, some with a row that is a multiple of another."""
+    for k in range(4):
+        for n in range(k, 2 * k + 2):
+            rows = [list(row) for row in rand_matrix(rng, spec, k, n).entries]
+            kind = rng.randrange(3)
+            if k > 1 and kind:
+                i, j = rng.sample(range(k), 2)
+                q = rand_poly(rng, spec, 1) if kind == 2 else Poly.zero(spec)
+                rows[i] = [q * x for x in rows[j]]
+            yield PolyMatrix(spec, rows, cols=n)
+
+
+@pytest.mark.parametrize("field", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (2, 4), (2, 8)])
+def test_eliminations_match_the_poly_oracles(field):
+    # the code-grid eliminations against the Poly-level ones they replaced:
+    # the same pivots, forms, transforms, verdicts and typed errors
+    spec = make_field(*field)
+    rng = random.Random(1600 + spec.q)
+    p = spec.p
+    cases = [m for _ in range(3) for m in _differential_cases(rng, spec)]
+    # self-orthogonal inputs: rows constant over p columns, and self-dual codes
+    cases += [PolyMatrix(spec, [[rand_poly(rng, spec, 2)] * p for _ in range(2)], cols=p)]
+    cases += [rand_unimodular(rng, spec, c.k) @ c.generator for c in base_self_dual_codes() if c.spec == spec]
+    orthogonal = deficient = 0
+    for a in cases:
+        k, n = a.rows, a.cols
+        grid = _beside_identity(spec, _grid(a.entries))
+        pivots = _hermite_core(spec, grid, n)
+        unit = PolyMatrix.identity(spec, k).entries
+        rows, oracle_pivots = oracle_hermite_core(spec, [r + u for r, u in zip(a.entries, unit)], n)
+        assert pivots == oracle_pivots
+        assert grid == [[list(e.codes) for e in row] for row in rows]
+        for f, oracle in [
+            (row_hermite, oracle_row_hermite),
+            (col_hermite, oracle_col_hermite),
+            (smith, oracle_smith),
+            (rank, oracle_rank),
+            (right_kernel_basis, oracle_right_kernel_basis),
+            (inverse_unimodular, oracle_inverse_unimodular),
+            (row_reduced, oracle_row_reduced),
+            (is_self_orthogonal, oracle_is_self_orthogonal),
+        ]:
+            assert outcome(f, a) == outcome(oracle, a), (f.__name__, str(a))
+        square = PolyMatrix(spec, [row[:k] for row in a.entries], cols=k)
+        for b in (square, rand_unimodular(rng, spec, max(k, 1))):
+            assert outcome(inverse_unimodular, b) == outcome(oracle_inverse_unimodular, b)
+        m = tuple(rand_poly(rng, spec, 2) for _ in range(k))
+        word = tuple(dot(m, a.column(j)) for j in range(n)) if k else (Poly.zero(spec),) * n
+        other = tuple(rand_poly(rng, spec, 2) for _ in range(n))
+        for v in (word, other):
+            assert outcome(solve_left, a, v) == outcome(oracle_solve_left, a, v)
+        if oracle_rank(a) == k:
+            code = ConvolutionalCode(a)
+            assert code.is_noncatastrophic() == oracle_is_noncatastrophic(a)
+            assert code.contains(other) == (oracle_solve_left(a, other) is not None)
+        else:
+            deficient += 1
+        orthogonal += oracle_is_self_orthogonal(a)
+    assert deficient and orthogonal
+
+
+def test_eliminations_do_no_poly_arithmetic(monkeypatch):
+    # the eliminations run on code grids: no Poly or FieldElement operator,
+    # sub_mul or dot is called, and every result is the unpatched one
+    rng = random.Random(16)
+    F9 = make_field(3, 2)
+    a = rand_unimodular(rng, F9, 2) @ rand_full_rank(rng, F9, 2, 4)
+    u = smith(a).U
+    word = tuple(dot((Poly.z(F9), Poly.one(F9)), a.column(j)) for j in range(4))
+    top = max(classify42(2), key=lambda rec: rec.degree)
+    g = rand_unimodular(rng, F2, 2) @ top.canonical_generator
+    codeword = tuple(dot((Poly.one(F2), Poly.z(F2)), g.column(j)) for j in range(4))
+
+    def code_answers():
+        c = ConvolutionalCode(g)
+        return c.canonical_generator(), c.is_self_dual(), c.contains(codeword), c.code_degree()
+
+    calls = {
+        "row_hermite": lambda: row_hermite(a),
+        "col_hermite": lambda: col_hermite(a),
+        "smith": lambda: smith(a),
+        "rank": lambda: rank(a),
+        "right_kernel_basis": lambda: right_kernel_basis(a),
+        "inverse_unimodular": lambda: inverse_unimodular(u),
+        "solve_left": lambda: solve_left(a, word),
+        "row_reduced": lambda: row_reduced(a),
+        "code": code_answers,
+    }
+    expected = {name: call() for name, call in calls.items()}
+    assert expected["code"][1:] == (True, True, 2)
+    assert expected["solve_left"] == (Poly.z(F9), Poly.one(F9))
+
+    def refuse(*args):
+        raise AssertionError("Poly or FieldElement arithmetic in an elimination")
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__", "__rmul__",
+                 "__pow__", "__divmod__", "__floordiv__", "__mod__", "monic"):
+        monkeypatch.setattr(Poly, name, refuse)
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__",
+                 "__rmul__", "__truediv__", "__pow__", "inverse", "__eq__", "__hash__"):
+        monkeypatch.setattr(FieldElement, name, refuse)
+    for module in (polys, matrices, codes):
+        for name in ("sub_mul", "dot"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    for name, call in calls.items():
+        assert call() == expected[name], name
