@@ -68,8 +68,9 @@ class ConvolutionalCode:
         if len(pivots) < k:
             raise RankDeficient("generator rows are linearly dependent")
         self.generator = generator
-        self._canonical = _matrix(generator.spec, grid, n)
+        self._form = grid  # the row Hermite form H = U G as a code grid
         self._pivots = pivots
+        self._canonical: Optional[PolyMatrix] = None
         self._selforth: Optional[bool] = None
         self._noncat: Optional[bool] = None
         self._degree: Optional[int] = None
@@ -88,6 +89,8 @@ class ConvolutionalCode:
 
     def canonical_generator(self) -> PolyMatrix:
         """The unique row Hermite form of the generator; the dedup key."""
+        if self._canonical is None:
+            self._canonical = _matrix(self.spec, self._form, self.n)
         return self._canonical
 
     def code_degree(self) -> int:
@@ -110,10 +113,13 @@ class ConvolutionalCode:
         return self._selforth
 
     def is_noncatastrophic(self) -> bool:
-        """G is left prime (basic) iff its column Hermite form is [I 0],
-        that is iff the row Hermite form of G^T is [I; 0]."""
+        """A matrix is left prime (basic) iff its column Hermite form is
+        [I 0], that is iff the row Hermite form of its transpose is [I; 0].
+        G is left prime iff its row Hermite form H = U G is, U unimodular
+        (Kailath, *Linear Systems*, 1980, Sec. 6.3), so the test runs on
+        the transpose of the form the code already holds."""
         if self._noncat is None:
-            grid = _grid(self.generator.transpose().entries)
+            grid = [[list(e) for e in col] for col in zip(*self._form)]
             _hermite_core(self.spec, grid, self.k)
             self._noncat = _is_identity(grid, self.k, self.spec.one.code)
         return self._noncat
@@ -129,9 +135,8 @@ class ConvolutionalCode:
         """True iff nothing is left of the vector reduced by the canonical generator."""
         if len(vec) != self.n:
             raise DimensionMismatch(f"vector of length {len(vec)} in length-{self.n} code")
-        form = [[e.codes for e in row] for row in self._canonical.entries]
         rest = _grid([as_poly_vector(self.spec, vec)])[0]
-        return not any(_reduce(self.spec, form, self._pivots, rest))
+        return not any(_reduce(self.spec, self._form, self._pivots, rest))
 
     def encode(self, message: Sequence) -> tuple[Poly, ...]:
         """The codeword m @ G for a length-k message vector."""
@@ -218,11 +223,11 @@ class ConvolutionalCode:
 
     def __eq__(self, other):
         if isinstance(other, ConvolutionalCode):
-            return self._canonical == other._canonical
+            return self.canonical_generator() == other.canonical_generator()
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._canonical)
+        return hash(self.canonical_generator())
 
     def __repr__(self):
         return f"ConvolutionalCode({self.generator!r})"

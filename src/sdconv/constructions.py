@@ -3,10 +3,14 @@
 Four routes are implemented: direct sums, chains of scaled-orthogonal
 transforms and column permutations, the generalized building-up extension
 (over any field containing a square root of -1), and the column-pairing
-extension with its self-dual completion search (binary only).  Every
-construction re-verifies its output with the full self-duality check
-instead of trusting the algebra, so precondition violations that slip past
-the explicit checks still surface.
+extension with its self-dual completion search (binary only).  The first
+three re-verify their output with the full self-duality check instead of
+trusting the algebra, so precondition violations that slip past the
+explicit checks still surface.  ``find_completion`` checks each fact
+once: ``_validate_extended`` proves gt gt^T = 0 on the immutable extension,
+so a candidate [f; gt] of shape (k+1) x (2k+2) is self-dual iff f is
+orthogonal to every row of it, f f^T included, and it is non-catastrophic
+(``_completes``); no other product of its Gram matrix is new.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from .matrices import (
     dot,
     inverse_unimodular,
     is_identity_padded,
+    is_orthogonal_to,
     is_self_orthogonal,
     right_kernel_basis,
     row_matrix,
@@ -232,16 +237,32 @@ def _unit_content_vector(vec: Sequence[Poly]) -> tuple[Poly, ...]:
     return tuple(e // content for e in vec)
 
 
+def _completes(gen: PolyMatrix) -> bool:
+    """True iff gen = [f; gt] is self-dual, for an extension gt with
+    gt gt^T = 0 (``_validate_extended``) and so n = 2k by shape: f must be
+    orthogonal to every row of gen, f f^T included, and gen left prime."""
+    f = gen.entries[0]
+    return is_orthogonal_to(gen.spec, f, gen.entries) and ConvolutionalCode(gen).is_noncatastrophic()
+
+
 def find_completion(gt: PolyMatrix, witness: Optional[Sequence] = None) -> CompletionResult:
     """Search for a self-dual completion of an extended k x (2k+2) matrix.
+
+    The trivial completion [e; gt], e = (1,1,0,...,0), is self-orthogonal
+    by the checks of the extension, so it is self-dual iff it is also
+    non-catastrophic.  After the row steps row_i -= a_i e it is
+    block-diag([1 1], G'), G' the columns past the pairing, so it is
+    non-catastrophic iff G' is, as G' is for every output of hm_extend.
+    A catastrophic G' raises MalformedInput before any search, with or
+    without a witness.
 
     A non-trivial completion exists iff the all-ones vector lies in the
     row span of the extended matrix.  In that case candidate rows are
     drawn from the left-prime kernel basis (single rows first, then sums of
     two, in index order), so each has content 1 already, and kept only
-    when the completed matrix verifies as self-dual; content 1 and lying
-    outside the span of the extension plus (1,1,0,...,0) are NOT sufficient
-    on their own (the completion can come out catastrophic), so
+    when the completed matrix verifies as self-dual (``_completes``);
+    content 1 and lying outside the trivial completion's span are NOT
+    sufficient on their own (the completion can come out catastrophic), so
     verification is the gate.  When no scanned candidate verifies, an exact
     witness is constructed by completing the extension to a module basis of
     the kernel, which always succeeds.  A caller-supplied witness is
@@ -251,20 +272,21 @@ def find_completion(gt: PolyMatrix, witness: Optional[Sequence] = None) -> Compl
     spec = gt.spec
     cols = gt.cols
     e_row = as_poly_vector(spec, (1, 1) + (0,) * (cols - 2))
+    # one code is both the trivial result and the module a non-trivial
+    # completion must not contain
+    trivial = ConvolutionalCode(vstack(row_matrix(spec, e_row), gt))
+    if not trivial.is_noncatastrophic():
+        raise MalformedInput("the columns past the paired ones generate a catastrophic code")
     if not ConvolutionalCode(gt).contains((1,) * cols):
         if witness is not None:
             raise BadVector("only trivial completions exist for this extension")
-        trivial = vstack(row_matrix(spec, e_row), gt)
-        assert ConvolutionalCode(trivial).is_self_dual()
-        return CompletionResult(kind=TRIVIAL_ONLY, generator=trivial, witness=e_row)
-
-    span_with_e = ConvolutionalCode(vstack(gt, row_matrix(spec, e_row)))
+        return CompletionResult(kind=TRIVIAL_ONLY, generator=trivial.generator, witness=e_row)
 
     def attempt(f: Sequence[Poly]) -> Optional[CompletionResult]:
-        if span_with_e.contains(f):
+        if trivial.contains(f):
             return None
         gen = vstack(row_matrix(spec, f), gt)
-        if not ConvolutionalCode(gen).is_self_dual():
+        if not _completes(gen):
             return None
         return CompletionResult(kind=NON_TRIVIAL, generator=gen, witness=f)
 
@@ -272,7 +294,7 @@ def find_completion(gt: PolyMatrix, witness: Optional[Sequence] = None) -> Compl
         wv = as_poly_vector(spec, witness)
         if len(wv) != cols:
             raise BadVector(f"witness must have length {cols}")
-        if any(dot(wv, row) for row in gt.entries):
+        if not is_orthogonal_to(spec, wv, gt.entries):
             raise BadVector("witness is not orthogonal to the extended matrix")
         result = attempt(_unit_content_vector(wv))
         if result is None:
@@ -315,9 +337,10 @@ def _exact_completion_witness(
         coords.append(c)
     stacked = PolyMatrix(spec, coords, cols=kernel.rows)
     dec = col_hermite(stacked)
-    # the trivial completion is self-dual, so its coordinate module is
-    # saturated and the stack is left-prime: stacked @ W = [I 0], so the
-    # stack is the first rows of W^-1 and the next row completes it
+    # the trivial completion is self-dual (find_completion checked that it
+    # is non-catastrophic), so its coordinate module is saturated and the
+    # stack is left-prime: stacked @ W = [I 0], so the stack is the first
+    # rows of W^-1 and the next row completes it
     assert is_identity_padded(dec.form)
     x = inverse_unimodular(dec.transform).entries[stacked.rows]
     return tuple(dot(x, kernel.column(j)) for j in range(kernel.cols))

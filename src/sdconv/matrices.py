@@ -29,7 +29,7 @@ object.  Code grid in, pivots out: ``_hermite_core`` reduces one in
 place, each step a quotient by ``polys._divmod_codes`` and the one row
 step ``_sub_mul_row``.  Poly objects and ``PolyMatrix._of`` are built
 only from the slices a caller returns (``_matrix``); rank, membership,
-self-orthogonality and the non-catastrophic test build none.
+(self-)orthogonality and the non-catastrophic test build none.
 
 Elimination pivots are chosen as the lowest-degree nonzero entry with ties
 broken by smallest index, so all outputs are deterministic.
@@ -476,16 +476,21 @@ def right_kernel_basis(matrix: PolyMatrix) -> PolyMatrix:
 
 
 def is_self_orthogonal(matrix: PolyMatrix) -> bool:
-    """True iff A @ A^T = 0.  The product is symmetric, so each pair of rows
-    i <= j is summed into one code list once, up to the first nonzero one."""
-    spec, rows = matrix.spec, matrix.entries
-    for i, u in enumerate(rows):
-        for v in rows[i:]:
-            out: list[int] = []
-            for x, y in zip(u, v):
-                _mul_into(spec, out, x.codes, y.codes, 0)
-            if any(out):
-                return False
+    """True iff A @ A^T = 0.  The product is symmetric, so each row is
+    tested against itself and the rows after it."""
+    rows = matrix.entries
+    return all(is_orthogonal_to(matrix.spec, u, rows[i:]) for i, u in enumerate(rows))
+
+
+def is_orthogonal_to(spec: FieldSpec, u: Sequence[Poly], rows: Iterable[Sequence[Poly]]) -> bool:
+    """True iff u @ v^T = 0 for every row v: each product is summed into
+    one code list, up to the first nonzero one."""
+    for v in rows:
+        out: list[int] = []
+        for x, y in zip(u, v):
+            _mul_into(spec, out, x.codes, y.codes, 0)
+        if any(out):
+            return False
     return True
 
 

@@ -1,8 +1,10 @@
 """Shared randomized generators and oracles for the test suites."""
 
+import importlib.util
 import itertools
 import random
 from functools import lru_cache, reduce
+from pathlib import Path
 
 from sdconv import (
     ConvolutionalCode,
@@ -31,6 +33,16 @@ from sdconv.errors import (
 from sdconv.fields import _int_poly_mod, _is_wrapped, _parse_coefficient, _parse_terms, parse_int_poly
 from sdconv.matrices import HermiteDecomposition, SmithDecomposition, as_poly_vector, is_identity_padded
 from sdconv.polys import sub_mul
+
+
+@lru_cache(maxsize=None)
+def load_bench(name: str):
+    """The module ``bench/<name>.py`` of this checkout, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @lru_cache(maxsize=None)

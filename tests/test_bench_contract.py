@@ -1,7 +1,7 @@
 """The benchmark's own output checks, run on every op of the seed-1
 completion workload and of the seed-1 cli-mixed stream, its trace table
-checked against the package, and the bytes the cli-mixed streams print
-checked against a recorded digest.
+checked against the package, and the outputs of the completion passes and
+the bytes the cli-mixed streams print checked against recorded digests.
 
 A change of representation that breaks what the benchmark reads, such as
 ``Poly.coeffs`` and ``FieldElement.coeffs``, the recorded catalog or a
@@ -11,24 +11,15 @@ imported.
 """
 
 import hashlib
-import importlib.util
 import json
 from pathlib import Path
 
 import sdconv
 import sdconv.cli  # noqa: F401  (the cli-mixed workload calls sdconv.cli.main)
+from helpers import load_bench
 
-
-def _load(name: str):
-    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-workloads = _load("workloads")
-layers = _load("layers")
+workloads = load_bench("workloads")
+layers = load_bench("layers")
 
 
 def verdicts(wl, ops):
@@ -43,6 +34,23 @@ def test_completion_slice_passes_the_bench_check():
     results = verdicts(wl, ops)
     bad = [(op, v) for op, v in results if v != workloads.OK]
     assert not bad
+
+
+def test_completion_passes_give_the_recorded_outputs():
+    # the bench checks that each result is a self-dual completion of the
+    # right kind; this pins which one, over the 1,584 ops of seeds 1-3: one
+    # SHA-256 over each op's JSON-encoded [extension, kind, witness,
+    # generator] text and a newline, in pass order
+    fmt, fmt_vec = sdconv.format_matrix, sdconv.format_vector
+    digest = hashlib.sha256()
+    for seed in (1, 2, 3):
+        wl = workloads.Completion(sdconv, seed)
+        for op in wl.ops():
+            gt, result = wl.run(op)
+            fields = [fmt(gt), result.kind, fmt_vec(result.witness), fmt(result.generator)]
+            digest.update(json.dumps(fields).encode() + b"\n")
+    recorded = Path(__file__).with_name("data") / "completion.sha256"
+    assert digest.hexdigest() == recorded.read_text(encoding="utf-8").strip()
 
 
 def test_cli_mixed_slice_passes_the_bench_check():

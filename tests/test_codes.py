@@ -144,8 +144,35 @@ def test_code_equality_is_canonical_equality():
     c = code(F2, NBU)
     for _ in range(5):
         u = rand_unimodular(rng, F2, 2)
-        assert ConvolutionalCode(u @ c.generator) == c
+        other = ConvolutionalCode(u @ c.generator)
+        assert other == c and hash(other) == hash(c) and len({c, other}) == 1
     assert code(F2, "1,1,0,0 ; 0,0,1,1") != c
+    # the same canonical form over different fields is a different code
+    assert code(F2, "1,1") != code(F4, "1,1")
+    assert code(F2, "1,1") != code(F5, "1,1")
+    # a k = 0 code has a left-prime (empty) generator
+    for n in (0, 2, 4):
+        empty = ConvolutionalCode(PolyMatrix(F2, [], cols=n))
+        assert empty.is_noncatastrophic()
+        assert empty == ConvolutionalCode(PolyMatrix(F2, [], cols=n))
+    assert ConvolutionalCode(PolyMatrix(F2, [], cols=2)) != ConvolutionalCode(PolyMatrix(F2, [], cols=4))
+
+
+def test_canonical_form_is_built_on_first_use(monkeypatch):
+    # a code keeps its Hermite form as a code grid: membership and the
+    # self-duality test read that grid, and only the dedup key builds Poly
+    canon = parse_matrix(F2, "1,1,1,1 ; 0,z^2+z+1,z,z^2+1")
+
+    def refuse(*args):
+        raise AssertionError("the canonical form was built as a PolyMatrix")
+
+    monkeypatch.setattr("sdconv.codes._matrix", refuse)
+    c = code(F2, NBU)
+    assert c.is_self_dual() and c.contains(parse_vector(F2, "1,1,1,1"))
+    assert not c.contains(parse_vector(F2, "1,1,0,0"))
+    monkeypatch.undo()
+    assert c.canonical_generator() == canon
+    assert c.canonical_generator() is c.canonical_generator()
 
 
 def test_free_distance_trivial_code():

@@ -3,7 +3,18 @@ import random
 
 import pytest
 
-from helpers import F2, F4, F5, classify42, rand_unimodular, self_dual_corpus
+import sdconv
+from helpers import (
+    F2,
+    F4,
+    F5,
+    classify42,
+    load_bench,
+    oracle_is_noncatastrophic,
+    oracle_is_self_orthogonal,
+    rand_unimodular,
+    self_dual_corpus,
+)
 from sdconv import (
     ConvolutionalCode,
     Poly,
@@ -18,6 +29,7 @@ from sdconv import (
     iter_bounded_polys,
     parse_matrix,
     parse_vector,
+    rank,
     right_kernel_basis,
     row_matrix,
     solve_left,
@@ -42,7 +54,9 @@ from sdconv.errors import (
     NotPermutation,
     NotSelfDual,
     NotUnit,
+    SdconvError,
 )
+from sdconv.matrices import is_self_orthogonal
 
 
 def code(spec, text):
@@ -341,6 +355,135 @@ def test_find_completion_malformed_inputs():
         find_completion(parse_matrix(F2, "1,1,1"))  # wrong width
     with pytest.raises(MalformedInput):
         find_completion(parse_matrix(F5, "1,1,1,1"))  # wrong field
+
+
+@pytest.mark.parametrize(
+    "text, witness",
+    [
+        ("0,0,z,z", "1,1,0,0"),
+        ("z+1,z+1,z+1,z+1", "1,1,0,0"),
+        # reaches all-ones, and [f; gt] is self-dual for this witness, but
+        # G' = (1,1,z,z ; 1,1,1,1) generates no self-dual code: its 2x2
+        # minors share the factor z+1
+        ("0,0,1,1,z,z ; 1,1,1,1,1,1", "0,z+1,z,0,1,0"),
+    ],
+)
+def test_find_completion_rejects_a_catastrophic_extension(text, witness):
+    # [e; gt] is block-diag([1 1], G') after row steps, so with G' (the
+    # columns past the pairing) catastrophic no trivial completion exists;
+    # both paths refuse the extension before any search
+    gt = parse_matrix(F2, text)
+    with pytest.raises(MalformedInput, match="catastrophic"):
+        find_completion(gt)
+    with pytest.raises(MalformedInput, match="catastrophic"):
+        find_completion(gt, witness=parse_vector(F2, witness))
+
+
+def test_find_completion_ends_in_a_result_or_a_typed_error():
+    # seeded paired self-orthogonal extensions over GF(2) with k <= 3 and
+    # entry degree <= 1: a row is self-orthogonal iff its entries past the
+    # pairing sum to 0, and each row is redrawn until it is orthogonal to the
+    # rows before it.  Many are catastrophic or rank-deficient past the pairing.
+    rng = random.Random(59)
+    polys = iter_bounded_polys(F2, 1)
+    zero = Poly.zero(F2)
+    outcomes = set()
+    for k in (1, 2, 3):
+        for _ in range(60):
+            rows = []
+            while len(rows) < k:
+                a = rng.choice(polys)
+                rest = [rng.choice(polys) for _ in range(2 * k - 1)]
+                row = [a, a, *rest, sum(rest, zero)]
+                if not any(dot(row, other) for other in rows):
+                    rows.append(row)
+            gt = PolyMatrix(F2, rows)
+            try:
+                result = find_completion(gt)
+            except SdconvError as exc:
+                outcomes.add(type(exc).__name__)
+                continue
+            outcomes.add(result.kind)
+            gen = result.generator
+            assert gen.entries[1:] == gt.entries
+            assert oracle_is_self_orthogonal(gen) and oracle_is_noncatastrophic(gen)
+            assert result.is_nontrivial == (solve_left(gt, (1,) * gt.cols) is not None)
+            assert result.is_nontrivial != is_trivial_completion(gen)
+    assert outcomes == {NON_TRIVIAL, TRIVIAL_ONLY, "MalformedInput", "RankDeficient"}
+
+
+def test_incremental_verdict_matches_the_full_self_duality_check(monkeypatch):
+    # _completes tests only the products with the new row f and left-
+    # primeness; on every candidate of the seed-1 completion workload, and on
+    # the kernel rows of its trivial-only extensions (where f f^T can be
+    # nonzero) each moved off the kernel too, it agrees with the full test
+    verdicts = []
+    completes = constructions._completes
+
+    def record(gen):
+        verdict = completes(gen)
+        verdicts.append((gen, verdict))
+        return verdict
+
+    monkeypatch.setattr(constructions, "_completes", record)
+    trivial_only = []
+    for code, a_vec in load_bench("workloads").Completion(sdconv, 1).ops():
+        gt = hm_extend(code, a_vec)
+        result = find_completion(gt)
+        assert oracle_is_self_orthogonal(result.generator)
+        if result.kind == TRIVIAL_ONLY:
+            trivial_only.append(gt)
+    searched = len(verdicts)
+    off_kernel = parse_vector(F2, "0,0,z,0,0,0")
+    for gt in trivial_only:
+        for f in right_kernel_basis(gt).entries:
+            for row in (f, [x + y for x, y in zip(f, off_kernel)]):
+                gen = vstack(row_matrix(F2, row), gt)
+                if rank(gen) == gen.rows:  # as attempt's membership filter ensures
+                    record(gen)
+    assert searched > 0 and len({v for _, v in verdicts}) == 2
+    assert sum(bool(dot(gen.entries[0], gen.entries[0])) for gen, _ in verdicts) > 0
+    for gen, verdict in verdicts:
+        assert verdict == ConvolutionalCode(gen).is_self_dual()
+
+
+def test_completion_builds_no_poly_canonical_form(monkeypatch):
+    # membership and self-duality read each code's Hermite code grid, so no
+    # code of the completion path converts its canonical form to Poly
+    def refuse(*args):
+        raise AssertionError("a canonical form was built as a PolyMatrix")
+
+    monkeypatch.setattr("sdconv.codes._matrix", refuse)
+    pair_sum = hm_extend(
+        ConvolutionalCode(parse_matrix(F2, "1,1,1,1 ; z^3+z^2+1,z^2+z+1,0,z^3+z")),
+        (Poly.one(F2), Poly.z(F2) ** 2),
+    )
+    six = parse_matrix(F2, "z^2+1,z^2+1,0,z^2+z+1,z,z^2+1 ; 1,1,1,1,1,1")
+    assert find_completion(parse_matrix(F2, "z,z,1,1")).kind == TRIVIAL_ONLY
+    assert find_completion(parse_matrix(F2, "1,1,1,1")).kind == NON_TRIVIAL
+    assert find_completion(pair_sum).witness == parse_vector(F2, "1,0,1,z+1,z+1,0")
+    assert find_completion(six).kind == NON_TRIVIAL
+    assert find_completion(six, witness=parse_vector(F2, "0,1,0,0,0,1")).kind == NON_TRIVIAL
+    with pytest.raises(MalformedInput):
+        find_completion(parse_matrix(F2, "0,0,z,z"))
+
+
+def test_find_completion_gram_checks_the_extension_once(monkeypatch):
+    # the pair-sum example tries several candidates; each adds only the
+    # products with its new row to the one full check of the extension
+    gram_checked = []
+
+    def counted(matrix):
+        gram_checked.append(matrix)
+        return is_self_orthogonal(matrix)
+
+    monkeypatch.setattr(constructions, "is_self_orthogonal", counted)
+    monkeypatch.setattr("sdconv.codes.is_self_orthogonal", counted)
+    code = ConvolutionalCode(parse_matrix(F2, "1,1,1,1 ; z^3+z^2+1,z^2+z+1,0,z^3+z"))
+    gt = hm_extend(code, (Poly.one(F2), Poly.z(F2) ** 2))
+    gram_checked.clear()  # hm_extend checks its own output
+    assert find_completion(gt).kind == NON_TRIVIAL
+    assert gram_checked == [gt]
 
 
 def test_is_trivial_completion_paper_cases():
