@@ -24,7 +24,7 @@ from .constructions import (
     hm_extend,
     orthogonal_chain,
 )
-from .errors import ParseError, SdconvError
+from .errors import ParseError, SdconvError, ShapeUnsupported
 from .fields import parse_element, parse_field_selector
 from .matrices import (
     col_hermite,
@@ -173,6 +173,8 @@ def _cmd_check(args) -> int:
 
 def _cmd_dual(args) -> int:
     dual = _code(args, args.matrix).dual()
+    if not dual.k:
+        raise ShapeUnsupported("the dual of a full-rank square generator is the zero code: no rows to print")
     gen = format_matrix(dual.canonical_generator() if args.canonical else dual.generator)
     _emit(args, {"generator": gen}, gen)
     return 0

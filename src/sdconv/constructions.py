@@ -31,6 +31,7 @@ from .errors import (
     NotPermutation,
     NotSelfDual,
     NotUnit,
+    RankDeficient,
 )
 from .fields import FieldElement, sqrt_of_minus_one
 from .matrices import (
@@ -252,9 +253,10 @@ def find_completion(gt: PolyMatrix, witness: Optional[Sequence] = None) -> Compl
     by the checks of the extension, so it is self-dual iff it is also
     non-catastrophic.  After the row steps row_i -= a_i e it is
     block-diag([1 1], G'), G' the columns past the pairing, so it is
-    non-catastrophic iff G' is, as G' is for every output of hm_extend.
-    A catastrophic G' raises MalformedInput before any search, with or
-    without a witness.
+    non-catastrophic iff G' is, as G' is for every output of hm_extend,
+    and rank [e; gt] = 1 + rank G'.  A G' that is catastrophic or has
+    dependent rows raises MalformedInput before any search, with or without
+    a witness.
 
     A non-trivial completion exists iff the all-ones vector lies in the
     row span of the extended matrix.  In that case candidate rows are
@@ -274,7 +276,10 @@ def find_completion(gt: PolyMatrix, witness: Optional[Sequence] = None) -> Compl
     e_row = as_poly_vector(spec, (1, 1) + (0,) * (cols - 2))
     # one code is both the trivial result and the module a non-trivial
     # completion must not contain
-    trivial = ConvolutionalCode(vstack(row_matrix(spec, e_row), gt))
+    try:
+        trivial = ConvolutionalCode(vstack(row_matrix(spec, e_row), gt))
+    except RankDeficient:
+        raise MalformedInput("the columns past the paired ones have linearly dependent rows") from None
     if not trivial.is_noncatastrophic():
         raise MalformedInput("the columns past the paired ones generate a catastrophic code")
     if not ConvolutionalCode(gt).contains((1,) * cols):

@@ -10,18 +10,18 @@ Conventions used throughout:
 * Smith form: diagonal [diag(g_1..g_k) 0] with monic invariant factors in
   DESCENDING divisibility order, g_{i+1} | g_i.  Most references order them
   ascending.  Only the output of ``smith`` itself depends on the order: no
-  other function here calls it.  Kernels, membership, left-primeness, rank
-  and inverses all come from the one Hermite elimination.  The one routine
-  outside it, the Bareiss ``determinant``, is kept for worked-example minors.
+  other function here calls it.  Smith forms, kernels, membership,
+  left-primeness, rank and inverses all come from the one Hermite
+  elimination; the Bareiss ``determinant`` is kept for worked-example minors.
 
 One grid per elimination: a transform is never kept beside the matrix,
 it rides along as identity columns.  The rows of [A | I_m] reduce to
 [H | U] with U @ A = H (Kailath, *Linear Systems*, 1980, Sec. 6.3), and
-Smith reduces [[A, I_k], [I_n, 0]] to [[S, U], [V, 0]]; every transform
-is a slice of the reduced grid.  A question about the form alone reduces
-A alone and builds no transform: membership reduces a vector by the
-canonical form H alone (``_reduce``), and a transform is read only where
-coefficients are needed (``solve_left``).
+Smith alternates row and column Hermite steps on [[A, I_k], [I_n, 0]]
+until it is [[S, U], [V, 0]]; every transform is a slice of the grid.  A
+question about the form alone reduces A alone and builds no transform:
+membership reduces a vector by the canonical form H alone (``_reduce``),
+and a transform is read only where coefficients are needed (``solve_left``).
 
 The eliminations run on code grids: a list of rows, each a list of
 trimmed code lists (``Poly.codes`` as a list), every entry its own list
@@ -263,10 +263,10 @@ def _matrix(spec: FieldSpec, grid: Sequence[Sequence[list]], cols: int) -> "Poly
     return PolyMatrix._of(spec, tuple([tuple([_poly(spec, e) for e in row]) for row in grid]), cols)
 
 
-def _unit_rows(spec: FieldSpec, m: int, pad: int = 0) -> list:
-    """The code grid of I_m, each row followed by ``pad`` zeros."""
+def _unit_rows(spec: FieldSpec, m: int) -> list:
+    """The code grid of I_m."""
     one = spec.one.code
-    return [[[one] if i == j else [] for j in range(m + pad)] for i in range(m)]
+    return [[[one] if i == j else [] for j in range(m)] for i in range(m)]
 
 
 def _beside_identity(spec: FieldSpec, grid: list) -> list:
@@ -356,57 +356,37 @@ def smith(matrix: PolyMatrix) -> SmithDecomposition:
     divisibility order (each divides the previous one); rank deficiency
     raises RankDeficient rather than producing zero factors.
 
-    The elimination runs on the one grid [[A, I_k], [I_n, 0]]: row steps
-    touch its first k rows and column steps its first n columns, so it
-    ends as [[S, U], [V, 0]].
+    Row and column Hermite steps alternate on the one grid [[A, I_k],
+    [I_n, 0]] until A is diagonal (Kannan and Bachem, SIAM J. Comput. 8(4),
+    1979); a row step reduces the rows [A | U], a column step [A^T | V^T].
+    Where d_{i-1} does not divide d_i, column i is added to column i-1 and
+    a row step puts their gcd at (i-1, i-1) (a column step would undo the
+    add).  The ascending diagonal is then flipped.
     """
     spec, k, n = matrix.spec, matrix.rows, matrix.cols
     if k > n:
         raise ShapeUnsupported(f"need rows <= cols, got {k}x{n}")
-    one = spec.one.code
-    a = _beside_identity(spec, _grid(matrix.entries)) + _unit_rows(spec, n, pad=k)
-    for t in range(k):
-        while True:
-            cands = [(len(a[i][j]), i, j) for i in range(t, k) for j in range(t, n) if a[i][j]]
-            if not cands:
-                raise RankDeficient(f"rank {t} < {k}")
-            _, i0, j0 = min(cands)
-            if i0 != t:
-                a[t], a[i0] = a[i0], a[t]
-            if j0 != t:
-                for row in a:
-                    row[t], row[j0] = row[j0], row[t]
-            changed = False
-            for i in range(t + 1, k):
-                if a[i][t]:
-                    _sub_mul_row(spec, a[i], _divmod_codes(spec, a[i][t], a[t][t])[0], a[t])
-                    changed = changed or bool(a[i][t])
-            if not changed:
-                for j in range(t + 1, n):
-                    if a[t][j]:
-                        q = _divmod_codes(spec, a[t][j], a[t][t])[0]
-                        _sub_mul_row(spec, [row[j] for row in a], q, [row[t] for row in a])
-                        changed = changed or bool(a[t][j])
-            if changed:
-                continue
-            # pivot now alone in its row and column; enforce divisibility
-            bad = next((i for i in range(t + 1, k) for j in range(t + 1, n)
-                        if a[i][j] and _divmod_codes(spec, a[i][j], a[t][t])[1]), None)
-            if bad is None:
-                break
-            _sub_mul_row(spec, a[t], [spec._neg[one]], a[bad])  # row t += row bad
-        if a[t][t][-1] != one:
-            _scale_row(spec, a[t], a[t][t][-1])
-
-    # The loop produces ascending divisibility; flip to the descending
-    # convention unless the diagonal is reversal-invariant.
-    diag = [a[i][i] for i in range(k)]
-    if diag != diag[::-1]:
-        a[:k] = a[:k][::-1]
-        a = [row[:k][::-1] + row[k:] for row in a]
-
-    S, U = _split(spec, a[:k], n, k)
-    return SmithDecomposition(U=U, S=S, V=_matrix(spec, [row[:n] for row in a[k:]], n))
+    rows, vt = _beside_identity(spec, _grid(matrix.entries)), _unit_rows(spec, n)
+    while True:
+        r = len(_hermite_core(spec, rows, n))
+        if r < k:
+            raise RankDeficient(f"rank {r} < {k}")
+        if any(row[j] for i, row in enumerate(rows) for j in range(n) if j != i):
+            cols = [[row[j] for row in rows] + col for j, col in enumerate(vt)]
+            _hermite_core(spec, cols, k)
+            rows = [[col[i] for col in cols] + row[n:] for i, row in enumerate(rows)]
+            vt = [col[k:] for col in cols]
+            continue
+        i = next((i for i in range(1, k) if _divmod_codes(spec, rows[i][i], rows[i - 1][i - 1])[1]), 0)
+        if not i:
+            break
+        rows[i][i - 1] = rows[i][i][:]
+        _sub_mul_row(spec, vt[i - 1], [spec._neg[spec.one.code]], vt[i])
+    if any(rows[i][i] != rows[k - 1 - i][k - 1 - i] for i in range(k)):
+        rows = [row[:k][::-1] + row[k:] for row in rows[::-1]]
+        vt[:k] = vt[:k][::-1]
+    S, U = _split(spec, rows, n, k)
+    return SmithDecomposition(U=U, S=S, V=_matrix(spec, vt, n).transpose())
 
 
 def _det_bareiss(entries, spec: FieldSpec) -> Poly:

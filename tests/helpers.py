@@ -179,9 +179,9 @@ def oracle_hermite_core(spec, rows, width: int):
     return a, pivots
 
 
-def _oracle_unit_rows(spec, m: int, pad: int = 0):
+def _oracle_unit_rows(spec, m: int):
     one, zero = Poly.one(spec), Poly.zero(spec)
-    return [[one if i == j else zero for j in range(m)] + [zero] * pad for i in range(m)]
+    return [[one if i == j else zero for j in range(m)] for i in range(m)]
 
 
 def _oracle_beside_identity(spec, rows):
@@ -197,60 +197,52 @@ def oracle_smith(matrix: PolyMatrix) -> SmithDecomposition:
     spec, k, n = matrix.spec, matrix.rows, matrix.cols
     if k > n:
         raise ShapeUnsupported(f"need rows <= cols, got {k}x{n}")
-    a = _oracle_beside_identity(spec, matrix.entries) + _oracle_unit_rows(spec, n, pad=k)
-    for t in range(k):
-        while True:
-            cands = [(i, j) for i in range(t, k) for j in range(t, n) if a[i][j]]
-            if not cands:
-                raise RankDeficient(f"rank {t} < {k}")
-            i0, j0 = min(cands, key=lambda ij: (a[ij[0]][ij[1]].degree(), ij[0], ij[1]))
-            if i0 != t:
-                a[t], a[i0] = a[i0], a[t]
-            if j0 != t:
-                for row in a:
-                    row[t], row[j0] = row[j0], row[t]
-            changed = False
-            for i in range(t + 1, k):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    a[i] = [sub_mul(x, q, y) for x, y in zip(a[i], a[t])]
-                    changed = changed or bool(a[i][t])
-            if not changed:
-                for j in range(t + 1, n):
-                    if a[t][j]:
-                        q = a[t][j] // a[t][t]
-                        for row in a:
-                            row[j] = sub_mul(row[j], q, row[t])
-                        changed = changed or bool(a[t][j])
-            if changed:
-                continue
-            # pivot now alone in its row and column; enforce divisibility
-            bad = None
-            for i in range(t + 1, k):
-                for j in range(t + 1, n):
-                    if a[i][j] and a[i][j] % a[t][t]:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            a[t] = [x + y for x, y in zip(a[t], a[bad])]
-        lead = a[t][t].lc()
-        if lead != spec.one:
-            c = lead.inverse()
-            a[t] = [x * c for x in a[t]]
+    rows, vt = _oracle_beside_identity(spec, matrix.entries), _oracle_unit_rows(spec, n)
+    while True:
+        rows, pivots = oracle_hermite_core(spec, rows, n)
+        if len(pivots) < k:
+            raise RankDeficient(f"rank {len(pivots)} < {k}")
+        if any(rows[i][j] for i in range(k) for j in range(n) if j != i):
+            # the column step: a row step on [A^T | V^T]
+            cols, _ = oracle_hermite_core(spec, [[row[j] for row in rows] + col for j, col in enumerate(vt)], k)
+            rows = [[col[i] for col in cols] + row[n:] for i, row in enumerate(rows)]
+            vt = [col[k:] for col in cols]
+            continue
+        bad = [i for i in range(1, k) if rows[i][i] % rows[i - 1][i - 1]]
+        if not bad:
+            break
+        # column i - 1 += column i, in A (only row i reaches column i) and in V
+        i = bad[0]
+        rows[i][i - 1] = rows[i][i]
+        vt[i - 1] = [x + y for x, y in zip(vt[i - 1], vt[i])]
 
     # The loop produces ascending divisibility; flip to the descending
     # convention unless the diagonal is reversal-invariant.
-    diag = [a[i][i] for i in range(k)]
+    diag = [rows[i][i] for i in range(k)]
     if diag != diag[::-1]:
-        a[:k] = a[:k][::-1]
-        a = [row[:k][::-1] + row[k:] for row in a]
+        rows = [row[:k][::-1] + row[k:] for row in rows[::-1]]
+        vt[:k] = vt[:k][::-1]
+    S, U = _oracle_split(spec, rows, n, k)
+    return SmithDecomposition(U=U, S=S, V=PolyMatrix(spec, vt, cols=n).transpose())
 
-    S, U = _oracle_split(spec, a[:k], n, k)
-    V = PolyMatrix(spec, [row[:n] for row in a[k:]], cols=n)
-    return SmithDecomposition(U=U, S=S, V=V)
+
+def invariant_factors(matrix: PolyMatrix) -> tuple:
+    """Oracle for the diagonal of ``smith`` by another route, the
+    determinantal divisors: d_i = D_i / D_{i-1}, where D_i is the monic gcd
+    of the i x i minors (Laplace determinants) of a full-row-rank matrix.
+    Listed descending, as ``smith`` lists them."""
+    spec, k, n = matrix.spec, matrix.rows, matrix.cols
+    factors, previous = [], Poly.one(spec)
+    for i in range(1, k + 1):
+        minors = (
+            det_laplace([[row[j] for j in cols] for row in rows], spec)
+            for rows in itertools.combinations(matrix.entries, i)
+            for cols in itertools.combinations(range(n), i)
+        )
+        divisor = reduce(gcd, minors, Poly.zero(spec))
+        factors.append(divisor // previous)
+        previous = divisor
+    return tuple(factors[::-1])
 
 
 def oracle_row_hermite(matrix: PolyMatrix) -> HermiteDecomposition:

@@ -157,6 +157,15 @@ def test_dual_roundtrip(capsys):
     assert parse_matrix(F2, out.strip()) == parse_matrix(F2, "1,1,0,0 ; 0,0,1,1")
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_dual_of_a_full_rank_square_generator_is_refused(capsys, fmt):
+    # the dual is the zero code: its 0-row generator would print as "",
+    # which parse_matrix refuses
+    code, out, err = run(capsys, "dual", "--field", "2", "--format", fmt, "1,0;0,1")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ShapeUnsupported:") and "zero code" in err
+
+
 def test_hermite_and_smith_output(capsys):
     code, out, _ = run(capsys, "hermite", "--field", "2", "--side", "row", "1,1,1,1 ; 1,1,0,0")
     assert code == 0

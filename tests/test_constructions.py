@@ -379,11 +379,23 @@ def test_find_completion_rejects_a_catastrophic_extension(text, witness):
         find_completion(gt, witness=parse_vector(F2, witness))
 
 
+@pytest.mark.parametrize("text, witness", [("1,1,0,0", "1,1,0,0"), ("z,z,1,1,0,0 ; 1,1,z,z,0,0", "1,1,0,0,0,0")])
+def test_find_completion_rejects_dependent_rows_past_the_pairing(text, witness):
+    # rank [e; gt] = 1 + rank G', so a G' with dependent rows leaves the
+    # internal [e; gt] rank-deficient; the error names G' instead, on both
+    # paths and before any search
+    gt = parse_matrix(F2, text)
+    for w in (None, parse_vector(F2, witness)):
+        with pytest.raises(MalformedInput, match="columns past the paired ones have linearly dependent rows"):
+            find_completion(gt, witness=w)
+
+
 def test_find_completion_ends_in_a_result_or_a_typed_error():
     # seeded paired self-orthogonal extensions over GF(2) with k <= 3 and
     # entry degree <= 1: a row is self-orthogonal iff its entries past the
     # pairing sum to 0, and each row is redrawn until it is orthogonal to the
-    # rows before it.  Many are catastrophic or rank-deficient past the pairing.
+    # rows before it.  Many are catastrophic or rank-deficient past the pairing,
+    # and each of those two ends in its own MalformedInput.
     rng = random.Random(59)
     polys = iter_bounded_polys(F2, 1)
     zero = Poly.zero(F2)
@@ -401,7 +413,7 @@ def test_find_completion_ends_in_a_result_or_a_typed_error():
             try:
                 result = find_completion(gt)
             except SdconvError as exc:
-                outcomes.add(type(exc).__name__)
+                outcomes.add(f"{type(exc).__name__}: {exc}")
                 continue
             outcomes.add(result.kind)
             gen = result.generator
@@ -409,7 +421,12 @@ def test_find_completion_ends_in_a_result_or_a_typed_error():
             assert oracle_is_self_orthogonal(gen) and oracle_is_noncatastrophic(gen)
             assert result.is_nontrivial == (solve_left(gt, (1,) * gt.cols) is not None)
             assert result.is_nontrivial != is_trivial_completion(gen)
-    assert outcomes == {NON_TRIVIAL, TRIVIAL_ONLY, "MalformedInput", "RankDeficient"}
+    assert outcomes == {
+        NON_TRIVIAL,
+        TRIVIAL_ONLY,
+        "MalformedInput: the columns past the paired ones generate a catastrophic code",
+        "MalformedInput: the columns past the paired ones have linearly dependent rows",
+    }
 
 
 def test_incremental_verdict_matches_the_full_self_duality_check(monkeypatch):

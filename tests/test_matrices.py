@@ -10,6 +10,7 @@ from helpers import (
     classify42,
     col_hermite_solve_left,
     det_laplace,
+    invariant_factors,
     is_left_prime,
     is_unimodular,
     maximal_minors,
@@ -177,7 +178,26 @@ def test_smith_rank_deficient():
         smith(M(F2, "z,z ; z,z"))
 
 
-@pytest.mark.parametrize("spec,k,n", [(F2, 2, 4), (F4, 2, 4), (F5, 2, 3)])
+@pytest.mark.parametrize("q,text,form", [
+    (2, "z,0,0 ; 0,z+1,0", "z^2+z,0,0 ; 0,1,0"),
+    (2, "z,0,0 ; 0,z^2,0", "z^2,0,0 ; 0,z,0"),
+    (2, "z,0,0 ; 0,z+1,0 ; 0,0,z^2+1", "z^3+z,0,0 ; 0,z+1,0 ; 0,0,1"),
+    (3, "z+1,0,0,0 ; 0,z+2,0,0", "z^2+2,0,0,0 ; 0,1,0,0"),
+])
+def test_smith_repairs_diagonal_inputs(q, text, form):
+    # already diagonal, so no Hermite step changes them: all but z, z^2 are
+    # out of divisibility order and reach the form only by the repair
+    spec = make_field(q)
+    a = M(spec, text)
+    dec = smith(a)
+    assert dec.S == M(spec, form)
+    assert dec.U @ a @ dec.V == dec.S
+    assert is_unimodular(dec.U) and is_unimodular(dec.V)
+
+
+@pytest.mark.parametrize("spec,k,n", [
+    (F2, 2, 4), (F4, 2, 4), (F5, 2, 3), (make_field(3, 2), 3, 5), (make_field(13), 3, 4),
+])
 def test_smith_reconstruction_uniqueness_divisibility(spec, k, n):
     rng = random.Random(11)
     for _ in range(10):
@@ -603,6 +623,8 @@ def test_eliminations_match_the_poly_oracles(field):
         for v in (word, other):
             assert outcome(solve_left, a, v) == outcome(oracle_solve_left, a, v)
         if oracle_rank(a) == k:
+            # oracle_smith runs the same alternation; the minors check S apart
+            assert smith(a).diagonal() == invariant_factors(a), str(a)
             code = ConvolutionalCode(a)
             assert code.is_noncatastrophic() == oracle_is_noncatastrophic(a)
             assert code.contains(other) == (oracle_solve_left(a, other) is not None)
