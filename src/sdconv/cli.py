@@ -232,7 +232,7 @@ def _cmd_construct(args) -> int:
 def _cmd_complete(args) -> int:
     code = _code(args, args.matrix)
     extended = hm_extend(code, parse_vector(code.spec, args.a))
-    witness = parse_vector(code.spec, args.witness) if args.witness else None
+    witness = parse_vector(code.spec, args.witness) if args.witness is not None else None
     found = find_completion(extended, witness=witness)
     result = {
         "completion": found.kind,

@@ -6,15 +6,17 @@ transforms and column permutations, the generalized building-up extension
 extension with its self-dual completion search (binary only).  The first
 three re-verify their output with the full self-duality check instead of
 trusting the algebra, so precondition violations that slip past the
-explicit checks still surface.  ``find_completion`` checks each fact
-once: ``_validate_extended`` proves gt gt^T = 0 on the immutable extension,
-so a candidate [f; gt] of shape (k+1) x (2k+2) is self-dual iff f is
-orthogonal to every row of it, f f^T included, and it is non-catastrophic
-(``_completes``); no other product of its Gram matrix is new.
+explicit checks still surface.  ``find_completion`` decides each candidate
+by coordinates instead: with K the kernel of the extension gt, S its row
+span and e = (1,1,0,...,0), the classes of K/S have the basis (e, y) with
+y e^T = 1, the class of f is (f y^T, f e^T), and [f; gt] is a non-trivial
+self-dual completion iff f e^T != 0 and gcd(f y^T, f e^T) = 1.  The proof
+is in its docstring.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -33,14 +35,11 @@ from .errors import (
     NotUnit,
     RankDeficient,
 )
-from .fields import FieldElement, sqrt_of_minus_one
+from .fields import FieldElement, FieldSpec, sqrt_of_minus_one
 from .matrices import (
     PolyMatrix,
     as_poly_vector,
-    col_hermite,
     dot,
-    inverse_unimodular,
-    is_identity_padded,
     is_orthogonal_to,
     is_self_orthogonal,
     right_kernel_basis,
@@ -48,7 +47,7 @@ from .matrices import (
     solve_left,
     vstack,
 )
-from .polys import Poly, vec_content, xgcd
+from .polys import Poly, gcd, vec_content, xgcd
 
 NON_TRIVIAL = "non-trivial"
 TRIVIAL_ONLY = "trivial-only"
@@ -238,44 +237,49 @@ def _unit_content_vector(vec: Sequence[Poly]) -> tuple[Poly, ...]:
     return tuple(e // content for e in vec)
 
 
-def _completes(gen: PolyMatrix) -> bool:
-    """True iff gen = [f; gt] is self-dual, for an extension gt with
-    gt gt^T = 0 (``_validate_extended``) and so n = 2k by shape: f must be
-    orthogonal to every row of gen, f f^T included, and gen left prime."""
-    f = gen.entries[0]
-    return is_orthogonal_to(gen.spec, f, gen.entries) and ConvolutionalCode(gen).is_noncatastrophic()
-
-
 def find_completion(gt: PolyMatrix, witness: Optional[Sequence] = None) -> CompletionResult:
     """Search for a self-dual completion of an extended k x (2k+2) matrix.
 
-    The trivial completion [e; gt], e = (1,1,0,...,0), is self-orthogonal
-    by the checks of the extension, so it is self-dual iff it is also
-    non-catastrophic.  After the row steps row_i -= a_i e it is
-    block-diag([1 1], G'), G' the columns past the pairing, so it is
-    non-catastrophic iff G' is, as G' is for every output of hm_extend,
-    and rank [e; gt] = 1 + rank G'.  A G' that is catastrophic or has
-    dependent rows raises MalformedInput before any search, with or without
-    a witness.
+    Notation: e = (1,1,0,...,0); S is the row span of gt; T = span [e; gt]
+    is the trivial completion; K = {v : gt v^T = 0} has rank k+2, and its
+    basis B is the rows of ``right_kernel_basis(gt)``.
 
-    A non-trivial completion exists iff the all-ones vector lies in the
-    row span of the extended matrix.  In that case candidate rows are
-    drawn from the left-prime kernel basis (single rows first, then sums of
-    two, in index order), so each has content 1 already, and kept only
-    when the completed matrix verifies as self-dual (``_completes``);
-    content 1 and lying outside the trivial completion's span are NOT
-    sufficient on their own (the completion can come out catastrophic), so
-    verification is the gate.  When no scanned candidate verifies, an exact
-    witness is constructed by completing the extension to a module basis of
-    the kernel, which always succeeds.  A caller-supplied witness is
-    divided by its content and validated instead of searching.
+    The trivial completion.  gt is paired and self-orthogonal
+    (``_validate_extended``), so T is self-orthogonal.  After the row steps
+    row_i -= a_i e, [e; gt] is block-diag([1 1], G'), G' the columns past
+    the pairing, so rank [e; gt] = 1 + rank G' and [e; gt] is
+    non-catastrophic iff G' is, as G' is for every output of hm_extend.  A
+    G' that has dependent rows or is catastrophic raises MalformedInput
+    before any search, with or without a witness.  Past these checks T is
+    self-dual, so T = T^perp = K intersected with e^perp.
+
+    A witness y.  G' is left prime, so G' R = I for a polynomial R, and
+    v = (1, 0, -(R a)^T) lies in K with v e^T = 1.  So the values B_i e^T
+    have gcd 1, and the extended-gcd chain of ``default_a_vec`` gives
+    y = sum c_i B_i with y e^T = 1 (``_exact_completion_witness``).
+
+    The test.  A non-trivial completion exists iff the all-ones vector lies
+    in S.  Then every f in K has f f^T = (f 1^T)^2 = 0, so [f; gt] is
+    self-orthogonal and is self-dual iff its row span is saturated.  K and
+    S are saturated (gt is left prime as G' is), so K/S is free of rank 2;
+    f -> f e^T maps K onto F_2[z] with kernel T, and T/S is spanned by e,
+    so (e, y) is a basis of K/S.  As e e^T = y y^T = 0 and y e^T = 1, the
+    class of f has coordinates (f y^T, f e^T).  The span of [f; gt] is
+    saturated iff that class is unimodular, and then it contains e, so
+    equals T, iff f e^T = 0.  Hence [f; gt] is a non-trivial self-dual
+    completion iff f e^T != 0 and gcd(f y^T, f e^T) = 1 (``attempt``), and
+    every non-trivial completion is <alpha e + beta y> + S with
+    gcd(alpha, beta) = 1 and beta != 0.
+
+    Candidates are the kernel rows, then sums of two of them in index
+    order, then y, which always passes.  A caller-supplied witness must be
+    orthogonal to gt, so it lies in K after division by its content, and it
+    is judged by the same test instead of searching.
     """
     _validate_extended(gt)
     spec = gt.spec
     cols = gt.cols
     e_row = as_poly_vector(spec, (1, 1) + (0,) * (cols - 2))
-    # one code is both the trivial result and the module a non-trivial
-    # completion must not contain
     try:
         trivial = ConvolutionalCode(vstack(row_matrix(spec, e_row), gt))
     except RankDeficient:
@@ -286,14 +290,15 @@ def find_completion(gt: PolyMatrix, witness: Optional[Sequence] = None) -> Compl
         if witness is not None:
             raise BadVector("only trivial completions exist for this extension")
         return CompletionResult(kind=TRIVIAL_ONLY, generator=trivial.generator, witness=e_row)
+    kernel = right_kernel_basis(gt)
+    y = _exact_completion_witness(gt, e_row, kernel)
+    one = Poly.one(spec)
 
     def attempt(f: Sequence[Poly]) -> Optional[CompletionResult]:
-        if trivial.contains(f):
+        beta = dot(f, e_row)
+        if not beta or gcd(dot(f, y), beta) != one:
             return None
-        gen = vstack(row_matrix(spec, f), gt)
-        if not _completes(gen):
-            return None
-        return CompletionResult(kind=NON_TRIVIAL, generator=gen, witness=f)
+        return CompletionResult(kind=NON_TRIVIAL, generator=vstack(row_matrix(spec, f), gt), witness=f)
 
     if witness is not None:
         wv = as_poly_vector(spec, witness)
@@ -306,49 +311,33 @@ def find_completion(gt: PolyMatrix, witness: Optional[Sequence] = None) -> Compl
             raise BadVector("witness does not produce a non-trivial self-dual completion")
         return result
 
-    kernel = right_kernel_basis(gt)
-    k_rows = [kernel.row(i) for i in range(kernel.rows)]
-    for row in k_rows:
-        result = attempt(row)
-        if result is not None:
-            return result
-    for i in range(len(k_rows)):
-        for j in range(i + 1, len(k_rows)):
-            cand = tuple(x + y for x, y in zip(k_rows[i], k_rows[j]))
-            result = attempt(cand)
-            if result is not None:
-                return result
-    result = attempt(_exact_completion_witness(gt, e_row, kernel))
-    assert result is not None
-    return result
+    rows = kernel.entries
+    pairs = (tuple(a + b for a, b in zip(u, v)) for u, v in itertools.combinations(rows, 2))
+    return next(r for r in map(attempt, itertools.chain(rows, pairs, (y,))) if r is not None)
 
 
 def _exact_completion_witness(
     gt: PolyMatrix, e_row: tuple[Poly, ...], kernel: PolyMatrix
 ) -> tuple[Poly, ...]:
-    """Witness whose class forms a basis of kernel/span with (1,1,0,...,0).
+    """The kernel vector y = sum c_i B_i with y e^T = 1, B the kernel rows:
+    one Bezout step over the values B_i e^T, whose gcd is 1 (see
+    ``find_completion``).  Its class completes (e, S) to a basis of the
+    kernel modulo the span S of gt, so [y; gt] is a non-trivial self-dual
+    completion whenever one exists."""
+    c = _bezout(gt.spec, [dot(b, e_row) for b in kernel.entries])
+    return tuple(dot(c, kernel.column(j)) for j in range(kernel.cols))
 
-    Works in kernel coordinates: expresses the extension rows and the
-    (1,1,0,...,0) row there, completes that stack to a unimodular matrix
-    through its column Hermite transform, and maps the completing row back.
-    The stacked rows then form a module basis of the kernel, which is
-    exactly the condition the completion needs.
-    """
-    spec = gt.spec
-    coords = []
-    for row in list(gt.entries) + [e_row]:
-        c = solve_left(kernel, row)
-        assert c is not None  # both lie inside the kernel
-        coords.append(c)
-    stacked = PolyMatrix(spec, coords, cols=kernel.rows)
-    dec = col_hermite(stacked)
-    # the trivial completion is self-dual (find_completion checked that it
-    # is non-catastrophic), so its coordinate module is saturated and the
-    # stack is left-prime: stacked @ W = [I 0], so the stack is the first
-    # rows of W^-1 and the next row completes it
-    assert is_identity_padded(dec.form)
-    x = inverse_unimodular(dec.transform).entries[stacked.rows]
-    return tuple(dot(x, kernel.column(j)) for j in range(kernel.cols))
+
+def _bezout(spec: FieldSpec, values: Sequence[Poly]) -> tuple[Poly, ...]:
+    """Coefficients c with sum c_i values_i = 1, by an extended-gcd chain
+    over values whose gcd is 1."""
+    g = Poly.zero(spec)
+    coeffs: list[Poly] = []
+    for v in values:
+        g, s, t = xgcd(g, v)
+        coeffs = [c * s for c in coeffs] + [t]
+    assert g == Poly.one(spec)
+    return tuple(coeffs)
 
 
 def is_trivial_completion(g1: PolyMatrix) -> bool:
@@ -381,15 +370,7 @@ def default_a_vec(code: ConvolutionalCode) -> tuple[Poly, ...]:
     if code.spec.q != 2:
         raise NotBinary("default pairing is defined over GF(2) only")
     _require_self_dual(code, "default_a_vec")
-    spec = code.spec
-    all_ones = as_poly_vector(spec, (1,) * code.n)
+    all_ones = as_poly_vector(code.spec, (1,) * code.n)
     b = solve_left(code.generator, all_ones)
     assert b is not None  # all-ones lies in every binary self-dual code
-    g = Poly.zero(spec)
-    coeffs: list[Poly] = []
-    for b_i in b:
-        g2, s, t = xgcd(g, b_i)
-        coeffs = [c * s for c in coeffs] + [t]
-        g = g2
-    assert g == Poly.one(spec)
-    return tuple(coeffs)
+    return _bezout(code.spec, b)

@@ -431,11 +431,6 @@ def inverse_unimodular(matrix: PolyMatrix) -> PolyMatrix:
     return _matrix(spec, [row[n:] for row in grid], n)
 
 
-def is_identity_padded(matrix: PolyMatrix) -> bool:
-    """True iff the matrix equals [I 0] (or [I; 0] when it is tall)."""
-    return _is_identity(_grid(matrix.entries), matrix.cols, matrix.spec.one.code)
-
-
 def right_kernel_basis(matrix: PolyMatrix) -> PolyMatrix:
     """Basis of {v : A v^T = 0} as the rows of an (n-k) x n matrix.
 
@@ -546,6 +541,8 @@ def parse_matrix(spec: FieldSpec, text: str) -> PolyMatrix:
 
 
 def parse_vector(spec: FieldSpec, text: str) -> tuple[Poly, ...]:
+    if not text.strip():
+        raise ParseError("empty vector text")
     if ";" in text:
         raise ParseError(f"expected a single row vector, got {text!r}")
     return parse_matrix(spec, text).entries[0]

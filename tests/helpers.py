@@ -31,7 +31,7 @@ from sdconv.errors import (
     ShapeUnsupported,
 )
 from sdconv.fields import _int_poly_mod, _is_wrapped, _parse_coefficient, _parse_terms, parse_int_poly
-from sdconv.matrices import HermiteDecomposition, SmithDecomposition, as_poly_vector, is_identity_padded
+from sdconv.matrices import HermiteDecomposition, SmithDecomposition, as_poly_vector
 from sdconv.polys import sub_mul
 
 
@@ -80,6 +80,12 @@ def is_left_prime(matrix: PolyMatrix) -> bool:
     full-row-rank matrix is left-prime iff the gcd of its maximal minors is
     a nonzero constant."""
     return reduce(gcd, maximal_minors(matrix), Poly.zero(matrix.spec)).degree() == 0
+
+
+def is_identity_padded(matrix: PolyMatrix) -> bool:
+    """True iff the matrix equals [I 0] (or [I; 0] when it is tall)."""
+    one, zero = Poly.one(matrix.spec), Poly.zero(matrix.spec)
+    return all(e == (one if i == j else zero) for i, row in enumerate(matrix.entries) for j, e in enumerate(row))
 
 
 def det_laplace(entries, spec) -> Poly:

@@ -13,6 +13,7 @@ from helpers import (
     F2,
     F4,
     F5,
+    is_identity_padded,
     is_left_prime,
     rand_full_rank,
     rand_poly,
@@ -48,7 +49,6 @@ from sdconv import (
 )
 from sdconv.cli import main
 from sdconv.constructions import NON_TRIVIAL, TRIVIAL_ONLY
-from sdconv.matrices import is_identity_padded
 from sdconv.classify import reduce_double_triangular
 
 

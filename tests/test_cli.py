@@ -262,6 +262,15 @@ def test_complete_non_trivial_with_witness(capsys):
     assert "generator: 0,z^2+z+1,z,z^2+1 ; 1,1,1,1" in out
 
 
+@pytest.mark.parametrize("option", ["--a", "--witness"])
+def test_complete_refuses_an_empty_vector(capsys, option):
+    # an empty --witness is a parse error like an empty --a, not "no witness"
+    argv = {"--a": "1", "--witness": "0,z^2+z+1,z,z^2+1"}
+    argv[option] = ""
+    code, out, err = run(capsys, "complete", "--field", "2", *(x for kv in argv.items() for x in kv), "1,1")
+    assert (code, out, err) == (2, "", "error: ParseError: empty vector text\n")
+
+
 def test_classify_four_two_catalog(capsys):
     code, out, _ = run(capsys, "classify", "four-two", "--max-deg", "0")
     assert code == 0

@@ -1,5 +1,8 @@
+import hashlib
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +27,7 @@ from sdconv import (
     dot,
     find_completion,
     format_matrix,
+    format_vector,
     hm_extend,
     is_trivial_completion,
     iter_bounded_polys,
@@ -36,7 +40,7 @@ from sdconv import (
     vec_content,
     vstack,
 )
-from sdconv import constructions
+from sdconv import constructions, matrices
 from sdconv.constructions import (
     NON_TRIVIAL,
     TRIVIAL_ONLY,
@@ -429,39 +433,93 @@ def test_find_completion_ends_in_a_result_or_a_typed_error():
     }
 
 
-def test_incremental_verdict_matches_the_full_self_duality_check(monkeypatch):
-    # _completes tests only the products with the new row f and left-
-    # primeness; on every candidate of the seed-1 completion workload, and on
-    # the kernel rows of its trivial-only extensions (where f f^T can be
-    # nonzero) each moved off the kernel too, it agrees with the full test
-    verdicts = []
-    completes = constructions._completes
+def pair_sum_extension(a2):
+    # the base code of the pair-sum example; the pairing (1, z^2) leaves a
+    # pair sum as the first candidate that completes, (1, z) the first row
+    code = ConvolutionalCode(parse_matrix(F2, "1,1,1,1 ; z^3+z^2+1,z^2+z+1,0,z^3+z"))
+    return hm_extend(code, (Poly.one(F2), a2))
 
-    def record(gen):
-        verdict = completes(gen)
-        verdicts.append((gen, verdict))
-        return verdict
 
-    monkeypatch.setattr(constructions, "_completes", record)
-    trivial_only = []
+def test_incremental_verdict_matches_the_full_self_duality_check():
+    # the coordinate test of find_completion, reached through a caller's
+    # witness, against the full check: [f; gt] self-dual with e outside its
+    # span, f divided by its content.  Candidates are every kernel row, pair
+    # sum and seeded kernel combination of each distinct non-trivial
+    # extension of the seed-1 completion workload, and of the pair-sum example
+    rng = random.Random(41)
+    polys = iter_bounded_polys(F2, 2)
+    extensions = {pair_sum_extension(Poly.z(F2) ** 2): None}
     for code, a_vec in load_bench("workloads").Completion(sdconv, 1).ops():
         gt = hm_extend(code, a_vec)
+        if solve_left(gt, (1,) * gt.cols) is not None:
+            extensions.setdefault(gt)
+    assert len(extensions) == 94
+    verdicts = set()
+    for gt in extensions:
+        e_row = parse_vector(F2, ",".join(["1", "1"] + ["0"] * (gt.cols - 2)))
+        rows = right_kernel_basis(gt).entries
+        pairs = [tuple(x + y for x, y in zip(u, v)) for u, v in itertools.combinations(rows, 2)]
+        combos = []
+        for _ in range(4):
+            c = [rng.choice(polys) for _ in rows]
+            combos.append(tuple(dot(c, col) for col in zip(*rows)))
+        for f in (*rows, *pairs, *combos):
+            try:
+                verdict = find_completion(gt, witness=f).witness
+            except BadVector:
+                verdict = None
+            content = vec_content(f)
+            unit = tuple(x // content for x in f) if content else f
+            gen = vstack(row_matrix(F2, unit), gt)
+            completes = rank(gen) == gen.rows and ConvolutionalCode(gen).is_self_dual()
+            expected = unit if completes and not ConvolutionalCode(gen).contains(e_row) else None
+            assert verdict == expected, (format_matrix(gt), f)
+            verdicts.add((expected is None, not dot(f, e_row)))
+    # accepted and refused candidates, each of both kinds of class
+    assert verdicts == {(False, False), (True, False), (True, True)}
+
+
+def test_the_search_runs_the_same_eliminations_for_any_candidate(monkeypatch):
+    # a candidate costs two dot products and a gcd, so completing by a pair
+    # sum runs as many Hermite eliminations as completing by the first row
+    calls = []
+    hermite_core = matrices._hermite_core
+
+    def counted(*args):
+        calls.append(args)
+        return hermite_core(*args)
+
+    monkeypatch.setattr("sdconv.matrices._hermite_core", counted)
+    monkeypatch.setattr("sdconv.codes._hermite_core", counted)
+    counts = []
+    for a2, by_a_row in ((Poly.z(F2), True), (Poly.z(F2) ** 2, False)):
+        gt = pair_sum_extension(a2)
+        calls.clear()
         result = find_completion(gt)
-        assert oracle_is_self_orthogonal(result.generator)
-        if result.kind == TRIVIAL_ONLY:
-            trivial_only.append(gt)
-    searched = len(verdicts)
-    off_kernel = parse_vector(F2, "0,0,z,0,0,0")
-    for gt in trivial_only:
-        for f in right_kernel_basis(gt).entries:
-            for row in (f, [x + y for x, y in zip(f, off_kernel)]):
-                gen = vstack(row_matrix(F2, row), gt)
-                if rank(gen) == gen.rows:  # as attempt's membership filter ensures
-                    record(gen)
-    assert searched > 0 and len({v for _, v in verdicts}) == 2
-    assert sum(bool(dot(gen.entries[0], gen.entries[0])) for gen, _ in verdicts) > 0
-    for gen, verdict in verdicts:
-        assert verdict == ConvolutionalCode(gen).is_self_dual()
+        counts.append(len(calls))
+        assert result.is_nontrivial
+        assert (result.witness == right_kernel_basis(gt).entries[0]) == by_a_row
+    assert counts[0] == counts[1] > 0
+
+
+def test_completion_sweep_gives_the_recorded_outputs():
+    # the 129 codes of the degree <= 3 catalog, each extended by the 16
+    # pairings of degree <= 1: one SHA-256 over each op's JSON-encoded
+    # [extension, kind, witness, generator] text and a newline, in order
+    digest = hashlib.sha256()
+    kinds = []
+    for record in classify42(3):
+        base = ConvolutionalCode(record.canonical_generator)
+        for a_vec in itertools.product(iter_bounded_polys(F2, 1), repeat=2):
+            gt = hm_extend(base, a_vec)
+            result = find_completion(gt)
+            if result.is_nontrivial:
+                kinds.append("row" if result.witness in right_kernel_basis(gt).entries else "pair")
+            fields = [format_matrix(gt), result.kind, format_vector(result.witness), format_matrix(result.generator)]
+            digest.update(json.dumps(fields).encode() + b"\n")
+    assert len(kinds) == 516 and kinds.count("pair") == 12
+    recorded = Path(__file__).with_name("data") / "completion_sweep.sha256"
+    assert digest.hexdigest() == recorded.read_text(encoding="utf-8").strip()
 
 
 def test_completion_builds_no_poly_canonical_form(monkeypatch):
@@ -486,8 +544,8 @@ def test_completion_builds_no_poly_canonical_form(monkeypatch):
 
 
 def test_find_completion_gram_checks_the_extension_once(monkeypatch):
-    # the pair-sum example tries several candidates; each adds only the
-    # products with its new row to the one full check of the extension
+    # the pair-sum example tries several candidates; each is judged by its
+    # coordinates, so the one full check of the extension is the only one
     gram_checked = []
 
     def counted(matrix):

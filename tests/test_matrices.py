@@ -11,6 +11,7 @@ from helpers import (
     col_hermite_solve_left,
     det_laplace,
     invariant_factors,
+    is_identity_padded,
     is_left_prime,
     is_unimodular,
     maximal_minors,
@@ -67,7 +68,6 @@ from sdconv.matrices import (
     _beside_identity,
     _grid,
     _hermite_core,
-    is_identity_padded,
     is_self_orthogonal,
     row_reduced,
 )
