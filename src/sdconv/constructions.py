@@ -6,12 +6,15 @@ transforms and column permutations, the generalized building-up extension
 extension with its self-dual completion search (binary only).  The first
 three re-verify their output with the full self-duality check instead of
 trusting the algebra, so precondition violations that slip past the
-explicit checks still surface.  ``find_completion`` decides each candidate
-by coordinates instead: with K the kernel of the extension gt, S its row
-span and e = (1,1,0,...,0), the classes of K/S have the basis (e, y) with
-y e^T = 1, the class of f is (f y^T, f e^T), and [f; gt] is a non-trivial
-self-dual completion iff f e^T != 0 and gcd(f y^T, f e^T) = 1.  The proof
-is in its docstring.
+explicit checks still surface.  ``find_completion`` answers every
+structural question from one elimination of G', the block of the extension
+gt = [a | a | G'] past its paired columns: rank, left-primeness, a right
+inverse R, whether the all-ones vector lies in the row span S of gt, and
+the kernel vector v = (1, 0, (R a)^T).  It then decides each candidate by
+coordinates: with K the kernel of gt and e = (1,1,0,...,0), the classes of
+K/S have the basis (e, v), and [f; gt] is a non-trivial self-dual
+completion iff f e^T != 0 and gcd(f v^T, f e^T) = 1.  The proof is in its
+docstring.
 """
 
 from __future__ import annotations
@@ -33,11 +36,16 @@ from .errors import (
     NotPermutation,
     NotSelfDual,
     NotUnit,
-    RankDeficient,
+    ShapeUnsupported,
 )
 from .fields import FieldElement, FieldSpec, sqrt_of_minus_one
 from .matrices import (
     PolyMatrix,
+    _beside_identity,
+    _grid,
+    _hermite_core,
+    _is_identity,
+    _matrix,
     as_poly_vector,
     dot,
     is_orthogonal_to,
@@ -240,63 +248,69 @@ def _unit_content_vector(vec: Sequence[Poly]) -> tuple[Poly, ...]:
 def find_completion(gt: PolyMatrix, witness: Optional[Sequence] = None) -> CompletionResult:
     """Search for a self-dual completion of an extended k x (2k+2) matrix.
 
-    Notation: e = (1,1,0,...,0); S is the row span of gt; T = span [e; gt]
-    is the trivial completion; K = {v : gt v^T = 0} has rank k+2, and its
-    basis B is the rows of ``right_kernel_basis(gt)``.
+    Notation: gt = [a | a | G'], a its column 0 and G' the k x 2k block past
+    the pairing; e = (1,1,0,...,0); S is the row span of gt; T = span
+    [e; gt] is the trivial completion; K = {v : gt v^T = 0} has rank k+2,
+    and its basis B is the rows of ``right_kernel_basis(gt)``.
 
-    The trivial completion.  gt is paired and self-orthogonal
-    (``_validate_extended``), so T is self-orthogonal.  After the row steps
-    row_i -= a_i e, [e; gt] is block-diag([1 1], G'), G' the columns past
-    the pairing, so rank [e; gt] = 1 + rank G' and [e; gt] is
-    non-catastrophic iff G' is, as G' is for every output of hm_extend.  A
-    G' that has dependent rows or is catastrophic raises MalformedInput
-    before any search, with or without a witness.  Past these checks T is
-    self-dual, so T = T^perp = K intersected with e^perp.
+    One elimination of G'.  gt is paired, so gt gt^T = G' G'^T over GF(2)
+    and G' is self-orthogonal (``_validate_extended``).  The rows of
+    [G'^T | I_2k] reduce to [H | U] with U G'^T = H.  Fewer than k pivots
+    means G' has dependent rows, and H other than [I; 0] means G' is
+    catastrophic; either raises MalformedInput before any search, with or
+    without a witness.  Otherwise G' is self-dual, and the tails of the
+    first k rows are the rows of R^T with G' R = I (Kailath, *Linear
+    Systems*, 1980, Sec. 6.3).  After the row steps row_i -= a_i e, [e; gt]
+    is block-diag([1 1], G'), so T is self-dual and T = K intersected with
+    e^perp.
 
-    A witness y.  G' is left prime, so G' R = I for a polynomial R, and
-    v = (1, 0, -(R a)^T) lies in K with v e^T = 1.  So the values B_i e^T
-    have gcd 1, and the extended-gcd chain of ``default_a_vec`` gives
-    y = sum c_i B_i with y e^T = 1 (``_exact_completion_witness``).
+    All-ones membership.  Over F_2[z], w 1^T = sum w_i and (sum w_i)^2 =
+    w w^T = 0 for w in span G', so the all-ones vector 1 lies in the
+    self-dual span G', and b = 1 R is the one b with b G' = 1.  So 1 lies
+    in S iff also b a^T = 1, where b_i is the sum of row i of R^T.
 
-    The test.  A non-trivial completion exists iff the all-ones vector lies
+    The test vector v = (1, 0, (R a)^T): gt v^T = a + G' R a = 0 and
+    v e^T = 1, so v lies in K.  A non-trivial completion exists iff 1 lies
     in S.  Then every f in K has f f^T = (f 1^T)^2 = 0, so [f; gt] is
     self-orthogonal and is self-dual iff its row span is saturated.  K and
     S are saturated (gt is left prime as G' is), so K/S is free of rank 2;
-    f -> f e^T maps K onto F_2[z] with kernel T, and T/S is spanned by e,
-    so (e, y) is a basis of K/S.  As e e^T = y y^T = 0 and y e^T = 1, the
-    class of f has coordinates (f y^T, f e^T).  The span of [f; gt] is
-    saturated iff that class is unimodular, and then it contains e, so
-    equals T, iff f e^T = 0.  Hence [f; gt] is a non-trivial self-dual
-    completion iff f e^T != 0 and gcd(f y^T, f e^T) = 1 (``attempt``), and
-    every non-trivial completion is <alpha e + beta y> + S with
-    gcd(alpha, beta) = 1 and beta != 0.
+    f -> f e^T maps K onto F_2[z] with kernel T = <e> + S, so (e, v) is a
+    basis of K/S.  As e e^T = v v^T = 0 and v e^T = 1, the class of f has
+    coordinates (f v^T, f e^T).  The span of [f; gt] is saturated iff that
+    class is unimodular, and then it contains e, so equals T, iff
+    f e^T = 0.  Hence [f; gt] is a non-trivial self-dual completion iff
+    f e^T != 0 and gcd(f v^T, f e^T) = 1 (``attempt``).  Any y in K with
+    y e^T = 1 differs from v by alpha e + s, s in S, so f y^T = f v^T +
+    alpha f e^T and the gcd is the same for y as for v.
 
     Candidates are the kernel rows, then sums of two of them in index
-    order, then y, which always passes.  A caller-supplied witness must be
+    order, then ``_exact_completion_witness``, which always passes and is
+    computed only when the others fail.  A caller-supplied witness must be
     orthogonal to gt, so it lies in K after division by its content, and it
     is judged by the same test instead of searching.
     """
     _validate_extended(gt)
     spec = gt.spec
-    cols = gt.cols
-    e_row = as_poly_vector(spec, (1, 1) + (0,) * (cols - 2))
-    try:
-        trivial = ConvolutionalCode(vstack(row_matrix(spec, e_row), gt))
-    except RankDeficient:
-        raise MalformedInput("the columns past the paired ones have linearly dependent rows") from None
-    if not trivial.is_noncatastrophic():
+    k, cols = gt.rows, gt.cols
+    grid = _beside_identity(spec, _grid(gt.transpose().entries[2:]))
+    if len(_hermite_core(spec, grid, k)) < k:
+        raise MalformedInput("the columns past the paired ones have linearly dependent rows")
+    if not _is_identity(grid, k, spec.one.code):
         raise MalformedInput("the columns past the paired ones generate a catastrophic code")
-    if not ConvolutionalCode(gt).contains((1,) * cols):
+    rt = _matrix(spec, [row[k:] for row in grid[:k]], cols - 2).entries  # R^T, with G' R = I
+    a = gt.column(0)
+    one, zero = Poly.one(spec), Poly.zero(spec)
+    e_row = (one, one) + (zero,) * (cols - 2)
+    b = [dot(t, (one,) * (cols - 2)) for t in rt]  # b = 1 R
+    if dot(b, a) != one:
         if witness is not None:
             raise BadVector("only trivial completions exist for this extension")
-        return CompletionResult(kind=TRIVIAL_ONLY, generator=trivial.generator, witness=e_row)
-    kernel = right_kernel_basis(gt)
-    y = _exact_completion_witness(gt, e_row, kernel)
-    one = Poly.one(spec)
+        return CompletionResult(kind=TRIVIAL_ONLY, generator=vstack(row_matrix(spec, e_row), gt), witness=e_row)
+    v = (one, zero) + tuple(dot(a, col) for col in zip(*rt))
 
     def attempt(f: Sequence[Poly]) -> Optional[CompletionResult]:
         beta = dot(f, e_row)
-        if not beta or gcd(dot(f, y), beta) != one:
+        if not beta or gcd(dot(f, v), beta) != one:
             return None
         return CompletionResult(kind=NON_TRIVIAL, generator=vstack(row_matrix(spec, f), gt), witness=f)
 
@@ -311,19 +325,21 @@ def find_completion(gt: PolyMatrix, witness: Optional[Sequence] = None) -> Compl
             raise BadVector("witness does not produce a non-trivial self-dual completion")
         return result
 
+    kernel = right_kernel_basis(gt)
     rows = kernel.entries
-    pairs = (tuple(a + b for a, b in zip(u, v)) for u, v in itertools.combinations(rows, 2))
-    return next(r for r in map(attempt, itertools.chain(rows, pairs, (y,))) if r is not None)
+    pairs = (tuple(x + y for x, y in zip(f, g)) for f, g in itertools.combinations(rows, 2))
+    found = next((r for r in map(attempt, itertools.chain(rows, pairs)) if r is not None), None)
+    return found or attempt(_exact_completion_witness(gt, e_row, kernel))
 
 
 def _exact_completion_witness(
     gt: PolyMatrix, e_row: tuple[Poly, ...], kernel: PolyMatrix
 ) -> tuple[Poly, ...]:
     """The kernel vector y = sum c_i B_i with y e^T = 1, B the kernel rows:
-    one Bezout step over the values B_i e^T, whose gcd is 1 (see
-    ``find_completion``).  Its class completes (e, S) to a basis of the
-    kernel modulo the span S of gt, so [y; gt] is a non-trivial self-dual
-    completion whenever one exists."""
+    one Bezout step over the values B_i e^T, whose gcd divides v e^T = 1
+    for the test vector v of ``find_completion``.  Its class completes
+    (e, S) to a basis of the kernel modulo the span S of gt, so [y; gt] is
+    a non-trivial self-dual completion whenever one exists."""
     c = _bezout(gt.spec, [dot(b, e_row) for b in kernel.entries])
     return tuple(dot(c, kernel.column(j)) for j in range(kernel.cols))
 
@@ -370,6 +386,8 @@ def default_a_vec(code: ConvolutionalCode) -> tuple[Poly, ...]:
     if code.spec.q != 2:
         raise NotBinary("default pairing is defined over GF(2) only")
     _require_self_dual(code, "default_a_vec")
+    if not code.k:
+        raise ShapeUnsupported("the zero code has no pairing polynomials")
     all_ones = as_poly_vector(code.spec, (1,) * code.n)
     b = solve_left(code.generator, all_ones)
     assert b is not None  # all-ones lies in every binary self-dual code

@@ -22,8 +22,18 @@ from sdconv import (
     rank,
     smith,
 )
+from sdconv.constructions import (
+    NON_TRIVIAL,
+    TRIVIAL_ONLY,
+    CompletionResult,
+    _exact_completion_witness,
+    _unit_content_vector,
+    _validate_extended,
+)
 from sdconv.errors import (
+    BadVector,
     DimensionMismatch,
+    MalformedInput,
     NotSquare,
     NotUnit,
     ParseError,
@@ -31,7 +41,15 @@ from sdconv.errors import (
     ShapeUnsupported,
 )
 from sdconv.fields import _int_poly_mod, _is_wrapped, _parse_coefficient, _parse_terms, parse_int_poly
-from sdconv.matrices import HermiteDecomposition, SmithDecomposition, as_poly_vector
+from sdconv.matrices import (
+    HermiteDecomposition,
+    SmithDecomposition,
+    as_poly_vector,
+    is_orthogonal_to,
+    right_kernel_basis,
+    row_matrix,
+    vstack,
+)
 from sdconv.polys import sub_mul
 
 
@@ -343,6 +361,56 @@ def oracle_is_self_orthogonal(matrix: PolyMatrix) -> bool:
     if not matrix.cols:
         return True
     return not any(dot(rows[i], rows[j]) for i in range(len(rows)) for j in range(i, len(rows)))
+
+
+def oracle_find_completion(gt: PolyMatrix, witness=None) -> CompletionResult:
+    """Oracle for ``find_completion`` by three eliminations: the rank and
+    left-primeness of the trivial completion [e; gt] as a code, membership
+    of the all-ones vector in the code of gt, and the coordinate test
+    against the Bezout witness y of ``_exact_completion_witness``."""
+    _validate_extended(gt)
+    spec, cols = gt.spec, gt.cols
+    e_row = as_poly_vector(spec, (1, 1) + (0,) * (cols - 2))
+    try:
+        trivial = ConvolutionalCode(vstack(row_matrix(spec, e_row), gt))
+    except RankDeficient:
+        raise MalformedInput("the columns past the paired ones have linearly dependent rows") from None
+    if not trivial.is_noncatastrophic():
+        raise MalformedInput("the columns past the paired ones generate a catastrophic code")
+    if not ConvolutionalCode(gt).contains((1,) * cols):
+        if witness is not None:
+            raise BadVector("only trivial completions exist for this extension")
+        return CompletionResult(kind=TRIVIAL_ONLY, generator=trivial.generator, witness=e_row)
+    kernel = right_kernel_basis(gt)
+    y = _exact_completion_witness(gt, e_row, kernel)
+    one = Poly.one(spec)
+
+    def attempt(f):
+        beta = dot(f, e_row)
+        if not beta or gcd(dot(f, y), beta) != one:
+            return None
+        return CompletionResult(kind=NON_TRIVIAL, generator=vstack(row_matrix(spec, f), gt), witness=f)
+
+    if witness is not None:
+        wv = as_poly_vector(spec, witness)
+        if len(wv) != cols:
+            raise BadVector(f"witness must have length {cols}")
+        if not is_orthogonal_to(spec, wv, gt.entries):
+            raise BadVector("witness is not orthogonal to the extended matrix")
+        result = attempt(_unit_content_vector(wv))
+        if result is None:
+            raise BadVector("witness does not produce a non-trivial self-dual completion")
+        return result
+    rows = kernel.entries
+    pairs = (tuple(a + b for a, b in zip(u, v)) for u, v in itertools.combinations(rows, 2))
+    return next(r for r in map(attempt, itertools.chain(rows, pairs, (y,))) if r is not None)
+
+
+def generalized_singleton_bound(n: int, k: int, delta: int) -> int:
+    """(n - k)(floor(delta / k) + 1) + delta + 1, the largest free distance
+    of an (n, k) code of degree delta (Rosenthal and Smarandache, AAECC 10,
+    1999)."""
+    return (n - k) * (delta // k + 1) + delta + 1
 
 
 def scan_21_generators(spec, max_deg: int) -> list[PolyMatrix]:

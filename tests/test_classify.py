@@ -4,7 +4,16 @@ import random
 
 import pytest
 
-from helpers import F2, F4, F5, classify42, is_left_prime, rand_poly, scan_21_generators
+from helpers import (
+    F2,
+    F4,
+    F5,
+    classify42,
+    generalized_singleton_bound,
+    is_left_prime,
+    rand_poly,
+    scan_21_generators,
+)
 from sdconv import (
     ConvolutionalCode,
     Poly,
@@ -128,6 +137,20 @@ def test_classify_42_monotone_injective_and_matching_partitions():
         assert len(records) == len(brute_force_coprime_pairs(d))
         sets.append(keys)
     assert sets[0] < sets[1] < sets[2]  # strictly increasing chains
+
+
+def test_catalog_free_distances_respect_the_generalized_singleton_bound():
+    # a proven d_free above (n-k)(floor(delta/k)+1)+delta+1 is a search bug:
+    # four-two up to degree 3, two-one and double-diagonal over five fields
+    records = [r for d in range(4) for r in classify42(d)]
+    for q in (2, 3, 5, 9, 13):
+        records += classify_21(field(q))
+        for k in (1, 2, 3) if q < 13 else (1, 2):
+            records += classify_double_diagonal(field(q), k) or []
+    exact = [r for r in records if r.dfree.status == STATUS_EXACT]
+    assert len(exact) == len(records) == 218
+    for r in exact:
+        assert r.dfree.value <= generalized_singleton_bound(r.n, r.k, r.degree), r.render()
 
 
 def test_classify_42_degree_four_catalog_structure():

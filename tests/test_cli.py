@@ -1,13 +1,17 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 from time import perf_counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdconv import make_field, parse_matrix
+from helpers import generalized_singleton_bound
+from sdconv import ConvolutionalCode, make_field, parse_field_selector, parse_matrix
 from sdconv.cli import main
 
 F2 = make_field(2)
@@ -345,6 +349,82 @@ def test_outputs_match_the_golden_file(capsys):
         for r in records
     ]
     assert replayed == records
+
+
+def test_golden_proven_free_distances_respect_the_generalized_singleton_bound():
+    # every exact d_free the golden file records, from `distance` in text
+    # and JSON and from the JSON catalogs, is within (n-k)(floor(delta/k)+1)
+    # + delta + 1
+    checked = []
+    for r in json.loads(GOLDEN.read_text(encoding="utf-8")):
+        argv, out = r["argv"], r["stdout"]
+        if r["rc"] or argv[0] not in ("distance", "classify"):
+            continue
+        if argv[0] == "classify":
+            if "--format" in argv:
+                checked += [
+                    (rec["n"], rec["k"], rec["delta"], rec["dfree"])
+                    for rec in json.loads(out)["records"] or []
+                    if rec["dfree_status"] == "exact-under-bound"
+                ]
+            continue
+        if "--format" in argv:
+            report = json.loads(out)
+            if report["status"] != "exact-under-bound":
+                continue
+            value = report["dfree"]
+        elif out.startswith("d_free = "):
+            value = int(out.split()[2])
+        else:
+            continue
+        c = ConvolutionalCode(parse_matrix(parse_field_selector(argv[argv.index("--field") + 1]), argv[-1]))
+        checked.append((c.n, c.k, c.code_degree(), value))
+    assert len(checked) == 18
+    for n, k, delta, value in checked:
+        assert value <= generalized_singleton_bound(n, k, delta), (n, k, delta, value)
+
+
+# A request as its own process: `sdconv ARGV`, or with "api" first, the
+# outcome of find_completion on one extended matrix over GF(2).
+PROCESS_SCRIPT = """
+import sys
+from sdconv import find_completion, make_field, parse_matrix
+from sdconv.cli import main
+if sys.argv[1] == "api":
+    try:
+        print(find_completion(parse_matrix(make_field(2), sys.argv[2])).kind)
+    except Exception as exc:
+        print(f"{type(exc).__name__}: {exc}")
+    sys.exit(0)
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        # the pair-sum example, a trivial-only extension, and the catastrophic
+        # extension 0,0,z,z: the CLI refuses its base code z,z before any
+        # search, and find_completion refuses the extension itself
+        (["complete", "--a", "1,z^2", "1,1,1,1 ; z^3+z^2+1,z^2+z+1,0,z^3+z"], "witness: 1,0,1,z+1,z+1,0\n"),
+        (["complete", "--a", "z", "1,1"], "completion: trivial-only\n"),
+        (["complete", "--a", "0", "z,z"], "error: NotSelfDual: hm_extend requires a self-dual input code\n"),
+        (["api", "0,0,z,z"], "MalformedInput: the columns past the paired ones generate a catastrophic code\n"),
+    ],
+)
+def test_asserts_off_gives_the_same_outputs(argv, expected):
+    # the library still states some invariants with assert; python -O drops
+    # them, and every output and exit code must stay the same
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    runs = [
+        subprocess.run([sys.executable, *flags, "-c", PROCESS_SCRIPT, *argv],
+                       env=env, capture_output=True, text=True, timeout=60)
+        for flags in ([], ["-O"])
+    ]
+    normal, optimized = [(p.returncode, p.stdout, p.stderr) for p in runs]
+    assert optimized == normal
+    assert normal[0] == (3 if argv[-1] == "z,z" else 0), normal
+    assert expected in normal[1] + normal[2]
 
 
 # -- fuzzing: generated argv must end with exit 0, 2 or 3, promptly ---------

@@ -9,6 +9,7 @@ from helpers import (
     F5,
     bounded_free_distance,
     classify42,
+    generalized_singleton_bound,
     maximal_minors,
     rand_full_rank,
     rand_unimodular,
@@ -221,8 +222,10 @@ def test_free_distance_matches_message_scan_oracle():
                     assert rep.value == bounded_free_distance(c, bound), c
                     statuses.add(rep.status)
                     if rep.status == STATUS_EXACT:
-                        # a proven d_free: longer messages are no lighter
+                        # a proven d_free: longer messages are no lighter,
+                        # and it is within the generalized Singleton bound
                         assert bounded_free_distance(c, bound + 1) == rep.value, c
+                        assert rep.value <= generalized_singleton_bound(c.n, c.k, c.code_degree()), c
     assert statuses == {STATUS_EXACT, STATUS_UPPER}
 
 

@@ -13,6 +13,7 @@ from helpers import (
     F5,
     classify42,
     load_bench,
+    oracle_find_completion,
     oracle_is_noncatastrophic,
     oracle_is_self_orthogonal,
     rand_unimodular,
@@ -23,11 +24,13 @@ from sdconv import (
     Poly,
     PolyMatrix,
     building_up,
+    col_hermite,
     default_a_vec,
     dot,
     find_completion,
     format_matrix,
     format_vector,
+    gcd,
     hm_extend,
     is_trivial_completion,
     iter_bounded_polys,
@@ -59,6 +62,7 @@ from sdconv.errors import (
     NotSelfDual,
     NotUnit,
     SdconvError,
+    ShapeUnsupported,
 )
 from sdconv.matrices import is_self_orthogonal
 
@@ -502,6 +506,140 @@ def test_the_search_runs_the_same_eliminations_for_any_candidate(monkeypatch):
     assert counts[0] == counts[1] > 0
 
 
+def _outcome(search, gt, witness=None):
+    """What a completion search gives: kind, witness and generator, or the
+    error type and message."""
+    try:
+        result = search(gt, witness)
+    except SdconvError as exc:
+        return type(exc).__name__, str(exc)
+    return result.kind, result.witness, result.generator
+
+
+def test_find_completion_matches_the_three_elimination_route():
+    # seeded paired extensions over GF(2) with k <= 3 and entry degree <= 2:
+    # extensions of catalog codes (G' self-dual), paired self-orthogonal
+    # rows (many with G' rank-deficient or catastrophic), and rows with no
+    # constraint (mostly not self-orthogonal).  Each is searched without a
+    # witness, with a random vector and with a random kernel combination.
+    rng = random.Random(2208)
+    polys = iter_bounded_polys(F2, 2)
+    zero = Poly.zero(F2)
+    extensions = []
+    for record in classify42(2):
+        base = ConvolutionalCode(record.canonical_generator)
+        extensions += [hm_extend(base, [rng.choice(polys) for _ in range(2)]) for _ in range(3)]
+    for k in (1, 2, 3):
+        for orthogonal in (True, False):
+            for _ in range(40):
+                rows = []
+                while len(rows) < k:
+                    a = rng.choice(polys)
+                    rest = [rng.choice(polys) for _ in range(2 * k - 1)]
+                    row = [a, a, *rest, sum(rest, zero) if orthogonal else rng.choice(polys)]
+                    if not orthogonal or not any(dot(row, other) for other in rows):
+                        rows.append(row)
+                extensions.append(PolyMatrix(F2, rows))
+    outcomes = set()
+    for gt in extensions:
+        witnesses = [None, tuple(rng.choice(polys) for _ in range(gt.cols))]
+        try:
+            kernel = right_kernel_basis(gt).entries
+            c = [rng.choice(polys) for _ in kernel]
+            witnesses.append(tuple(dot(c, col) for col in zip(*kernel)))
+        except SdconvError:
+            pass
+        for w in witnesses:
+            got = _outcome(find_completion, gt, w)
+            assert got == _outcome(oracle_find_completion, gt, w), (format_matrix(gt), w)
+            outcomes.add(got[0] if got[0] in (NON_TRIVIAL, TRIVIAL_ONLY) else got)
+    assert outcomes == {
+        NON_TRIVIAL,
+        TRIVIAL_ONLY,
+        ("MalformedInput", "extended matrix is not self-orthogonal"),
+        ("MalformedInput", "the columns past the paired ones generate a catastrophic code"),
+        ("MalformedInput", "the columns past the paired ones have linearly dependent rows"),
+        ("BadVector", "only trivial completions exist for this extension"),
+        ("BadVector", "witness is not orthogonal to the extended matrix"),
+        ("BadVector", "witness does not produce a non-trivial self-dual completion"),
+    }
+
+
+def test_find_completion_eliminates_once_per_question(monkeypatch):
+    # one elimination of G' answers rank, left-primeness and all-ones
+    # membership; only a search without a witness adds the kernel of gt
+    widths = []
+    hermite_core = matrices._hermite_core
+
+    def counted(spec, grid, width):
+        widths.append(width)
+        return hermite_core(spec, grid, width)
+
+    for module in ("matrices", "codes", "constructions"):
+        monkeypatch.setattr(f"sdconv.{module}._hermite_core", counted)
+    trivial_k2 = hm_extend(code(F2, FIVE_TWO), (Poly.zero(F2), Poly.zero(F2)))
+    pair_sum = pair_sum_extension(Poly.z(F2) ** 2)
+    cases = [
+        (parse_matrix(F2, "z,z,1,1"), None, TRIVIAL_ONLY, [1]),
+        (trivial_k2, None, TRIVIAL_ONLY, [2]),
+        (pair_sum, None, NON_TRIVIAL, [2, 2]),
+        (pair_sum, parse_vector(F2, "1,0,1,z+1,z+1,0"), NON_TRIVIAL, [2]),
+    ]
+    for gt, witness, kind, expected in cases:
+        widths.clear()
+        assert find_completion(gt, witness=witness).kind == kind
+        assert widths == expected
+
+
+def test_find_completion_builds_no_code_and_no_exact_witness(monkeypatch):
+    # no candidate falls through to the Bezout witness on the pair-sum
+    # example, and no path of find_completion constructs a code
+    pair_sum = pair_sum_extension(Poly.z(F2) ** 2)
+    trivial = parse_matrix(F2, "z,z,1,1")
+
+    def refuse(*args):
+        raise AssertionError("unexpected call")
+
+    monkeypatch.setattr(ConvolutionalCode, "__init__", refuse)
+    monkeypatch.setattr(constructions, "_exact_completion_witness", refuse)
+    assert find_completion(pair_sum).witness == parse_vector(F2, "1,0,1,z+1,z+1,0")
+    assert find_completion(trivial).kind == TRIVIAL_ONLY
+    assert find_completion(pair_sum, witness=parse_vector(F2, "1,0,1,z+1,z+1,0")).kind == NON_TRIVIAL
+    with pytest.raises(BadVector):
+        find_completion(trivial, witness=parse_vector(F2, "1,1,0,0"))
+    for text in ("0,0,z,z", "1,1,0,0"):
+        with pytest.raises(MalformedInput):
+            find_completion(parse_matrix(F2, text))
+
+
+def test_the_test_vector_gives_the_gcds_of_the_bezout_witness():
+    # v = (1, 0, (R a)^T), R the right inverse of G' read off its column
+    # Hermite transform, lies in the kernel with v e^T = 1; every kernel row
+    # and pair sum f has gcd(f v^T, f e^T) = gcd(f y^T, f e^T), y the
+    # Bezout witness, over the non-trivial extensions of the seed-1
+    # completion workload and the pair-sum example
+    one, zero = Poly.one(F2), Poly.zero(F2)
+    extensions = {pair_sum_extension(Poly.z(F2) ** 2): None}
+    for base, a_vec in load_bench("workloads").Completion(sdconv, 1).ops():
+        gt = hm_extend(base, a_vec)
+        if solve_left(gt, (1,) * gt.cols) is not None:
+            extensions.setdefault(gt)
+    assert len(extensions) == 94
+    for gt in extensions:
+        k = gt.rows
+        w = col_hermite(PolyMatrix(F2, [row[2:] for row in gt.entries])).transform
+        v = (one, zero) + tuple(dot(row[:k], gt.column(0)) for row in w.entries)
+        e_row = (one, one) + (zero,) * (gt.cols - 2)
+        assert not any(dot(v, row) for row in gt.entries) and dot(v, e_row) == one
+        kernel = right_kernel_basis(gt)
+        y = _exact_completion_witness(gt, e_row, kernel)
+        rows = kernel.entries
+        pairs = [tuple(a + b for a, b in zip(f, g)) for f, g in itertools.combinations(rows, 2)]
+        for f in (*rows, *pairs):
+            beta = dot(f, e_row)
+            assert gcd(dot(f, v), beta) == gcd(dot(f, y), beta), (format_matrix(gt), f)
+
+
 def test_completion_sweep_gives_the_recorded_outputs():
     # the 129 codes of the degree <= 3 catalog, each extended by the 16
     # pairings of degree <= 1: one SHA-256 over each op's JSON-encoded
@@ -584,6 +722,14 @@ def test_default_a_vec_examples():
     assert default_a_vec(code(F2, NBU)) == (Poly.zero(F2), Poly.one(F2))
     assert default_a_vec(code(F2, ONE_ONE)) == (Poly.one(F2),)
     assert default_a_vec(code(F2, FIVE_TWO)) == (Poly.one(F2), Poly.zero(F2))
+
+
+def test_default_a_vec_refuses_the_zero_code():
+    # the zero code is self-dual, but has no pairing polynomials to choose
+    zero_code = ConvolutionalCode(PolyMatrix(F2, [], cols=0))
+    assert zero_code.is_self_dual()
+    with pytest.raises(ShapeUnsupported, match="the zero code has no pairing polynomials"):
+        default_a_vec(zero_code)
 
 
 def test_default_a_vec_guarantees_nontrivial_completion():
