@@ -98,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--perm", action="append", default=[], help="permutation matrix (repeatable)")
     pc.add_argument("matrix")
 
-    p = sub.add_parser("complete", help="paired-column extension plus completion search")
+    p = sub.add_parser("complete", help="paired-column extension and its self-dual completion")
     add_common(p)
     p.add_argument("--a", required=True, help="comma list of pairing polynomials")
     p.add_argument("--witness", default=None, help="candidate completion row to validate")

@@ -3,23 +3,22 @@
 Four routes are implemented: direct sums, chains of scaled-orthogonal
 transforms and column permutations, the generalized building-up extension
 (over any field containing a square root of -1), and the column-pairing
-extension with its self-dual completion search (binary only).  The first
-three re-verify their output with the full self-duality check instead of
+extension with its self-dual completion (binary only).  The first three
+re-verify their output with the full self-duality check instead of
 trusting the algebra, so precondition violations that slip past the
 explicit checks still surface.  ``find_completion`` answers every
 structural question from one elimination of G', the block of the extension
 gt = [a | a | G'] past its paired columns: rank, left-primeness, a right
-inverse R, whether the all-ones vector lies in the row span S of gt, and
-the kernel vector v = (1, 0, (R a)^T).  It then decides each candidate by
-coordinates: with K the kernel of gt and e = (1,1,0,...,0), the classes of
-K/S have the basis (e, v), and [f; gt] is a non-trivial self-dual
-completion iff f e^T != 0 and gcd(f v^T, f e^T) = 1.  The proof is in its
-docstring.
+inverse R, and whether the all-ones vector lies in the row span S of gt.
+If it does, the kernel vector v = (1, 0, (R a)^T) is a non-trivial
+self-dual completion row; if not, only the trivial completion exists.  A
+caller's row f is judged by coordinates: with e = (1,1,0,...,0), [f; gt]
+is a non-trivial self-dual completion iff f e^T != 0 and
+gcd(f v^T, f e^T) = 1.  The proof is in its docstring.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -50,9 +49,7 @@ from .matrices import (
     dot,
     is_orthogonal_to,
     is_self_orthogonal,
-    right_kernel_basis,
     row_matrix,
-    solve_left,
     vstack,
 )
 from .polys import Poly, gcd, vec_content, xgcd
@@ -63,10 +60,11 @@ TRIVIAL_ONLY = "trivial-only"
 
 @dataclass(frozen=True)
 class CompletionResult:
-    """Outcome of the self-dual completion search.
+    """Outcome of the self-dual completion of an extended matrix.
 
     ``kind`` is "non-trivial" when a completion exists whose code does not
-    contain (1,1,0,...,0); the generator then stacks the witness row on the
+    contain (1,1,0,...,0); the generator then stacks the witness row (the
+    test vector v of ``find_completion``, or the caller's row) on the
     extended matrix.  For "trivial-only" the generator is the reference
     completion with the (1,1,0,...,0) row.
     """
@@ -245,24 +243,40 @@ def _unit_content_vector(vec: Sequence[Poly]) -> tuple[Poly, ...]:
     return tuple(e // content for e in vec)
 
 
+def _right_inverse(spec: FieldSpec, columns: Sequence[Sequence[Poly]], k: int) -> tuple[tuple, list[Poly]]:
+    """R^T with G R = I and b = 1 R, from one elimination of [G^T | I_n].
+
+    G is the k x n matrix with the given columns.  [G^T | I_n] reduces to
+    [H | U] with U G^T = H, and the tails of the first k rows are the rows
+    of R^T (Kailath, *Linear Systems*, 1980, Sec. 6.3); if the all-ones
+    vector lies in the span of G, b is the one b with b G = 1.  Fewer than
+    k pivots means G has dependent rows, and H other than [I; 0] means G
+    is catastrophic; either raises MalformedInput, worded for G' of
+    ``find_completion`` (a self-dual generator passes both).
+    """
+    grid = _beside_identity(spec, _grid(columns))
+    if len(_hermite_core(spec, grid, k)) < k:
+        raise MalformedInput("the columns past the paired ones have linearly dependent rows")
+    if not _is_identity(grid, k, spec.one.code):
+        raise MalformedInput("the columns past the paired ones generate a catastrophic code")
+    rt = _matrix(spec, [row[k:] for row in grid[:k]], len(columns)).entries
+    ones = (Poly.one(spec),) * len(columns)
+    return rt, [dot(t, ones) for t in rt]
+
+
 def find_completion(gt: PolyMatrix, witness: Optional[Sequence] = None) -> CompletionResult:
-    """Search for a self-dual completion of an extended k x (2k+2) matrix.
+    """The self-dual completion of an extended k x (2k+2) matrix.
 
     Notation: gt = [a | a | G'], a its column 0 and G' the k x 2k block past
     the pairing; e = (1,1,0,...,0); S is the row span of gt; T = span
-    [e; gt] is the trivial completion; K = {v : gt v^T = 0} has rank k+2,
-    and its basis B is the rows of ``right_kernel_basis(gt)``.
+    [e; gt] is the trivial completion; K = {v : gt v^T = 0} has rank k+2.
 
     One elimination of G'.  gt is paired, so gt gt^T = G' G'^T over GF(2)
-    and G' is self-orthogonal (``_validate_extended``).  The rows of
-    [G'^T | I_2k] reduce to [H | U] with U G'^T = H.  Fewer than k pivots
-    means G' has dependent rows, and H other than [I; 0] means G' is
-    catastrophic; either raises MalformedInput before any search, with or
-    without a witness.  Otherwise G' is self-dual, and the tails of the
-    first k rows are the rows of R^T with G' R = I (Kailath, *Linear
-    Systems*, 1980, Sec. 6.3).  After the row steps row_i -= a_i e, [e; gt]
-    is block-diag([1 1], G'), so T is self-dual and T = K intersected with
-    e^perp.
+    and G' is self-orthogonal (``_validate_extended``).  ``_right_inverse``
+    reduces [G'^T | I_2k] once, and refuses a G' with dependent rows or a
+    catastrophic G' with or without a witness.  Otherwise G' is self-dual
+    and G' R = I.  After the row steps row_i -= a_i e, [e; gt] is
+    block-diag([1 1], G'), so T is self-dual and T = K intersected with e^perp.
 
     All-ones membership.  Over F_2[z], w 1^T = sum w_i and (sum w_i)^2 =
     w w^T = 0 for w in span G', so the all-ones vector 1 lies in the
@@ -283,65 +297,48 @@ def find_completion(gt: PolyMatrix, witness: Optional[Sequence] = None) -> Compl
     y e^T = 1 differs from v by alpha e + s, s in S, so f y^T = f v^T +
     alpha f e^T and the gcd is the same for y as for v.
 
-    Candidates are the kernel rows, then sums of two of them in index
-    order, then ``_exact_completion_witness``, which always passes and is
-    computed only when the others fail.  A caller-supplied witness must be
-    orthogonal to gt, so it lies in K after division by its content, and it
-    is judged by the same test instead of searching.
+    v itself has coordinates (0, 1), so without a witness the result is
+    [v; gt] (``_exact_completion_witness``), with no search.  A caller's
+    witness must be orthogonal to gt, so it lies in K after division by
+    its content, and it is judged by the coordinate test.
     """
     _validate_extended(gt)
     spec = gt.spec
     k, cols = gt.rows, gt.cols
-    grid = _beside_identity(spec, _grid(gt.transpose().entries[2:]))
-    if len(_hermite_core(spec, grid, k)) < k:
-        raise MalformedInput("the columns past the paired ones have linearly dependent rows")
-    if not _is_identity(grid, k, spec.one.code):
-        raise MalformedInput("the columns past the paired ones generate a catastrophic code")
-    rt = _matrix(spec, [row[k:] for row in grid[:k]], cols - 2).entries  # R^T, with G' R = I
+    rt, b = _right_inverse(spec, gt.transpose().entries[2:], k)
     a = gt.column(0)
     one, zero = Poly.one(spec), Poly.zero(spec)
     e_row = (one, one) + (zero,) * (cols - 2)
-    b = [dot(t, (one,) * (cols - 2)) for t in rt]  # b = 1 R
     if dot(b, a) != one:
         if witness is not None:
             raise BadVector("only trivial completions exist for this extension")
         return CompletionResult(kind=TRIVIAL_ONLY, generator=vstack(row_matrix(spec, e_row), gt), witness=e_row)
-    v = (one, zero) + tuple(dot(a, col) for col in zip(*rt))
+    v = _exact_completion_witness(a, rt)
 
-    def attempt(f: Sequence[Poly]) -> Optional[CompletionResult]:
+    def attempt(f: Sequence[Poly]) -> bool:
         beta = dot(f, e_row)
-        if not beta or gcd(dot(f, v), beta) != one:
-            return None
-        return CompletionResult(kind=NON_TRIVIAL, generator=vstack(row_matrix(spec, f), gt), witness=f)
+        return bool(beta) and gcd(dot(f, v), beta) == one
 
-    if witness is not None:
+    if witness is None:
+        f = v
+    else:
         wv = as_poly_vector(spec, witness)
         if len(wv) != cols:
             raise BadVector(f"witness must have length {cols}")
         if not is_orthogonal_to(spec, wv, gt.entries):
             raise BadVector("witness is not orthogonal to the extended matrix")
-        result = attempt(_unit_content_vector(wv))
-        if result is None:
+        f = _unit_content_vector(wv)
+        if not attempt(f):
             raise BadVector("witness does not produce a non-trivial self-dual completion")
-        return result
-
-    kernel = right_kernel_basis(gt)
-    rows = kernel.entries
-    pairs = (tuple(x + y for x, y in zip(f, g)) for f, g in itertools.combinations(rows, 2))
-    found = next((r for r in map(attempt, itertools.chain(rows, pairs)) if r is not None), None)
-    return found or attempt(_exact_completion_witness(gt, e_row, kernel))
+    return CompletionResult(kind=NON_TRIVIAL, generator=vstack(row_matrix(spec, f), gt), witness=f)
 
 
-def _exact_completion_witness(
-    gt: PolyMatrix, e_row: tuple[Poly, ...], kernel: PolyMatrix
-) -> tuple[Poly, ...]:
-    """The kernel vector y = sum c_i B_i with y e^T = 1, B the kernel rows:
-    one Bezout step over the values B_i e^T, whose gcd divides v e^T = 1
-    for the test vector v of ``find_completion``.  Its class completes
-    (e, S) to a basis of the kernel modulo the span S of gt, so [y; gt] is
-    a non-trivial self-dual completion whenever one exists."""
-    c = _bezout(gt.spec, [dot(b, e_row) for b in kernel.entries])
-    return tuple(dot(c, kernel.column(j)) for j in range(kernel.cols))
+def _exact_completion_witness(a: Sequence[Poly], rt: Sequence[Sequence[Poly]]) -> tuple[Poly, ...]:
+    """The test vector v = (1, 0, (R a)^T) of ``find_completion``, from the
+    pairing column a and the rows of R^T: [v; gt] is a non-trivial
+    self-dual completion whenever one exists."""
+    one, zero = Poly.one(a[0].spec), Poly.zero(a[0].spec)
+    return (one, zero) + tuple(dot(a, col) for col in zip(*rt))
 
 
 def _bezout(spec: FieldSpec, values: Sequence[Poly]) -> tuple[Poly, ...]:
@@ -378,17 +375,16 @@ def is_trivial_completion(g1: PolyMatrix) -> bool:
 def default_a_vec(code: ConvolutionalCode) -> tuple[Poly, ...]:
     """Pairing polynomials that guarantee a non-trivial completion.
 
-    Solves b G = (1,...,1), which a binary self-dual code always admits,
-    then runs an extended-gcd chain over the b_i (their gcd is 1) to find
-    a with sum a_i b_i = 1; that makes the all-ones vector reachable in
-    the extended matrix.
+    Takes b = 1 R with G R = I (``_right_inverse``), the one b with
+    b G = (1,...,1), which a binary self-dual code always admits, then runs
+    an extended-gcd chain over the b_i (their gcd is 1) to find a with
+    sum a_i b_i = 1; that makes the all-ones vector reachable in the
+    extended matrix.
     """
     if code.spec.q != 2:
         raise NotBinary("default pairing is defined over GF(2) only")
     _require_self_dual(code, "default_a_vec")
     if not code.k:
         raise ShapeUnsupported("the zero code has no pairing polynomials")
-    all_ones = as_poly_vector(code.spec, (1,) * code.n)
-    b = solve_left(code.generator, all_ones)
-    assert b is not None  # all-ones lies in every binary self-dual code
+    _, b = _right_inverse(code.spec, code.generator.transpose().entries, code.k)
     return _bezout(code.spec, b)

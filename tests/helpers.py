@@ -26,7 +26,7 @@ from sdconv.constructions import (
     NON_TRIVIAL,
     TRIVIAL_ONLY,
     CompletionResult,
-    _exact_completion_witness,
+    _bezout,
     _unit_content_vector,
     _validate_extended,
 )
@@ -363,11 +363,22 @@ def oracle_is_self_orthogonal(matrix: PolyMatrix) -> bool:
     return not any(dot(rows[i], rows[j]) for i in range(len(rows)) for j in range(i, len(rows)))
 
 
+def bezout_witness(kernel: PolyMatrix, e_row) -> tuple:
+    """The kernel vector y = sum c_i B_i with y e^T = 1, B the rows of
+    ``kernel``: one Bezout step over the values B_i e^T, whose gcd is 1 when
+    the extension is left prime.  Its class completes (e, S) to a basis of
+    the kernel modulo the span S of the extension."""
+    c = _bezout(kernel.spec, [dot(b, e_row) for b in kernel.entries])
+    return tuple(dot(c, kernel.column(j)) for j in range(kernel.cols))
+
+
 def oracle_find_completion(gt: PolyMatrix, witness=None) -> CompletionResult:
     """Oracle for ``find_completion`` by three eliminations: the rank and
     left-primeness of the trivial completion [e; gt] as a code, membership
     of the all-ones vector in the code of gt, and the coordinate test
-    against the Bezout witness y of ``_exact_completion_witness``."""
+    against the Bezout witness y of ``bezout_witness``.  Without a witness
+    it scans the kernel rows, then their pair sums, then y, so it may
+    return another completion than the library's test vector."""
     _validate_extended(gt)
     spec, cols = gt.spec, gt.cols
     e_row = as_poly_vector(spec, (1, 1) + (0,) * (cols - 2))
@@ -382,7 +393,7 @@ def oracle_find_completion(gt: PolyMatrix, witness=None) -> CompletionResult:
             raise BadVector("only trivial completions exist for this extension")
         return CompletionResult(kind=TRIVIAL_ONLY, generator=trivial.generator, witness=e_row)
     kernel = right_kernel_basis(gt)
-    y = _exact_completion_witness(gt, e_row, kernel)
+    y = bezout_witness(kernel, e_row)
     one = Poly.one(spec)
 
     def attempt(f):

@@ -404,9 +404,10 @@ sys.exit(main(sys.argv[1:]))
     "argv, expected",
     [
         # the pair-sum example, a trivial-only extension, and the catastrophic
-        # extension 0,0,z,z: the CLI refuses its base code z,z before any
-        # search, and find_completion refuses the extension itself
-        (["complete", "--a", "1,z^2", "1,1,1,1 ; z^3+z^2+1,z^2+z+1,0,z^3+z"], "witness: 1,0,1,z+1,z+1,0\n"),
+        # extension 0,0,z,z: the CLI refuses its base code z,z before it
+        # extends it, and find_completion refuses the extension itself
+        (["complete", "--a", "1,z^2", "1,1,1,1 ; z^3+z^2+1,z^2+z+1,0,z^3+z"],
+         "witness: 1,0,z^5+z^4+z^3+z^2+z,0,z^4+z,z^5+z^3+z^2+1\n"),
         (["complete", "--a", "z", "1,1"], "completion: trivial-only\n"),
         (["complete", "--a", "0", "z,z"], "error: NotSelfDual: hm_extend requires a self-dual input code\n"),
         (["api", "0,0,z,z"], "MalformedInput: the columns past the paired ones generate a catastrophic code\n"),

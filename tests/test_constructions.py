@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from helpers import (
     F2,
     F4,
     F5,
+    bezout_witness,
     classify42,
     load_bench,
     oracle_find_completion,
@@ -47,7 +49,6 @@ from sdconv import constructions, matrices
 from sdconv.constructions import (
     NON_TRIVIAL,
     TRIVIAL_ONLY,
-    _exact_completion_witness,
     direct_sum,
     orthogonal_chain,
 )
@@ -277,58 +278,74 @@ def test_find_completion_accepts_injected_witness():
     assert scaled == result
 
 
-def test_exact_completion_witness_completes_every_member_case():
-    # the fallback of find_completion, run directly on every extension of a
-    # (4,2) catalog code by pairings of degree <= 1 that reaches all-ones
-    all_ones = parse_vector(F2, "1,1,1,1,1,1")
-    e_row = parse_vector(F2, "1,1,0,0,0,0")
-    checked = 0
-    for record in classify42(1):
+def the_test_vector(gt):
+    """v = (1, 0, (R a)^T) of find_completion, with R the first k columns of
+    the column Hermite transform of G', the columns past the pairing."""
+    k = gt.rows
+    w = col_hermite(PolyMatrix(F2, [row[2:] for row in gt.entries])).transform
+    return (Poly.one(F2), Poly.zero(F2)) + tuple(dot(row[:k], gt.column(0)) for row in w.entries)
+
+
+@lru_cache(maxsize=None)
+def completion_sweep():
+    """The 129 codes of the degree <= 3 catalog, each extended by the 16
+    pairings of degree <= 1: 2,064 pairs (gt, find_completion(gt))."""
+    ops = []
+    for record in classify42(3):
         base = ConvolutionalCode(record.canonical_generator)
         for a_vec in itertools.product(iter_bounded_polys(F2, 1), repeat=2):
             gt = hm_extend(base, a_vec)
-            if solve_left(gt, all_ones) is None:
-                continue
-            x = _exact_completion_witness(gt, e_row, right_kernel_basis(gt))
-            completed = vstack(row_matrix(F2, x), gt)
-            assert ConvolutionalCode(completed).is_self_dual()
-            assert not is_trivial_completion(completed)
-            checked += 1
-    assert checked == 36
+            ops.append((gt, find_completion(gt)))
+    return ops
 
 
-def test_find_completion_takes_a_pair_sum_of_kernel_rows():
-    # no single kernel row completes this extension, so the witness comes
-    # from the scan over sums of two rows, before the exact witness
+def test_exact_completion_witness_completes_every_member_case():
+    # every op of the completion sweep, judged by the full checks: the
+    # result is self-dual, of the kind all-ones membership says, trivial
+    # exactly when it says so, and stacks its witness (v, by the sweep
+    # test below) on gt
+    all_ones = (1,) * 6
+    nontrivial = 0
+    for gt, result in completion_sweep():
+        gen = result.generator
+        assert gen == vstack(row_matrix(F2, result.witness), gt)
+        assert ConvolutionalCode(gen).is_self_dual(), format_matrix(gt)
+        assert result.is_nontrivial == (solve_left(gt, all_ones) is not None)
+        assert is_trivial_completion(gen) != result.is_nontrivial
+        nontrivial += result.is_nontrivial
+    assert nontrivial == 516
+
+
+def test_find_completion_returns_the_test_vector_on_the_pair_sum_example():
+    # no single kernel row completes this extension, and a sum of two rows
+    # does; the result is still the test vector v, which completes, and the
+    # pair sum passes as a caller's witness
     code = ConvolutionalCode(parse_matrix(F2, "1,1,1,1 ; z^3+z^2+1,z^2+z+1,0,z^3+z"))
     gt = hm_extend(code, (Poly.one(F2), Poly.z(F2) ** 2))
+    for row in right_kernel_basis(gt).entries:
+        with pytest.raises(BadVector):
+            find_completion(gt, witness=row)
     result = find_completion(gt)
     assert result.kind == NON_TRIVIAL
-    kernel = right_kernel_basis(gt).entries
-    assert result.witness not in kernel
-    pair_sums = {
-        tuple(x + y for x, y in zip(kernel[i], kernel[j]))
-        for i in range(len(kernel))
-        for j in range(i + 1, len(kernel))
-    }
-    assert result.witness in pair_sums
-    assert result.witness == parse_vector(F2, "1,0,1,z+1,z+1,0")
-    assert ConvolutionalCode(vstack(row_matrix(F2, result.witness), gt)).is_self_dual()
+    assert result.witness == the_test_vector(gt)
+    assert result.witness == parse_vector(F2, "1,0,z^5+z^4+z^3+z^2+z,0,z^4+z,z^5+z^3+z^2+1")
+    assert result.generator == vstack(row_matrix(F2, result.witness), gt)
+    assert ConvolutionalCode(result.generator).is_self_dual()
     assert not is_trivial_completion(result.generator)
+    pair_sum = find_completion(gt, witness=parse_vector(F2, "1,0,1,z+1,z+1,0"))
+    assert pair_sum.kind == NON_TRIVIAL and not is_trivial_completion(pair_sum.generator)
 
 
-def test_find_completion_asks_membership_by_the_canonical_form(monkeypatch):
-    # membership needs no coefficients, so the pair-sum search above runs
-    # with solve_left, the transform route, out of reach
+def test_find_completion_asks_membership_by_the_canonical_form():
+    # membership needs no coefficients: b = 1 R comes from the one
+    # elimination of G', so constructions has no solve_left, and no kernel
+    # basis to scan
+    for name in ("solve_left", "right_kernel_basis", "itertools"):
+        assert not hasattr(constructions, name), name
     code = ConvolutionalCode(parse_matrix(F2, "1,1,1,1 ; z^3+z^2+1,z^2+z+1,0,z^3+z"))
     gt = hm_extend(code, (Poly.one(F2), Poly.z(F2) ** 2))
-
-    def refuse(*args):
-        raise AssertionError("solve_left called for a membership question")
-
-    monkeypatch.setattr(constructions, "solve_left", refuse)
     result = find_completion(gt)
-    assert result.witness == parse_vector(F2, "1,0,1,z+1,z+1,0")
+    assert result.witness == the_test_vector(gt)
     assert not is_trivial_completion(result.generator)
 
 
@@ -438,8 +455,8 @@ def test_find_completion_ends_in_a_result_or_a_typed_error():
 
 
 def pair_sum_extension(a2):
-    # the base code of the pair-sum example; the pairing (1, z^2) leaves a
-    # pair sum as the first candidate that completes, (1, z) the first row
+    # the base code of the pair-sum example; with the pairing (1, z^2) no
+    # kernel row completes but a pair sum does, with (1, z) the first row
     code = ConvolutionalCode(parse_matrix(F2, "1,1,1,1 ; z^3+z^2+1,z^2+z+1,0,z^3+z"))
     return hm_extend(code, (Poly.one(F2), a2))
 
@@ -484,8 +501,8 @@ def test_incremental_verdict_matches_the_full_self_duality_check():
 
 
 def test_the_search_runs_the_same_eliminations_for_any_candidate(monkeypatch):
-    # a candidate costs two dot products and a gcd, so completing by a pair
-    # sum runs as many Hermite eliminations as completing by the first row
+    # whether the first kernel row completes or only a pair sum does, the
+    # result is the test vector from the same eliminations
     calls = []
     hermite_core = matrices._hermite_core
 
@@ -493,16 +510,17 @@ def test_the_search_runs_the_same_eliminations_for_any_candidate(monkeypatch):
         calls.append(args)
         return hermite_core(*args)
 
-    monkeypatch.setattr("sdconv.matrices._hermite_core", counted)
-    monkeypatch.setattr("sdconv.codes._hermite_core", counted)
+    for module in ("matrices", "codes", "constructions"):
+        monkeypatch.setattr(f"sdconv.{module}._hermite_core", counted)
     counts = []
     for a2, by_a_row in ((Poly.z(F2), True), (Poly.z(F2) ** 2, False)):
         gt = pair_sum_extension(a2)
         calls.clear()
         result = find_completion(gt)
         counts.append(len(calls))
-        assert result.is_nontrivial
-        assert (result.witness == right_kernel_basis(gt).entries[0]) == by_a_row
+        assert result.is_nontrivial and result.witness == the_test_vector(gt)
+        row = right_kernel_basis(gt).entries[0]
+        assert (_outcome(find_completion, gt, row)[0] == NON_TRIVIAL) == by_a_row
     assert counts[0] == counts[1] > 0
 
 
@@ -522,6 +540,11 @@ def test_find_completion_matches_the_three_elimination_route():
     # rows (many with G' rank-deficient or catastrophic), and rows with no
     # constraint (mostly not self-orthogonal).  Each is searched without a
     # witness, with a random vector and with a random kernel combination.
+    # Kinds, errors and the results for a caller's witness match; without a
+    # witness the oracle scans the kernel, so the library's test vector is
+    # judged instead: the oracle's own coordinate test (against its Bezout
+    # witness) accepts it, and the full checks find a non-trivial self-dual
+    # completion.
     rng = random.Random(2208)
     polys = iter_bounded_polys(F2, 2)
     zero = Poly.zero(F2)
@@ -551,7 +574,13 @@ def test_find_completion_matches_the_three_elimination_route():
             pass
         for w in witnesses:
             got = _outcome(find_completion, gt, w)
-            assert got == _outcome(oracle_find_completion, gt, w), (format_matrix(gt), w)
+            expected = _outcome(oracle_find_completion, gt, w)
+            if w is None and got[0] == NON_TRIVIAL:
+                assert expected[0] == NON_TRIVIAL, format_matrix(gt)
+                assert _outcome(oracle_find_completion, gt, got[1]) == got, format_matrix(gt)
+                assert ConvolutionalCode(got[2]).is_self_dual() and not is_trivial_completion(got[2])
+            else:
+                assert got == expected, (format_matrix(gt), w)
             outcomes.add(got[0] if got[0] in (NON_TRIVIAL, TRIVIAL_ONLY) else got)
     assert outcomes == {
         NON_TRIVIAL,
@@ -566,8 +595,8 @@ def test_find_completion_matches_the_three_elimination_route():
 
 
 def test_find_completion_eliminates_once_per_question(monkeypatch):
-    # one elimination of G' answers rank, left-primeness and all-ones
-    # membership; only a search without a witness adds the kernel of gt
+    # one elimination of G' answers rank, left-primeness, all-ones
+    # membership and the test vector, on every path
     widths = []
     hermite_core = matrices._hermite_core
 
@@ -582,7 +611,7 @@ def test_find_completion_eliminates_once_per_question(monkeypatch):
     cases = [
         (parse_matrix(F2, "z,z,1,1"), None, TRIVIAL_ONLY, [1]),
         (trivial_k2, None, TRIVIAL_ONLY, [2]),
-        (pair_sum, None, NON_TRIVIAL, [2, 2]),
+        (pair_sum, None, NON_TRIVIAL, [2]),
         (pair_sum, parse_vector(F2, "1,0,1,z+1,z+1,0"), NON_TRIVIAL, [2]),
     ]
     for gt, witness, kind, expected in cases:
@@ -591,33 +620,46 @@ def test_find_completion_eliminates_once_per_question(monkeypatch):
         assert widths == expected
 
 
-def test_find_completion_builds_no_code_and_no_exact_witness(monkeypatch):
-    # no candidate falls through to the Bezout witness on the pair-sum
-    # example, and no path of find_completion constructs a code
+def test_find_completion_builds_no_code_and_one_test_vector(monkeypatch):
+    # no path of find_completion constructs a code; the test vector is built
+    # once for each extension that completes non-trivially, with or without
+    # a witness, and never for a trivial-only or malformed one
     pair_sum = pair_sum_extension(Poly.z(F2) ** 2)
     trivial = parse_matrix(F2, "z,z,1,1")
+    built = []
+    exact_completion_witness = constructions._exact_completion_witness
 
     def refuse(*args):
         raise AssertionError("unexpected call")
 
+    def counted(*args):
+        built.append(args)
+        return exact_completion_witness(*args)
+
     monkeypatch.setattr(ConvolutionalCode, "__init__", refuse)
-    monkeypatch.setattr(constructions, "_exact_completion_witness", refuse)
-    assert find_completion(pair_sum).witness == parse_vector(F2, "1,0,1,z+1,z+1,0")
-    assert find_completion(trivial).kind == TRIVIAL_ONLY
+    monkeypatch.setattr(constructions, "_exact_completion_witness", counted)
+    v = find_completion(pair_sum).witness
+    assert len(built) == 1
     assert find_completion(pair_sum, witness=parse_vector(F2, "1,0,1,z+1,z+1,0")).kind == NON_TRIVIAL
+    assert len(built) == 2
+    assert find_completion(pair_sum, witness=v).witness == v
+    built.clear()
+    assert find_completion(trivial).kind == TRIVIAL_ONLY
     with pytest.raises(BadVector):
         find_completion(trivial, witness=parse_vector(F2, "1,1,0,0"))
     for text in ("0,0,z,z", "1,1,0,0"):
         with pytest.raises(MalformedInput):
             find_completion(parse_matrix(F2, text))
+    assert built == []
 
 
 def test_the_test_vector_gives_the_gcds_of_the_bezout_witness():
     # v = (1, 0, (R a)^T), R the right inverse of G' read off its column
-    # Hermite transform, lies in the kernel with v e^T = 1; every kernel row
-    # and pair sum f has gcd(f v^T, f e^T) = gcd(f y^T, f e^T), y the
-    # Bezout witness, over the non-trivial extensions of the seed-1
-    # completion workload and the pair-sum example
+    # Hermite transform, lies in the kernel with v e^T = 1 and is the
+    # witness find_completion returns; every kernel row and pair sum f has
+    # gcd(f v^T, f e^T) = gcd(f y^T, f e^T), y the Bezout witness, over the
+    # non-trivial extensions of the seed-1 completion workload and the
+    # pair-sum example
     one, zero = Poly.one(F2), Poly.zero(F2)
     extensions = {pair_sum_extension(Poly.z(F2) ** 2): None}
     for base, a_vec in load_bench("workloads").Completion(sdconv, 1).ops():
@@ -626,13 +668,12 @@ def test_the_test_vector_gives_the_gcds_of_the_bezout_witness():
             extensions.setdefault(gt)
     assert len(extensions) == 94
     for gt in extensions:
-        k = gt.rows
-        w = col_hermite(PolyMatrix(F2, [row[2:] for row in gt.entries])).transform
-        v = (one, zero) + tuple(dot(row[:k], gt.column(0)) for row in w.entries)
+        v = the_test_vector(gt)
         e_row = (one, one) + (zero,) * (gt.cols - 2)
         assert not any(dot(v, row) for row in gt.entries) and dot(v, e_row) == one
+        assert find_completion(gt).witness == v
         kernel = right_kernel_basis(gt)
-        y = _exact_completion_witness(gt, e_row, kernel)
+        y = bezout_witness(kernel, e_row)
         rows = kernel.entries
         pairs = [tuple(a + b for a, b in zip(f, g)) for f, g in itertools.combinations(rows, 2)]
         for f in (*rows, *pairs):
@@ -641,21 +682,18 @@ def test_the_test_vector_gives_the_gcds_of_the_bezout_witness():
 
 
 def test_completion_sweep_gives_the_recorded_outputs():
-    # the 129 codes of the degree <= 3 catalog, each extended by the 16
-    # pairings of degree <= 1: one SHA-256 over each op's JSON-encoded
-    # [extension, kind, witness, generator] text and a newline, in order
+    # the completion sweep: one SHA-256 over each op's JSON-encoded
+    # [extension, kind, witness, generator] text and a newline, in order;
+    # every non-trivial witness is the test vector v
     digest = hashlib.sha256()
-    kinds = []
-    for record in classify42(3):
-        base = ConvolutionalCode(record.canonical_generator)
-        for a_vec in itertools.product(iter_bounded_polys(F2, 1), repeat=2):
-            gt = hm_extend(base, a_vec)
-            result = find_completion(gt)
-            if result.is_nontrivial:
-                kinds.append("row" if result.witness in right_kernel_basis(gt).entries else "pair")
-            fields = [format_matrix(gt), result.kind, format_vector(result.witness), format_matrix(result.generator)]
-            digest.update(json.dumps(fields).encode() + b"\n")
-    assert len(kinds) == 516 and kinds.count("pair") == 12
+    nontrivial = 0
+    for gt, result in completion_sweep():
+        if result.is_nontrivial:
+            assert result.witness == the_test_vector(gt), format_matrix(gt)
+            nontrivial += 1
+        fields = [format_matrix(gt), result.kind, format_vector(result.witness), format_matrix(result.generator)]
+        digest.update(json.dumps(fields).encode() + b"\n")
+    assert len(completion_sweep()) == 2064 and nontrivial == 516
     recorded = Path(__file__).with_name("data") / "completion_sweep.sha256"
     assert digest.hexdigest() == recorded.read_text(encoding="utf-8").strip()
 
@@ -674,7 +712,7 @@ def test_completion_builds_no_poly_canonical_form(monkeypatch):
     six = parse_matrix(F2, "z^2+1,z^2+1,0,z^2+z+1,z,z^2+1 ; 1,1,1,1,1,1")
     assert find_completion(parse_matrix(F2, "z,z,1,1")).kind == TRIVIAL_ONLY
     assert find_completion(parse_matrix(F2, "1,1,1,1")).kind == NON_TRIVIAL
-    assert find_completion(pair_sum).witness == parse_vector(F2, "1,0,1,z+1,z+1,0")
+    assert find_completion(pair_sum).witness == parse_vector(F2, "1,0,z^5+z^4+z^3+z^2+z,0,z^4+z,z^5+z^3+z^2+1")
     assert find_completion(six).kind == NON_TRIVIAL
     assert find_completion(six, witness=parse_vector(F2, "0,1,0,0,0,1")).kind == NON_TRIVIAL
     with pytest.raises(MalformedInput):
