@@ -7,7 +7,6 @@ Hermite generator and emits stable, diffable catalog lines.
 
 from sdconv import (
     ConvolutionalCode,
-    classify_21,
     classify_42_binary,
     classify_double_diagonal,
     format_catalog,
@@ -19,7 +18,7 @@ from sdconv import (
 # -- (2,1) codes exist iff -1 is a square -------------------------------------------
 
 for q, p, l in ((2, 2, 1), (3, 3, 1), (4, 2, 2), (5, 5, 1), (7, 7, 1), (9, 3, 2)):
-    records = classify_21(make_field(p, l))
+    records = classify_double_diagonal(make_field(p, l), 1) or []
     gens = [str(r.canonical_generator) for r in records]
     print(f"GF({q}) self-dual (2,1) codes: {gens or 'none'}")
 

@@ -2,7 +2,10 @@
 
 Records are deduplicated by the canonical row Hermite generator and listed
 in the deterministic enumeration order of their parameters, so repeated
-runs produce byte-identical catalogs.
+runs produce byte-identical catalogs.  The (2,1) codes are the k = 1 case
+of the double diagonal family.  The canonical form also decides the
+double-triangular reduction; the paper's row reduction stays in the tests
+as its oracle.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from typing import Optional
 
 from .codes import ConvolutionalCode, DistanceReport, STATUS_EXACT, check_search_size, iter_bounded_polys
 from .errors import NotBinary, NotSelfDual, NotTriangularPattern, OutOfRange
-from .fields import FieldSpec, make_field
+from .fields import FieldSpec, make_field, sqrt_of_minus_one
 from .matrices import PolyMatrix, format_matrix
 from .polys import Poly, gcd
 
@@ -60,16 +63,6 @@ def _catalog(codes, dfree_bound: int) -> list[ClassificationRecord]:
     return [_record(c, dfree_bound) for c in dict.fromkeys(codes)]
 
 
-def classify_21(spec: FieldSpec) -> list[ClassificationRecord]:
-    """All self-dual (2,1) codes over the field, up to code equality.
-
-    These are exactly the constant generators (1, b) with 1 + b^2 = 0, so
-    the list is empty iff -1 has no square root in the field: the k = 1
-    case of the double diagonal family.
-    """
-    return classify_double_diagonal(spec, 1) or []
-
-
 def classify_42_binary(max_deg: int) -> list[ClassificationRecord]:
     """All binary self-dual (4,2) codes whose parameter pair has degree <= max_deg.
 
@@ -99,14 +92,15 @@ def classify_double_diagonal(spec: FieldSpec, k: int) -> Optional[list[Classific
 
     Rows can be scaled to the shape (e_i, b_i e_{k+i}) with b_i^2 = -1, so
     the family is parameterized by k-tuples of square roots of -1; None is
-    returned when the field has none (the same obstruction as for (2,1)).
+    returned when the field has none.  For k = 1 these are all the
+    self-dual (2,1) codes: the constant generators (1, b) with 1 + b^2 = 0.
     """
     if k < 1:
         raise OutOfRange("k must be at least 1")
-    minus_one = spec.from_int(-1)
-    roots = [b for b in spec.elements() if b * b == minus_one]
-    if not roots:
+    root = sqrt_of_minus_one(spec)
+    if root is None:
         return None
+    roots = list(dict.fromkeys((root, -root)))  # one root in characteristic 2
     check_search_size(len(roots), k)
     check_search_size(spec.q, k * (DFREE_BOUND_CONSTANT + 1))
     zero = Poly.zero(spec)
@@ -124,46 +118,28 @@ def classify_double_diagonal(spec: FieldSpec, k: int) -> Optional[list[Classific
 def reduce_double_triangular(gen: PolyMatrix) -> PolyMatrix:
     """Reduce a binary double-upper-triangular self-dual generator to [I I].
 
-    Self-duality forces each diagonal pair equal to 1 from the bottom row
-    upward; clearing the paired columns with that row and recursing leaves
-    [I_k I_k], the unique code with this shape.  The reduction is verified
-    against the canonical forms before returning.
+    [I_k I_k] is the unique code with this shape: self-duality forces each
+    diagonal pair equal to 1 from the bottom row upward, and clearing the
+    paired columns with that row leaves [I_k I_k] (the paper's reduction,
+    kept in the tests as the oracle).  The canonical form decides it here.
     """
     if gen.spec.q != 2:
         raise NotBinary("double-triangular reduction is defined over GF(2) only")
     k = gen.rows
     if gen.cols != 2 * k or k < 1:
         raise NotTriangularPattern(f"expected k x 2k matrix, got {gen.rows}x{gen.cols}")
-    zero = Poly.zero(gen.spec)
-    one = Poly.one(gen.spec)
     for i in range(k):
         for j in range(i):
-            if gen.entries[i][j] != zero or gen.entries[i][k + j] != zero:
+            if gen.entries[i][j] or gen.entries[i][k + j]:
                 raise NotTriangularPattern(
                     f"entry ({i},{j}) breaks the double-triangular support"
                 )
     code = ConvolutionalCode(gen)
     if not code.is_self_dual():
         raise NotSelfDual("double-triangular input is not self-dual")
-    rows = [list(r) for r in gen.entries]
-    for r in range(k - 1, -1, -1):
-        assert rows[r][r] == one and rows[r][k + r] == one
-        for i in range(r):
-            c = rows[i][r]
-            if c:
-                assert rows[i][k + r] == c
-                rows[i] = [x - c * y for x, y in zip(rows[i], rows[r])]
-    reduced = PolyMatrix(gen.spec, rows, cols=2 * k)
-    expected = PolyMatrix(
-        gen.spec,
-        [
-            [one if j == i or j == k + i else zero for j in range(2 * k)]
-            for i in range(k)
-        ],
-    )
-    assert reduced == expected
-    assert code.canonical_generator() == ConvolutionalCode(expected).canonical_generator()
-    return reduced
+    eye_pair = PolyMatrix(gen.spec, [[int(j in (i, k + i)) for j in range(2 * k)] for i in range(k)])
+    assert code == ConvolutionalCode(eye_pair)
+    return eye_pair
 
 
 def format_catalog(records: list[ClassificationRecord]) -> str:

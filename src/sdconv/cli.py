@@ -246,7 +246,7 @@ def _cmd_complete(args) -> int:
 
 def _cmd_classify(args) -> int:
     if args.family == "two-one":
-        records = classify_mod.classify_21(_field(args))
+        records = classify_mod.classify_double_diagonal(_field(args), 1) or []
     elif args.family == "four-two":
         records = classify_mod.classify_42_binary(args.max_deg)
     else:

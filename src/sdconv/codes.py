@@ -166,6 +166,11 @@ class ConvolutionalCode:
         fewest steps passes only states that go on, since a state owing
         nothing, or reached earlier at no higher cost, leaves a shorter
         message that is no heavier.
+
+        The message cap does not bound the states: while a generator's
+        output is delayed, every state still owes output at cost 0 and goes
+        on.  So the steps may compute MAX_CANDIDATES output entries in all,
+        and ``SearchSpaceTooLarge`` is raised before a step past that.
         """
         if bound < 0:
             raise OutOfRange("bound must be nonnegative")
@@ -197,7 +202,16 @@ class ConvolutionalCode:
         pad = [0] * n
         ended = float("inf")  # the least weight of a message whose output ended
         seen: dict = {}  # the least cost of each state that went on
+        work = 0  # output entries, counted as states x q^k x width per step
+
+        def charge():
+            nonlocal work
+            work += len(states) * spec.q**k * width
+            if work > MAX_CANDIDATES:
+                raise SearchSpaceTooLarge(f"the trellis search exceeds the cap of {MAX_CANDIDATES}")
+
         for _ in range(bound):
+            charge()
             layer: dict = {}
             for owed, cost in states.items():
                 for branch in branches:
@@ -214,6 +228,7 @@ class ConvolutionalCode:
                 return DistanceReport(value=ended, search_bound=bound, status=STATUS_EXACT)
             seen.update(states)
             branches = every
+        charge()
         best = min(
             c + width - _mul_into(spec, list(o), (one,), b, 0).count(0)
             for o, c in states.items()

@@ -62,17 +62,6 @@ MAX_COEFFICIENT_DIGITS = 4300
 _KEPT_FIELDS = 8
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 1
-    return True
-
-
 def _prime_factors(n: int) -> list[int]:
     out, r = [], 2
     while r * r <= n:
@@ -429,7 +418,7 @@ def make_field(p: int, l: int = 1, modulus: Optional[Iterable[int]] = None) -> F
     # sizes are compared before p**l or the primality test can take long
     if p > MAX_FIELD_SIZE or l > MAX_FIELD_SIZE.bit_length() or p**l > MAX_FIELD_SIZE:
         raise SearchSpaceTooLarge(f"field size {p}^{l} exceeds supported maximum {MAX_FIELD_SIZE}")
-    if not _is_prime(p):
+    if _prime_factors(p) != [p]:
         raise NotPrime(f"{p} is not prime")
     key = (p, l, None if modulus is None else tuple(int(c) for c in modulus))
     spec = _FIELDS.pop(key, None)

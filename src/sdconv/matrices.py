@@ -12,7 +12,8 @@ Conventions used throughout:
   ascending.  Only the output of ``smith`` itself depends on the order: no
   other function here calls it.  Smith forms, kernels, membership,
   left-primeness, rank and inverses all come from the one Hermite
-  elimination; the Bareiss ``determinant`` is kept for worked-example minors.
+  elimination; only ``determinant`` runs another, Bareiss fraction-free
+  elimination, for the worked-example minors.
 
 One grid per elimination: a transform is never kept beside the matrix,
 it rides along as identity columns.  The rows of [A | I_m] reduce to
@@ -389,12 +390,15 @@ def smith(matrix: PolyMatrix) -> SmithDecomposition:
     return SmithDecomposition(U=U, S=S, V=_matrix(spec, vt, n).transpose())
 
 
-def _det_bareiss(entries, spec: FieldSpec) -> Poly:
-    """Fraction-free elimination; every division is exact over F_q[z]."""
-    n = len(entries)
+def determinant(matrix: PolyMatrix) -> Poly:
+    """Exact determinant by Bareiss fraction-free elimination; every
+    division is exact over F_q[z]."""
+    n, spec = matrix.rows, matrix.spec
+    if n != matrix.cols:
+        raise NotSquare(f"determinant of {n}x{matrix.cols} matrix")
     if n == 0:
         return Poly.one(spec)
-    m = [list(row) for row in entries]
+    m = [list(row) for row in matrix.entries]
     sign = spec.one
     prev = Poly.one(spec)
     for t in range(n - 1):
@@ -410,13 +414,6 @@ def _det_bareiss(entries, spec: FieldSpec) -> Poly:
             m[i][t] = Poly.zero(spec)
         prev = m[t][t]
     return m[n - 1][n - 1] * sign
-
-
-def determinant(matrix: PolyMatrix) -> Poly:
-    """Exact determinant by Bareiss elimination."""
-    if matrix.rows != matrix.cols:
-        raise NotSquare(f"determinant of {matrix.rows}x{matrix.cols} matrix")
-    return _det_bareiss(matrix.entries, matrix.spec)
 
 
 def inverse_unimodular(matrix: PolyMatrix) -> PolyMatrix:

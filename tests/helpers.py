@@ -2,7 +2,11 @@
 
 import importlib.util
 import itertools
+import os
 import random
+import resource
+import subprocess
+import sys
 from functools import lru_cache, reduce
 from pathlib import Path
 
@@ -10,8 +14,8 @@ from sdconv import (
     ConvolutionalCode,
     Poly,
     PolyMatrix,
-    classify_21,
     classify_42_binary,
+    classify_double_diagonal,
     col_hermite,
     determinant,
     direct_sum,
@@ -61,6 +65,26 @@ def load_bench(name: str):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def run_cli_capped(argv, seconds: float = 10.0, memory: int = 1 << 30):
+    """Runs ``python -m sdconv.cli`` on argv in a child process whose
+    address space is capped at ``memory`` bytes (RLIMIT_AS) and which is
+    killed after ``seconds`` (``subprocess.TimeoutExpired``), so a request
+    that stops ending promptly fails its test instead of exhausting the
+    host's memory.  Returns the completed process and the child's CPU
+    seconds."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (memory, memory))
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-m", "sdconv.cli", *argv], env=env, capture_output=True,
+                          text=True, timeout=seconds, preexec_fn=cap)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return proc, after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
 
 
 @lru_cache(maxsize=None)
@@ -425,9 +449,10 @@ def generalized_singleton_bound(n: int, k: int, delta: int) -> int:
 
 
 def scan_21_generators(spec, max_deg: int) -> list[PolyMatrix]:
-    """Oracle for ``classify_21``: every 1x2 generator with entries of degree
-    <= max_deg that generates a self-dual code.  Orthogonality is filtered
-    first, so the sweep stays cheap even over larger fields."""
+    """Oracle for the (2,1) codes, ``classify_double_diagonal(spec, 1)``:
+    every 1x2 generator with entries of degree <= max_deg that generates a
+    self-dual code.  Orthogonality is filtered first, so the sweep stays
+    cheap even over larger fields."""
     found = []
     polys = iter_bounded_polys(spec, max_deg)
     one = Poly.one(spec)
@@ -442,6 +467,24 @@ def scan_21_generators(spec, max_deg: int) -> list[PolyMatrix]:
         assert ConvolutionalCode(gen).is_self_dual()
         found.append(gen)
     return found
+
+
+def oracle_reduce_double_triangular(gen: PolyMatrix) -> PolyMatrix:
+    """Oracle for ``reduce_double_triangular``: the paper's row reduction
+    of a binary double-upper-triangular self-dual generator.  Self-duality
+    forces each diagonal pair equal to 1 from the bottom row upward, and
+    clearing the paired columns with that row leaves [I_k I_k]."""
+    k = gen.rows
+    one = Poly.one(gen.spec)
+    rows = [list(r) for r in gen.entries]
+    for r in range(k - 1, -1, -1):
+        assert rows[r][r] == one and rows[r][k + r] == one
+        for i in range(r):
+            c = rows[i][r]
+            if c:
+                assert rows[i][k + r] == c
+                rows[i] = [x - c * y for x, y in zip(rows[i], rows[r])]
+    return PolyMatrix(gen.spec, rows, cols=2 * k)
 
 
 def bounded_free_distance(code: ConvolutionalCode, bound: int) -> int:
@@ -678,8 +721,9 @@ _BASE_SELF_DUAL: list[ConvolutionalCode] = []
 
 def base_self_dual_codes() -> list[ConvolutionalCode]:
     if not _BASE_SELF_DUAL:
-        for rec in classify_21(F2) + classify_21(F5) + classify_21(F4):
-            _BASE_SELF_DUAL.append(ConvolutionalCode(rec.canonical_generator))
+        for spec in (F2, F5, F4):
+            for rec in classify_double_diagonal(spec, 1):
+                _BASE_SELF_DUAL.append(ConvolutionalCode(rec.canonical_generator))
         for rec in classify_42_binary(1):
             _BASE_SELF_DUAL.append(ConvolutionalCode(rec.canonical_generator))
         first = _BASE_SELF_DUAL[0]

@@ -15,6 +15,7 @@ from helpers import (
     F5,
     is_identity_padded,
     is_left_prime,
+    oracle_reduce_double_triangular,
     rand_full_rank,
     rand_poly,
     rand_unimodular,
@@ -25,8 +26,8 @@ from sdconv import (
     Poly,
     PolyMatrix,
     building_up,
-    classify_21,
     classify_42_binary,
+    classify_double_diagonal,
     col_hermite,
     default_a_vec,
     determinant,
@@ -97,7 +98,7 @@ def test_criterion_3_existence_table():
         nonempty = {2, 4, 5, 8, 9, 13, 16, 25}
         for q, (p, l) in fields.items():
             spec = make_field(p, l)
-            records = classify_21(spec)
+            records = classify_double_diagonal(spec, 1) or []
             assert bool(records) == (q in nonempty)
             assert bool(records) == (p == 2 or p % 4 == 1 or l % 2 == 0)
             assert bool(records) == (sqrt_of_minus_one(spec) is not None)
@@ -275,4 +276,6 @@ def test_criterion_9_property_suite():
                     for j in range(i + 1, k):
                         rows[i][j] = rand_poly(rng, F2, 2)
                 mixer = PolyMatrix(F2, rows, cols=k)
-                assert reduce_double_triangular(mixer @ eye_pair) == eye_pair
+                gen = mixer @ eye_pair
+                assert oracle_reduce_double_triangular(gen) == eye_pair
+                assert reduce_double_triangular(gen) == eye_pair

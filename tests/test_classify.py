@@ -11,6 +11,7 @@ from helpers import (
     classify42,
     generalized_singleton_bound,
     is_left_prime,
+    oracle_reduce_double_triangular,
     rand_poly,
     scan_21_generators,
 )
@@ -18,13 +19,13 @@ from sdconv import (
     ConvolutionalCode,
     Poly,
     PolyMatrix,
-    classify_21,
     classify_42_binary,
     classify_double_diagonal,
     find_completion,
     format_catalog,
     hm_extend,
     make_field,
+    parse_field_selector,
     parse_matrix,
     reduce_double_triangular,
     sqrt_of_minus_one,
@@ -43,20 +44,29 @@ def field(q):
     return make_field(*FIELDS[q])
 
 
-# -- (2,1) codes ---------------------------------------------------------------
+# The order q of every field with q <= 64.
+SMALL_FIELDS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37, 41, 43, 47, 49,
+                53, 59, 61, 64]
+
+
+# -- (2,1) codes: the k = 1 case of the double diagonal family ----------------
+
+def two_one(spec):
+    return classify_double_diagonal(spec, 1) or []
+
 
 def test_classify_21_binary_unique():
-    records = classify_21(F2)
+    records = two_one(F2)
     assert len(records) == 1
     assert records[0].canonical_generator == parse_matrix(F2, "1,1")
 
 
 def test_classify_21_f3_empty():
-    assert classify_21(field(3)) == []
+    assert classify_double_diagonal(field(3), 1) is None
 
 
 def test_classify_21_f5():
-    records = classify_21(F5)
+    records = two_one(F5)
     gens = [r.canonical_generator for r in records]
     assert gens == [parse_matrix(F5, "1,2"), parse_matrix(F5, "1,3")]
     assert all(r.dfree.value == 2 for r in records)
@@ -65,7 +75,7 @@ def test_classify_21_f5():
 @pytest.mark.parametrize("q", sorted(EXISTENCE))
 def test_classify_21_matches_existence_table(q):
     spec = field(q)
-    records = classify_21(spec)
+    records = two_one(spec)
     assert bool(records) == EXISTENCE[q]
     assert bool(records) == (sqrt_of_minus_one(spec) is not None)
 
@@ -75,12 +85,27 @@ def test_no_nonconstant_21_generator_survives(spec, max_deg):
     # exhaustive sweep: every surviving generator is constant and matches
     # the classification after scaling the first entry to 1
     found = scan_21_generators(spec, max_deg)
-    classified = {r.canonical_generator for r in classify_21(spec)}
+    classified = {r.canonical_generator for r in two_one(spec)}
     for gen in found:
         assert all(e.degree() <= 0 for row in gen.entries for e in row)
         assert ConvolutionalCode(gen).canonical_generator() in classified
     # every classified code also appears in the sweep
     assert {ConvolutionalCode(g).canonical_generator() for g in found} == classified
+
+
+@pytest.mark.parametrize("q", SMALL_FIELDS)
+def test_double_diagonal_k1_matches_the_21_scan(q):
+    # the records are the distinct codes of the constant sweep, listed as
+    # (1, b) in the field's element order of b, each of degree 0 with a
+    # proven d_free of 2
+    spec = parse_field_selector(str(q))
+    expected = {ConvolutionalCode(g).canonical_generator() for g in scan_21_generators(spec, 0)}
+    records = two_one(spec)
+    gens = [r.canonical_generator for r in records]
+    assert len(gens) == len(expected) and set(gens) == expected
+    assert sorted(gens, key=lambda g: g.entries[0][1].codes) == gens
+    assert all((r.n, r.k, r.q, r.degree, r.dfree.value, r.dfree.status) == (2, 1, q, 0, 2, STATUS_EXACT)
+               for r in records)
 
 
 # -- binary (4,2) codes ----------------------------------------------------------
@@ -144,7 +169,7 @@ def test_catalog_free_distances_respect_the_generalized_singleton_bound():
     # four-two up to degree 3, two-one and double-diagonal over five fields
     records = [r for d in range(4) for r in classify42(d)]
     for q in (2, 3, 5, 9, 13):
-        records += classify_21(field(q))
+        records += two_one(field(q))
         for k in (1, 2, 3) if q < 13 else (1, 2):
             records += classify_double_diagonal(field(q), k) or []
     exact = [r for r in records if r.dfree.status == STATUS_EXACT]
@@ -202,14 +227,6 @@ def test_double_diagonal_absent_over_f7():
     assert classify_double_diagonal(field(7), 2) is None
 
 
-def test_double_diagonal_k1_matches_classify_21():
-    recs = classify_double_diagonal(F5, 1)
-    assert recs is not None
-    assert [r.canonical_generator for r in recs] == [
-        r.canonical_generator for r in classify_21(F5)
-    ]
-
-
 def test_double_diagonal_counts_roots_to_the_k():
     for q, k in itertools.product([5, 9, 13], [1, 2]):
         recs = classify_double_diagonal(field(q), k)
@@ -222,13 +239,14 @@ def test_double_diagonal_counts_roots_to_the_k():
 
 def test_reduce_double_triangular_identity_case():
     gen = parse_matrix(F2, "1,0,1,0 ; 0,1,0,1")
-    assert reduce_double_triangular(gen) == gen
+    assert reduce_double_triangular(gen) == gen == oracle_reduce_double_triangular(gen)
 
 
 def test_reduce_double_triangular_example():
     gen = parse_matrix(F2, "1,z,1,z ; 0,1,0,1")
     assert ConvolutionalCode(gen).is_self_dual()
-    assert reduce_double_triangular(gen) == parse_matrix(F2, "1,0,1,0 ; 0,1,0,1")
+    eye_pair = parse_matrix(F2, "1,0,1,0 ; 0,1,0,1")
+    assert reduce_double_triangular(gen) == eye_pair == oracle_reduce_double_triangular(gen)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -245,6 +263,8 @@ def test_reduce_double_triangular_randomized(k):
                 rows[i][j] = rand_poly(rng, F2, 2)
         mixer = PolyMatrix(F2, rows, cols=k)
         gen = mixer @ eye_pair
+        # the paper's reduction reaches [I I] with its per-step asserts
+        assert oracle_reduce_double_triangular(gen) == eye_pair
         assert reduce_double_triangular(gen) == eye_pair
 
 

@@ -10,7 +10,7 @@ from time import perf_counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import generalized_singleton_bound
+from helpers import generalized_singleton_bound, run_cli_capped
 from sdconv import ConvolutionalCode, make_field, parse_field_selector, parse_matrix
 from sdconv.cli import main
 
@@ -108,6 +108,30 @@ def test_oversized_exponents_and_searches_are_refused_promptly(capsys, argv):
     assert perf_counter() - start < 1.0
     assert code == 3 and out == ""
     assert err.startswith("error: SearchSpaceTooLarge:")
+
+
+# Generators whose output is delayed: every trellis state still owes output
+# at cost 0 and goes on, so the message cap does not bound the states.  These
+# searches took 6 s or ran out of memory before the d_free work cap.
+DELAYED_DISTANCE_PROBES = [
+    ("--bound", "14", "z^1000,z^1000"),
+    ("--bound", "20", "z^1000,z^1000"),
+    ("--field", "4", "--bound", "10", "z^300,z^300"),
+    ("--bound", "6", "z^300,z^300,0,0,0,0;0,0,z^300,z^300,0,0;0,0,0,0,z^300,z^300"),
+]
+
+
+@pytest.mark.parametrize("argv", DELAYED_DISTANCE_PROBES)
+def test_delayed_generator_distance_is_refused_within_a_memory_cap(argv):
+    proc, cpu_s = run_cli_capped(["distance", *argv])
+    assert proc.returncode == 3 and proc.stdout == "", proc.stderr
+    assert proc.stderr.startswith("error: SearchSpaceTooLarge:")
+    assert cpu_s < 2.0
+
+
+def test_delayed_generator_distance_under_the_work_cap_still_answers():
+    proc, _ = run_cli_capped(["distance", "--bound", "10", "z^1000,z^1000"])
+    assert (proc.returncode, proc.stdout) == (0, "d_free <= 2 (bound 10)\n")
 
 
 # One request of each kind the parser state could leak between: the output

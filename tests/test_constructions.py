@@ -720,8 +720,10 @@ def test_completion_builds_no_poly_canonical_form(monkeypatch):
 
 
 def test_find_completion_gram_checks_the_extension_once(monkeypatch):
-    # the pair-sum example tries several candidates; each is judged by its
-    # coordinates, so the one full check of the extension is the only one
+    # the pair-sum example has a non-trivial completion, and find_completion
+    # returns [v; gt] without a candidate search; the proof makes [v; gt]
+    # self-dual, so the one Gram check is of the extension gt, and neither
+    # the result nor a code built from it is checked again
     gram_checked = []
 
     def counted(matrix):

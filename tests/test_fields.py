@@ -63,6 +63,21 @@ def test_make_field_errors():
         make_field(2, 0)
 
 
+def test_make_field_refuses_exactly_the_non_primes_below_2000():
+    # oracle: the sieve of Eratosthenes
+    prime = [False, False] + [True] * 1998
+    for i in range(2, 45):
+        if prime[i]:
+            prime[i * i :: i] = [False] * len(prime[i * i :: i])
+    refused = set()
+    for n in range(2000):
+        try:
+            make_field(n)
+        except NotPrime:
+            refused.add(n)
+    assert refused == {n for n in range(2000) if not prime[n]}
+
+
 def test_make_field_deterministic():
     for q in FIELDS:
         p, l = FIELDS[q]
