@@ -73,7 +73,6 @@ class ConvolutionalCode:
         self._canonical: Optional[PolyMatrix] = None
         self._selforth: Optional[bool] = None
         self._noncat: Optional[bool] = None
-        self._degree: Optional[int] = None
 
     @property
     def spec(self):
@@ -98,10 +97,8 @@ class ConvolutionalCode:
 
         It is the sum of the row degrees of a row-reduced generator.
         """
-        if self._degree is None:
-            reduced = row_reduced(self.generator).entries
-            self._degree = sum(max(e.degree() for e in row) for row in reduced)
-        return self._degree
+        reduced = row_reduced(self.generator).entries
+        return sum(max(e.degree() for e in row) for row in reduced)
 
     def dual(self) -> "ConvolutionalCode":
         """The dual code, generated by a kernel basis of the generator."""

@@ -27,8 +27,8 @@ looks its result code up in :meth:`FieldSpec.elements`:
   into g^i + g^j = g^(i + Z(j - i));
 * negation: code -> the code of the element's negative.
 
-:func:`make_field` keeps the fields it built most recently, so repeated
-calls return one object and build its tables once.
+:func:`make_field` keeps the fields it used most recently (an LRU cache),
+so repeated calls return one object and build its tables once.
 
 Element text syntax: prime fields use plain decimals ("3"); extension
 fields use the letter ``a`` for the residue class of x ("a+1", "a^2+2*a").
@@ -36,6 +36,7 @@ fields use the letter ``a`` for the residue class of x ("a+1", "a^2+2*a").
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Iterable, Iterator, Optional, Sequence
@@ -58,7 +59,7 @@ MAX_FIELD_SIZE = 1 << 16
 MAX_EXPONENT = 1 << 10
 # Longest decimal coefficient the text parsers accept: the int() default.
 MAX_COEFFICIENT_DIGITS = 4300
-# make_field keeps this many of the fields it built most recently.
+# make_field keeps this many of the fields it used most recently.
 _KEPT_FIELDS = 8
 
 
@@ -227,16 +228,11 @@ class FieldElement:
             return self.spec.from_int(other)
         return None
 
-    # Sums and products try the common case, an element of the same spec
-    # object, before the general coercion; differences and quotients are
-    # built from them.
-
     def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         spec = self.spec
-        if other.__class__ is not FieldElement or other.spec is not spec:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
         a, b = self.code, other.code
         if not b:
             return self
@@ -267,11 +263,10 @@ class FieldElement:
         return self.spec._els[self.spec._neg[self.code]]
 
     def __mul__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         spec = self.spec
-        if other.__class__ is not FieldElement or other.spec is not spec:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
         a, b = self.code, other.code
         if not (a and b):
             return spec.zero
@@ -312,7 +307,7 @@ class FieldElement:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.spec._hash, self.code))
+        return hash((self.spec, self.code))
 
     def __str__(self):
         return format_element(self)
@@ -332,7 +327,7 @@ class FieldSpec:
 
     __slots__ = (
         "p", "l", "q", "modulus", "zero", "one",
-        "_hash", "_els", "_text", "_log", "_exp", "_zech", "_neg", "_log_minus_one",
+        "_els", "_text", "_log", "_exp", "_zech", "_neg", "_log_minus_one",
     )
 
     def __init__(self, p: int, l: int, modulus: tuple[int, ...]):
@@ -340,7 +335,6 @@ class FieldSpec:
         self.l = l
         self.q = q = p**l
         self.modulus = modulus
-        self._hash = hash((p, l, modulus))
         els = tuple(
             FieldElement(self, coeffs, code)
             for code, coeffs in enumerate(itertools.product(range(p), repeat=l))
@@ -390,15 +384,12 @@ class FieldSpec:
         return NotImplemented
 
     def __hash__(self):
-        return self._hash
+        return hash((self.p, self.l, self.modulus))
 
     def __repr__(self):
         if self.l == 1:
             return f"GF({self.p})"
         return f"GF({self.q})[{_format_terms(map(str, self.modulus), 'a')}]"
-
-
-_FIELDS: dict[tuple, FieldSpec] = {}
 
 
 def make_field(p: int, l: int = 1, modulus: Optional[Iterable[int]] = None) -> FieldSpec:
@@ -409,7 +400,7 @@ def make_field(p: int, l: int = 1, modulus: Optional[Iterable[int]] = None) -> F
     (coefficient vectors compared lowest degree first), so repeated calls
     are deterministic.  A supplied modulus must be monic of degree l with
     coefficients in [0, p), given lowest degree first.  The last few fields
-    built are kept, and a repeated call returns the same object.
+    used are kept, and a repeated call returns the same object.
     """
     if p < 2:
         raise NotPrime(f"{p} is not prime")
@@ -420,14 +411,12 @@ def make_field(p: int, l: int = 1, modulus: Optional[Iterable[int]] = None) -> F
         raise SearchSpaceTooLarge(f"field size {p}^{l} exceeds supported maximum {MAX_FIELD_SIZE}")
     if _prime_factors(p) != [p]:
         raise NotPrime(f"{p} is not prime")
-    key = (p, l, None if modulus is None else tuple(int(c) for c in modulus))
-    spec = _FIELDS.pop(key, None)
-    if spec is None:
-        spec = FieldSpec(p, l, _choose_modulus(p, l, key[2]))
-    _FIELDS[key] = spec  # most recently used last
-    if len(_FIELDS) > _KEPT_FIELDS:
-        del _FIELDS[next(iter(_FIELDS))]
-    return spec
+    return _build_field(p, l, None if modulus is None else tuple(int(c) for c in modulus))
+
+
+@functools.lru_cache(maxsize=_KEPT_FIELDS)
+def _build_field(p: int, l: int, modulus: Optional[tuple[int, ...]]) -> FieldSpec:
+    return FieldSpec(p, l, _choose_modulus(p, l, modulus))
 
 
 def _choose_modulus(p: int, l: int, mod: Optional[tuple[int, ...]]) -> tuple[int, ...]:

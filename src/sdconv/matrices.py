@@ -52,7 +52,7 @@ from .errors import (
     ShapeUnsupported,
 )
 from .fields import FieldElement, FieldSpec
-from .polys import Poly, _divmod_codes, _mul_into, _poly, dot, format_poly, parse_poly, sub_mul
+from .polys import Poly, _divmod_codes, _mul_into, _poly, dot, format_poly, parse_poly
 
 Entryish = Union[Poly, FieldElement, int]
 
@@ -410,7 +410,7 @@ def determinant(matrix: PolyMatrix) -> Poly:
             sign = -sign
         for i in range(t + 1, n):
             for j in range(t + 1, n):
-                m[i][j] = sub_mul(m[t][t] * m[i][j], m[i][t], m[t][j]) // prev
+                m[i][j] = (m[t][t] * m[i][j] - m[i][t] * m[t][j]) // prev
             m[i][t] = Poly.zero(spec)
         prev = m[t][t]
     return m[n - 1][n - 1] * sign

@@ -13,8 +13,7 @@ log and Zech tables, and one division loop built on it,
 :func:`_divmod_codes`.  ``Poly`` operators wrap them.  The Hermite and
 Smith eliminations of ``matrices`` run on grids of code lists with the two
 loops directly, and the d_free trellis of ``codes`` adds its branches with
-:func:`_mul_into`.  Two fused kernels on ``Poly`` values remain:
-:func:`sub_mul`, the step x - q*y of the Bareiss determinant, and
+:func:`_mul_into`.  One fused kernel on ``Poly`` values remains:
 :func:`dot`, the product of two vectors.
 """
 
@@ -97,21 +96,20 @@ class Poly:
             return Poly(self.spec, (other,))
         return None
 
-    def _plus(self, other, e: int):
-        """self + g^e * other."""
+    def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         spec = self.spec
-        return _poly(spec, _mul_into(spec, list(self.codes), (spec.one.code,), o.codes, e))
-
-    def __add__(self, other):
-        return self._plus(other, 0)
+        return _poly(spec, _mul_into(spec, list(self.codes), (spec.one.code,), o.codes, 0))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._plus(other, self.spec._log_minus_one)
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + -o
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -241,17 +239,6 @@ def _divmod_codes(spec: FieldSpec, a: Sequence[int], b: Sequence[int]) -> tuple[
     return quo, rem
 
 
-def sub_mul(x: Poly, q: Poly, y: Poly) -> Poly:
-    """x - q*y in one pass and one allocation, for polynomials over one
-    field: the step of the Bareiss determinant."""
-    spec = x.spec
-    if (q.spec is not spec or y.spec is not spec) and not q.spec == spec == y.spec:
-        raise FieldMismatch("polynomials over different fields")
-    if not (q.codes and y.codes):
-        return x
-    return _poly(spec, _mul_into(spec, list(x.codes), q.codes, y.codes, spec._log_minus_one))
-
-
 def dot(u: Sequence[Poly], v: Sequence[Poly]) -> Poly:
     """The sum of u[i] * v[i], accumulated in one code list."""
     if len(u) != len(v):
@@ -281,8 +268,8 @@ def xgcd(u: Poly, v: Poly) -> tuple[Poly, Poly, Poly]:
     while r1:
         q, r = divmod(r0, r1)
         r0, r1 = r1, r
-        s0, s1 = s1, sub_mul(s0, q, s1)
-        t0, t1 = t1, sub_mul(t0, q, t1)
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
     if not r0:
         return r0, Poly.zero(spec), Poly.zero(spec)
     c = r0.lc().inverse()
@@ -305,8 +292,6 @@ def vec_content(vec: Sequence[Poly]) -> Poly:
     g = Poly.zero(vec[0].spec)
     for entry in vec:
         g = gcd(g, entry)
-        if g == Poly.one(g.spec):
-            break
     return g
 
 

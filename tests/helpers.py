@@ -54,7 +54,6 @@ from sdconv.matrices import (
     row_matrix,
     vstack,
 )
-from sdconv.polys import sub_mul
 
 
 @lru_cache(maxsize=None)
@@ -166,7 +165,7 @@ def col_hermite_solve_left(matrix: PolyMatrix, vec):
     for i in range(k - 1, -1, -1):
         rhs = w[i]
         for j in range(i + 1, k):
-            rhs = sub_mul(rhs, m[j], lform.entries[j][i])
+            rhs = rhs - m[j] * lform.entries[j][i]
         q, r = divmod(rhs, lform.entries[i][i])
         if r:
             return None
@@ -209,7 +208,7 @@ def oracle_hermite_core(spec, rows, width: int):
                 if a[i][j]:
                     q = a[i][j] // a[r][j]
                     if q:
-                        a[i] = [sub_mul(x, q, y) for x, y in zip(a[i], a[r])]
+                        a[i] = [x - q * y for x, y in zip(a[i], a[r])]
                     if a[i][j]:
                         done = False
             if done:
@@ -221,7 +220,7 @@ def oracle_hermite_core(spec, rows, width: int):
             for i in range(r):
                 q = a[i][j] // a[r][j]
                 if q:
-                    a[i] = [sub_mul(x, q, y) for x, y in zip(a[i], a[r])]
+                    a[i] = [x - q * y for x, y in zip(a[i], a[r])]
             pivots.append(j)
             r += 1
     return a, pivots
@@ -349,7 +348,7 @@ def oracle_solve_left(matrix: PolyMatrix, vec):
     for row, j in zip(grid, pivots):
         q = rest[j] // row[j]
         if q:
-            rest = [sub_mul(x, q, y) for x, y in zip(rest, row)]
+            rest = [x - q * y for x, y in zip(rest, row)]
     if any(rest[:n]):
         return None
     return tuple(-x for x in rest[n:])
@@ -371,7 +370,7 @@ def oracle_row_reduced(matrix: PolyMatrix) -> PolyMatrix:
         for j, cj in enumerate(c):
             if cj and j != i:
                 shift = Poly(spec, [spec.zero] * (degrees[i] - degrees[j]) + [-(cj / c[i])])
-                rows[i] = [sub_mul(x, shift, y) for x, y in zip(rows[i], rows[j])]
+                rows[i] = [x - shift * y for x, y in zip(rows[i], rows[j])]
 
 
 def oracle_is_noncatastrophic(matrix: PolyMatrix) -> bool:

@@ -188,6 +188,30 @@ def test_classify_42_degree_four_catalog_structure():
     assert by_degree == {(0, 2): 3, **{(d, 4): 6 * 4 ** (d - 1) for d in range(1, 5)}}
 
 
+def test_classify_42_orbits_under_column_permutations():
+    # through degree 5 the catalog is closed under the 24 column
+    # permutations, every orbit has 3 codes at delta = 0 and 6 at delta >= 1,
+    # and the classes by delta are 1, 1, 4, 16, 64, 256
+    degree = {r.canonical_generator: r.degree for r in classify42(5)}
+    orbits = {}
+    for gen in degree:
+        if gen not in orbits:
+            orbit = {
+                ConvolutionalCode(PolyMatrix(F2, [[row[j] for j in perm] for row in gen.entries]))
+                .canonical_generator()
+                for perm in itertools.permutations(range(4))
+            }
+            assert orbit <= degree.keys()
+            orbits.update(dict.fromkeys(orbit, frozenset(orbit)))
+    classes = collections.Counter()
+    for orbit in set(orbits.values()):
+        (delta,) = {degree[g] for g in orbit}
+        assert len(orbit) == (3 if delta == 0 else 6)
+        classes[delta] += 1
+    assert [classes[d] for d in range(6)] == [1, 1, 4, 16, 64, 256]
+    assert len(orbits) == len(degree) == 2049
+
+
 def test_every_42_record_is_a_completion_of_the_length_two_code():
     from sdconv import row_matrix, solve_left, vstack
 

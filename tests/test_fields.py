@@ -238,7 +238,7 @@ def test_codes_index_the_lexicographic_enumeration():
 
 @pytest.mark.parametrize("p, l", [(2, 16), (3, 10), (65521, 1)], ids=lambda v: str(v))
 def test_largest_fields_build_within_budget(p, l):
-    fields._FIELDS.clear()  # time a build, not a lookup
+    fields._build_field.cache_clear()  # time a build, not a lookup
     start = perf_counter()
     spec = make_field(p, l)
     a, b = spec.elements()[-1], spec.elements()[-2]
@@ -252,8 +252,18 @@ def test_make_field_keeps_a_few_fields():
     assert make_field(3, 2, (1, 0, 1)) is make_field(3, 2, (1, 0, 1))
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         make_field(p)
-    assert len(fields._FIELDS) <= fields._KEPT_FIELDS
+    assert fields._build_field.cache_info().currsize <= fields._KEPT_FIELDS
     assert make_field(37) is make_field(37)
+
+
+def test_make_field_evicts_the_least_recently_used_field():
+    # 8 distinct fields are all kept, and a hit makes GF(2) the most recent
+    two, three, *kept = [make_field(p) for p in (2, 3, 5, 7, 11, 13, 17, 19)]
+    assert make_field(2) is two
+    make_field(23)  # the 9th distinct field evicts the least recent, GF(3)
+    assert make_field(2) is two
+    assert all(make_field(p) is f for p, f in zip((5, 7, 11, 13, 17, 19), kept))
+    assert make_field(3) is not three and make_field(3) == three
 
 
 def test_equality_agrees_with_hash():
