@@ -73,8 +73,7 @@ def classify_42_binary(max_deg: int) -> list[ClassificationRecord]:
     if max_deg < 0:
         raise OutOfRange("max_deg must be nonnegative")
     spec = make_field(2)
-    # the candidate pairs, then the messages each record's d_free scans
-    check_search_size(spec.q, 2 * (max_deg + 1))
+    # the messages each record's d_free scans, which outnumber the candidate pairs
     check_search_size(spec.q, 2 * (max_deg + DFREE_BOUND_MARGIN + 1))
     one = Poly.one(spec)
     zero = Poly.zero(spec)
@@ -101,7 +100,6 @@ def classify_double_diagonal(spec: FieldSpec, k: int) -> Optional[list[Classific
     if root is None:
         return None
     roots = list(dict.fromkeys((root, -root)))  # one root in characteristic 2
-    check_search_size(len(roots), k)
     check_search_size(spec.q, k * (DFREE_BOUND_CONSTANT + 1))
     zero = Poly.zero(spec)
     one = Poly.one(spec)

@@ -14,7 +14,8 @@ If it does, the kernel vector v = (1, 0, (R a)^T) is a non-trivial
 self-dual completion row; if not, only the trivial completion exists.  A
 caller's row f is judged by coordinates: with e = (1,1,0,...,0), [f; gt]
 is a non-trivial self-dual completion iff f e^T != 0 and
-gcd(f v^T, f e^T) = 1.  The proof is in its docstring.
+gcd(f v^T, f e^T) = 1.  The proof is in its docstring.  ``default_a_vec``
+finds b with b G = 1, then a with b a^T = 1, both as right inverses.
 """
 
 from __future__ import annotations
@@ -49,10 +50,9 @@ from .matrices import (
     dot,
     is_orthogonal_to,
     is_self_orthogonal,
-    row_matrix,
     vstack,
 )
-from .polys import Poly, gcd, vec_content, xgcd
+from .polys import Poly, gcd, vec_content
 
 NON_TRIVIAL = "non-trivial"
 TRIVIAL_ONLY = "trivial-only"
@@ -72,10 +72,6 @@ class CompletionResult:
     kind: str
     generator: PolyMatrix
     witness: tuple[Poly, ...]
-
-    @property
-    def is_nontrivial(self) -> bool:
-        return self.kind == NON_TRIVIAL
 
 
 def _require_self_dual(code: ConvolutionalCode, who: str) -> None:
@@ -312,7 +308,7 @@ def find_completion(gt: PolyMatrix, witness: Optional[Sequence] = None) -> Compl
     if dot(b, a) != one:
         if witness is not None:
             raise BadVector("only trivial completions exist for this extension")
-        return CompletionResult(kind=TRIVIAL_ONLY, generator=vstack(row_matrix(spec, e_row), gt), witness=e_row)
+        return CompletionResult(kind=TRIVIAL_ONLY, generator=vstack(PolyMatrix(spec, [e_row]), gt), witness=e_row)
     v = _exact_completion_witness(a, rt)
 
     def attempt(f: Sequence[Poly]) -> bool:
@@ -330,7 +326,7 @@ def find_completion(gt: PolyMatrix, witness: Optional[Sequence] = None) -> Compl
         f = _unit_content_vector(wv)
         if not attempt(f):
             raise BadVector("witness does not produce a non-trivial self-dual completion")
-    return CompletionResult(kind=NON_TRIVIAL, generator=vstack(row_matrix(spec, f), gt), witness=f)
+    return CompletionResult(kind=NON_TRIVIAL, generator=vstack(PolyMatrix(spec, [f]), gt), witness=f)
 
 
 def _exact_completion_witness(a: Sequence[Poly], rt: Sequence[Sequence[Poly]]) -> tuple[Poly, ...]:
@@ -339,18 +335,6 @@ def _exact_completion_witness(a: Sequence[Poly], rt: Sequence[Sequence[Poly]]) -
     self-dual completion whenever one exists."""
     one, zero = Poly.one(a[0].spec), Poly.zero(a[0].spec)
     return (one, zero) + tuple(dot(a, col) for col in zip(*rt))
-
-
-def _bezout(spec: FieldSpec, values: Sequence[Poly]) -> tuple[Poly, ...]:
-    """Coefficients c with sum c_i values_i = 1, by an extended-gcd chain
-    over values whose gcd is 1."""
-    g = Poly.zero(spec)
-    coeffs: list[Poly] = []
-    for v in values:
-        g, s, t = xgcd(g, v)
-        coeffs = [c * s for c in coeffs] + [t]
-    assert g == Poly.one(spec)
-    return tuple(coeffs)
 
 
 def is_trivial_completion(g1: PolyMatrix) -> bool:
@@ -376,15 +360,17 @@ def default_a_vec(code: ConvolutionalCode) -> tuple[Poly, ...]:
     """Pairing polynomials that guarantee a non-trivial completion.
 
     Takes b = 1 R with G R = I (``_right_inverse``), the one b with
-    b G = (1,...,1), which a binary self-dual code always admits, then runs
-    an extended-gcd chain over the b_i (their gcd is 1) to find a with
-    sum a_i b_i = 1; that makes the all-ones vector reachable in the
-    extended matrix.
+    b G = (1,...,1), which a binary self-dual code always admits.  Then a
+    with b a^T = 1, which makes the all-ones vector reachable in the
+    extended matrix, is R^T for the 1 x k matrix b: the k = 1 case.  Its
+    identity check cannot fail, as b G = 1 forces gcd(b) = 1.
     """
     if code.spec.q != 2:
         raise NotBinary("default pairing is defined over GF(2) only")
     _require_self_dual(code, "default_a_vec")
     if not code.k:
         raise ShapeUnsupported("the zero code has no pairing polynomials")
-    _, b = _right_inverse(code.spec, code.generator.transpose().entries, code.k)
-    return _bezout(code.spec, b)
+    spec = code.spec
+    _, b = _right_inverse(spec, code.generator.transpose().entries, code.k)
+    (a,), _ = _right_inverse(spec, [(b_i,) for b_i in b], 1)
+    return a

@@ -373,9 +373,6 @@ class FieldSpec:
         """All q elements, in lexicographic coefficient-vector order."""
         return self._els
 
-    def nonzero_elements(self) -> tuple[FieldElement, ...]:
-        return self._els[1:]
-
     def __eq__(self, other):
         if self is other:
             return True
@@ -409,13 +406,13 @@ def make_field(p: int, l: int = 1, modulus: Optional[Iterable[int]] = None) -> F
     # sizes are compared before p**l or the primality test can take long
     if p > MAX_FIELD_SIZE or l > MAX_FIELD_SIZE.bit_length() or p**l > MAX_FIELD_SIZE:
         raise SearchSpaceTooLarge(f"field size {p}^{l} exceeds supported maximum {MAX_FIELD_SIZE}")
-    if _prime_factors(p) != [p]:
-        raise NotPrime(f"{p} is not prime")
     return _build_field(p, l, None if modulus is None else tuple(int(c) for c in modulus))
 
 
 @functools.lru_cache(maxsize=_KEPT_FIELDS)
 def _build_field(p: int, l: int, modulus: Optional[tuple[int, ...]]) -> FieldSpec:
+    if _prime_factors(p) != [p]:
+        raise NotPrime(f"{p} is not prime")
     return FieldSpec(p, l, _choose_modulus(p, l, modulus))
 
 
@@ -552,13 +549,12 @@ def _element_texts(p: int, l: int) -> tuple[str, ...]:
 
 
 def _parse_exponent(digits: str) -> int:
-    """A decimal exponent, refused above MAX_EXPONENT before anything is
-    sized by it; leading zeros, in any decimal script, do not count
-    against the cap."""
-    significant = "".join(itertools.dropwhile(lambda d: not int(d), digits)) or "0"
-    if len(significant) > len(str(MAX_EXPONENT)) or int(significant) > MAX_EXPONENT:
+    """A decimal exponent, read as a coefficient (leading zeros in any
+    decimal script do not count) and refused above MAX_EXPONENT."""
+    value = _parse_coefficient(digits)
+    if value > MAX_EXPONENT:
         raise SearchSpaceTooLarge(f"exponent exceeds the cap of {MAX_EXPONENT}")
-    return int(significant)
+    return value
 
 
 def _parse_coefficient(digits: str) -> int:

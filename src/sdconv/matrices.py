@@ -163,10 +163,6 @@ def vstack(*blocks: PolyMatrix) -> PolyMatrix:
     return PolyMatrix._of(spec, tuple(row for b in blocks for row in b.entries), cols)
 
 
-def row_matrix(spec: FieldSpec, vec: Sequence[Entryish]) -> PolyMatrix:
-    return PolyMatrix(spec, [list(vec)])
-
-
 @dataclass(frozen=True)
 class HermiteDecomposition:
     """form = transform @ input (row side) or input @ transform (column side)."""

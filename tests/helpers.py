@@ -25,12 +25,12 @@ from sdconv import (
     make_field,
     rank,
     smith,
+    xgcd,
 )
 from sdconv.constructions import (
     NON_TRIVIAL,
     TRIVIAL_ONLY,
     CompletionResult,
-    _bezout,
     _unit_content_vector,
     _validate_extended,
 )
@@ -51,7 +51,6 @@ from sdconv.matrices import (
     as_poly_vector,
     is_orthogonal_to,
     right_kernel_basis,
-    row_matrix,
     vstack,
 )
 
@@ -386,6 +385,18 @@ def oracle_is_self_orthogonal(matrix: PolyMatrix) -> bool:
     return not any(dot(rows[i], rows[j]) for i in range(len(rows)) for j in range(i, len(rows)))
 
 
+def _bezout(spec, values) -> tuple:
+    """Coefficients c with sum c_i values_i = 1, by an extended-gcd chain
+    over values whose gcd is 1."""
+    g = Poly.zero(spec)
+    coeffs = []
+    for v in values:
+        g, s, t = xgcd(g, v)
+        coeffs = [c * s for c in coeffs] + [t]
+    assert g == Poly.one(spec)
+    return tuple(coeffs)
+
+
 def bezout_witness(kernel: PolyMatrix, e_row) -> tuple:
     """The kernel vector y = sum c_i B_i with y e^T = 1, B the rows of
     ``kernel``: one Bezout step over the values B_i e^T, whose gcd is 1 when
@@ -406,7 +417,7 @@ def oracle_find_completion(gt: PolyMatrix, witness=None) -> CompletionResult:
     spec, cols = gt.spec, gt.cols
     e_row = as_poly_vector(spec, (1, 1) + (0,) * (cols - 2))
     try:
-        trivial = ConvolutionalCode(vstack(row_matrix(spec, e_row), gt))
+        trivial = ConvolutionalCode(vstack(PolyMatrix(spec, [e_row]), gt))
     except RankDeficient:
         raise MalformedInput("the columns past the paired ones have linearly dependent rows") from None
     if not trivial.is_noncatastrophic():
@@ -423,7 +434,7 @@ def oracle_find_completion(gt: PolyMatrix, witness=None) -> CompletionResult:
         beta = dot(f, e_row)
         if not beta or gcd(dot(f, y), beta) != one:
             return None
-        return CompletionResult(kind=NON_TRIVIAL, generator=vstack(row_matrix(spec, f), gt), witness=f)
+        return CompletionResult(kind=NON_TRIVIAL, generator=vstack(PolyMatrix(spec, [f]), gt), witness=f)
 
     if witness is not None:
         wv = as_poly_vector(spec, witness)
@@ -679,7 +690,7 @@ def rand_poly(rng: random.Random, spec, max_deg: int) -> Poly:
         return Poly.zero(spec)
     els = spec.elements()
     coeffs = [rng.choice(els) for _ in range(deg)]
-    coeffs.append(rng.choice(spec.nonzero_elements()))
+    coeffs.append(rng.choice(spec.elements()[1:]))
     return Poly(spec, coeffs)
 
 
@@ -705,7 +716,7 @@ def rand_unimodular(rng: random.Random, spec, n: int, ops: int = 6) -> PolyMatri
         if kind == 0 and n > 1:
             rows[i], rows[j] = rows[j], rows[i]
         elif kind == 1:
-            c = rng.choice(spec.nonzero_elements())
+            c = rng.choice(spec.elements()[1:])
             rows[i] = [x * c for x in rows[i]]
         elif n > 1:
             if i == j:

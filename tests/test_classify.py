@@ -213,19 +213,19 @@ def test_classify_42_orbits_under_column_permutations():
 
 
 def test_every_42_record_is_a_completion_of_the_length_two_code():
-    from sdconv import row_matrix, solve_left, vstack
+    from sdconv import solve_left, vstack
 
     base = ConvolutionalCode(parse_matrix(F2, "1,1"))
     gt = hm_extend(base, [Poly.one(F2)])
     e_vec = (Poly.one(F2), Poly.one(F2), Poly.zero(F2), Poly.zero(F2))
-    span_with_e = vstack(gt, row_matrix(F2, e_vec))
+    span_with_e = vstack(gt, PolyMatrix(F2, [e_vec]))
     for rec in classify42(1):
         code = ConvolutionalCode(rec.canonical_generator)
         # the canonical form is echelon with a unit pivot in column one,
         # so its second row is a representative row with leading zero
         f = rec.canonical_generator.entries[1]
         assert not f[0]
-        stacked = ConvolutionalCode(vstack(row_matrix(F2, f), gt))
+        stacked = ConvolutionalCode(vstack(PolyMatrix(F2, [f]), gt))
         assert stacked.is_self_dual()
         assert stacked == code
         if solve_left(span_with_e, f) is None:

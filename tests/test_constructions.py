@@ -40,7 +40,6 @@ from sdconv import (
     parse_vector,
     rank,
     right_kernel_basis,
-    row_matrix,
     solve_left,
     vec_content,
     vstack,
@@ -250,7 +249,7 @@ def test_hm_extend_errors():
 def test_find_completion_trivial_only():
     result = find_completion(parse_matrix(F2, "z,z,1,1"))
     assert result.kind == TRIVIAL_ONLY
-    assert not result.is_nontrivial
+    assert result.kind != NON_TRIVIAL
     assert result.witness == parse_vector(F2, "1,1,0,0")
     assert ConvolutionalCode(result.generator).is_self_dual()
     assert is_trivial_completion(result.generator)
@@ -308,11 +307,11 @@ def test_exact_completion_witness_completes_every_member_case():
     nontrivial = 0
     for gt, result in completion_sweep():
         gen = result.generator
-        assert gen == vstack(row_matrix(F2, result.witness), gt)
+        assert gen == vstack(PolyMatrix(F2, [result.witness]), gt)
         assert ConvolutionalCode(gen).is_self_dual(), format_matrix(gt)
-        assert result.is_nontrivial == (solve_left(gt, all_ones) is not None)
-        assert is_trivial_completion(gen) != result.is_nontrivial
-        nontrivial += result.is_nontrivial
+        assert (result.kind == NON_TRIVIAL) == (solve_left(gt, all_ones) is not None)
+        assert is_trivial_completion(gen) != (result.kind == NON_TRIVIAL)
+        nontrivial += result.kind == NON_TRIVIAL
     assert nontrivial == 516
 
 
@@ -329,7 +328,7 @@ def test_find_completion_returns_the_test_vector_on_the_pair_sum_example():
     assert result.kind == NON_TRIVIAL
     assert result.witness == the_test_vector(gt)
     assert result.witness == parse_vector(F2, "1,0,z^5+z^4+z^3+z^2+z,0,z^4+z,z^5+z^3+z^2+1")
-    assert result.generator == vstack(row_matrix(F2, result.witness), gt)
+    assert result.generator == vstack(PolyMatrix(F2, [result.witness]), gt)
     assert ConvolutionalCode(result.generator).is_self_dual()
     assert not is_trivial_completion(result.generator)
     pair_sum = find_completion(gt, witness=parse_vector(F2, "1,0,1,z+1,z+1,0"))
@@ -338,9 +337,9 @@ def test_find_completion_returns_the_test_vector_on_the_pair_sum_example():
 
 def test_find_completion_asks_membership_by_the_canonical_form():
     # membership needs no coefficients: b = 1 R comes from the one
-    # elimination of G', so constructions has no solve_left, and no kernel
-    # basis to scan
-    for name in ("solve_left", "right_kernel_basis", "itertools"):
+    # elimination of G', so constructions has no solve_left, no kernel
+    # basis to scan, and no extended-gcd chain for the pairing
+    for name in ("solve_left", "right_kernel_basis", "itertools", "xgcd", "_bezout"):
         assert not hasattr(constructions, name), name
     code = ConvolutionalCode(parse_matrix(F2, "1,1,1,1 ; z^3+z^2+1,z^2+z+1,0,z^3+z"))
     gt = hm_extend(code, (Poly.one(F2), Poly.z(F2) ** 2))
@@ -444,8 +443,8 @@ def test_find_completion_ends_in_a_result_or_a_typed_error():
             gen = result.generator
             assert gen.entries[1:] == gt.entries
             assert oracle_is_self_orthogonal(gen) and oracle_is_noncatastrophic(gen)
-            assert result.is_nontrivial == (solve_left(gt, (1,) * gt.cols) is not None)
-            assert result.is_nontrivial != is_trivial_completion(gen)
+            assert (result.kind == NON_TRIVIAL) == (solve_left(gt, (1,) * gt.cols) is not None)
+            assert (result.kind == NON_TRIVIAL) != is_trivial_completion(gen)
     assert outcomes == {
         NON_TRIVIAL,
         TRIVIAL_ONLY,
@@ -491,7 +490,7 @@ def test_incremental_verdict_matches_the_full_self_duality_check():
                 verdict = None
             content = vec_content(f)
             unit = tuple(x // content for x in f) if content else f
-            gen = vstack(row_matrix(F2, unit), gt)
+            gen = vstack(PolyMatrix(F2, [unit]), gt)
             completes = rank(gen) == gen.rows and ConvolutionalCode(gen).is_self_dual()
             expected = unit if completes and not ConvolutionalCode(gen).contains(e_row) else None
             assert verdict == expected, (format_matrix(gt), f)
@@ -518,7 +517,7 @@ def test_the_search_runs_the_same_eliminations_for_any_candidate(monkeypatch):
         calls.clear()
         result = find_completion(gt)
         counts.append(len(calls))
-        assert result.is_nontrivial and result.witness == the_test_vector(gt)
+        assert result.kind == NON_TRIVIAL and result.witness == the_test_vector(gt)
         row = right_kernel_basis(gt).entries[0]
         assert (_outcome(find_completion, gt, row)[0] == NON_TRIVIAL) == by_a_row
     assert counts[0] == counts[1] > 0
@@ -688,7 +687,7 @@ def test_completion_sweep_gives_the_recorded_outputs():
     digest = hashlib.sha256()
     nontrivial = 0
     for gt, result in completion_sweep():
-        if result.is_nontrivial:
+        if result.kind == NON_TRIVIAL:
             assert result.witness == the_test_vector(gt), format_matrix(gt)
             nontrivial += 1
         fields = [format_matrix(gt), result.kind, format_vector(result.witness), format_matrix(result.generator)]
@@ -750,7 +749,7 @@ def test_is_trivial_completion_paper_cases():
         ],
     )
     assert not is_trivial_completion(g1)
-    trivial = vstack(row_matrix(F2, (1, 1, 0, 0)), parse_matrix(F2, "z,z,1,1"))
+    trivial = vstack(PolyMatrix(F2, [(1, 1, 0, 0)]), parse_matrix(F2, "z,z,1,1"))
     assert is_trivial_completion(trivial)
     with pytest.raises(MalformedInput):
         is_trivial_completion(parse_matrix(F2, "1,1,1,1"))
@@ -773,11 +772,21 @@ def test_default_a_vec_refuses_the_zero_code():
 
 
 def test_default_a_vec_guarantees_nontrivial_completion():
+    # the pairing a is the right inverse of b, checked against the b of the
+    # oracle route: b a^T = 1 with b G = 1 from solve_left
     rng = random.Random(71)
-    for c in self_dual_corpus(rng, size=8):
-        if c.spec.q != 2:
-            continue
-        result = find_completion(hm_extend(c, default_a_vec(c)))
+    codes = [c for c in self_dual_corpus(rng, size=8) if c.spec.q == 2]
+    for rec in classify42(3):
+        canonical = ConvolutionalCode(rec.canonical_generator)
+        u = rand_unimodular(rng, F2, canonical.k)
+        codes += [canonical, ConvolutionalCode(u @ canonical.generator)]
+    codes.append(direct_sum(code(F2, ONE_ONE), code(F2, FIVE_TWO)))
+    one = Poly.one(F2)
+    for c in codes:
+        a = default_a_vec(c)
+        b = solve_left(c.generator, (1,) * c.n)
+        assert dot(b, a) == one
+        result = find_completion(hm_extend(c, a))
         assert result.kind == NON_TRIVIAL
 
 
@@ -815,7 +824,7 @@ def test_building_up_is_a_special_completion():
         built = building_up(base, f, 1, 1)
         ys = [dot(f, row) for row in base.generator.entries]
         gt = hm_extend(base, ys)
-        stacked = vstack(row_matrix(F2, (one, Poly.zero(F2)) + tuple(f)), gt)
+        stacked = vstack(PolyMatrix(F2, [(one, Poly.zero(F2)) + tuple(f)]), gt)
         assert stacked == built.generator
 
 

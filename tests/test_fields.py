@@ -266,6 +266,20 @@ def test_make_field_evicts_the_least_recently_used_field():
     assert make_field(3) is not three and make_field(3) == three
 
 
+
+def test_make_field_tests_primality_on_a_miss_only(monkeypatch):
+    calls = []
+    factors = fields._prime_factors
+    monkeypatch.setattr(fields, "_prime_factors", lambda n: calls.append(n) or factors(n))
+    make_field(65521)
+    calls.clear()
+    assert make_field(65521) is make_field(65521)  # two hits, no factoring
+    assert calls == []
+    for _ in range(2):  # a refusal is not cached
+        with pytest.raises(NotPrime):
+            make_field(65517)
+    assert calls == [65517, 65517]
+
 def test_equality_agrees_with_hash():
     F5 = field(5)
     assert F5.one != 1 and F5.one != 6 and F5.zero != 0

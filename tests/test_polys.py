@@ -223,9 +223,13 @@ def test_leading_zeros_do_not_count_against_the_exponent_cap():
     assert parse_poly(F2, "z^٠٠٠٠١") == Poly.z(F2)
     assert parse_poly(F2, "z^٠١٠٢٤") == Poly.z(F2) ** 1024
     assert parse_element(F9, "a^٠٠٠٠٢") is a * a
+    assert parse_poly(F2, "z^" + "0" * 4000 + "7") == Poly.z(F2) ** 7
     for text in ("z^01025", "z^1025", "z^99999", "z^٠١٠٢٥"):
         with pytest.raises(SearchSpaceTooLarge):
             parse_poly(F2, text)
+    # the exponent's digits are capped like a coefficient's, zeros or not
+    with pytest.raises(SearchSpaceTooLarge):
+        parse_poly(F2, "z^" + "0" * 4300 + "1")
 
 
 @pytest.mark.parametrize("spec", [F2, F4, F5, F9, F16, F256])
