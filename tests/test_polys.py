@@ -11,7 +11,7 @@ from helpers import (
     school_mul,
     school_sub_mul,
 )
-from sdconv import FieldSpec, Poly, dot, gcd, make_field, parse_element, parse_poly, vec_content, xgcd
+from sdconv import FieldSpec, Poly, dot, fields, gcd, make_field, parse_element, parse_poly, vec_content, xgcd
 from sdconv.errors import DivisionByZero, FieldMismatch, ParseError, SdconvError, SearchSpaceTooLarge
 from sdconv.polys import NEG_INF, format_poly
 
@@ -244,6 +244,27 @@ def test_format_parse_roundtrip(spec):
     inner()
 
 
+@pytest.mark.parametrize("spec", [F9, F16, F256])
+def test_canonical_text_is_read_and_written_by_table(spec, monkeypatch):
+    # canonical element text, bare or in one pair of parentheses, is a
+    # lookup in the field's inverse text table, and format_poly writes each
+    # term from the text table: neither runs the grammar or _term
+    calls = []
+    for name in ("parse_int_poly", "_term"):
+        real = getattr(fields, name)
+        monkeypatch.setattr(fields, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    for e in spec.elements():
+        text = str(e)
+        for written in (text, f"({text})"):
+            assert parse_element(spec, written) is e
+            assert parse_poly(spec, written) == Poly(spec, [e])
+        p = Poly(spec, [e, e, e])
+        written = format_poly(p)
+        assert parse_poly(spec, written) == p
+        assert written == oracle_format_poly(p)
+    assert calls == []
+
+
 # Short text over the grammar's alphabet; the two-letter pieces make powers
 # and products likelier than single letters would.
 GRAMMAR_TEXT = st.lists(
@@ -261,6 +282,20 @@ def _outcome(parse, spec, text):
 @settings(max_examples=600)
 @given(st.sampled_from([F2, F4, F5, F9, F16, F256]), GRAMMAR_TEXT)
 @example(F9, " ( a ^ 3 + 2*a) *z^2 + z + z+(1)")
+# the edges of the inverse text table: canonical text in parentheses, text
+# the table does not hold (a leading zero, an unreduced constant, a power
+# canonical only in a larger field, two pairs of parentheses), and the
+# malformed cells of the bench's stream
+@example(F16, "(a^3+1)*z")
+@example(F16, "01")
+@example(F5, "01")
+@example(F5, "7")
+@example(F16, "a^7")
+@example(F9, "((a+1))*z")
+@example(F16, "w")
+@example(F16, "z^")
+@example(F16, "(z+1")
+@example(F16, "")
 def test_arbitrary_text_parses_or_raises_a_typed_error(spec, text):
     # the polynomial grammar in z and the element grammar in a, against the
     # FieldElement route: the same value, or an SdconvError of the same type
