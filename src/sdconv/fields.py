@@ -44,6 +44,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -392,7 +393,7 @@ class FieldSpec:
     def __repr__(self):
         if self.l == 1:
             return f"GF({self.p})"
-        return f"GF({self.q})[{_format_terms(map(str, self.modulus), 'a')}]"
+        return f"GF({self.q})[{_format_terms(self.modulus, [*map(str, range(self.p))], 'a')}]"
 
 
 def make_field(p: int, l: int = 1, modulus: Optional[Iterable[int]] = None) -> FieldSpec:
@@ -404,13 +405,16 @@ def make_field(p: int, l: int = 1, modulus: Optional[Iterable[int]] = None) -> F
     are deterministic.  A supplied modulus must be monic of degree l with
     coefficients in [0, p), given lowest degree first.  The last few fields
     used are kept, and a repeated call returns the same object.  A p, l or
-    modulus coefficient that is not an int is refused with OutOfRange
-    before anything is built.
+    modulus coefficient that is not an int, or a modulus that is not
+    iterable, is refused with OutOfRange before anything is built.
     """
-    coeffs = None if modulus is None else tuple(modulus)
-    for what, v in (("p", p), ("l", l), *(("modulus coefficient", c) for c in coeffs or ())):
-        if not isinstance(v, int):
-            raise OutOfRange(f"{what} must be an int, got {v!r}")
+    p, l = _as_int("p", p), _as_int("l", l)
+    if modulus is not None:
+        try:
+            coeffs = tuple(modulus)
+        except TypeError:
+            raise OutOfRange(f"modulus must be an iterable of ints, got {modulus!r}") from None
+        modulus = tuple(_as_int("modulus coefficient", c) for c in coeffs)
     if p < 2:
         raise NotPrime(f"{p} is not prime")
     if l < 1:
@@ -418,7 +422,15 @@ def make_field(p: int, l: int = 1, modulus: Optional[Iterable[int]] = None) -> F
     # sizes are compared before p**l or the primality test can take long
     if p > MAX_FIELD_SIZE or l > MAX_FIELD_SIZE.bit_length() or p**l > MAX_FIELD_SIZE:
         raise SearchSpaceTooLarge(f"field size {p}^{l} exceeds supported maximum {MAX_FIELD_SIZE}")
-    return _build_field(p, l, None if coeffs is None else tuple(map(int, coeffs)))
+    return _build_field(p, l, modulus)
+
+
+def _as_int(what: str, v) -> int:
+    """``v`` as an int (anything with ``__index__``), else OutOfRange."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise OutOfRange(f"{what} must be an int, got {v!r}") from None
 
 
 @functools.lru_cache(maxsize=_KEPT_FIELDS)
@@ -438,7 +450,7 @@ def _choose_modulus(p: int, l: int, mod: Optional[tuple[int, ...]]) -> tuple[int
         if any(not 0 <= c < p for c in mod):
             raise OutOfRange("modulus coefficients must lie in [0, p)")
         if not _modulus_is_irreducible(mod, p):
-            raise ReducibleModulus(f"{_format_terms(map(str, mod), 'a')} factors over GF({p})")
+            raise ReducibleModulus(f"{_format_terms(mod, [*map(str, range(p))], 'a')} factors over GF({p})")
         return mod
     if l == 1:
         return (0, 1)
@@ -527,24 +539,23 @@ def _parse_terms(text: str, var: str) -> Iterator[tuple[Optional[str], int]]:
             yield term, 0
 
 
-def _term(c: str, exp: int, var: str) -> str:
-    """Text of the term c * var^exp: empty for the coefficient "0", the bare
-    power for "1", and a coefficient that contains '+' parenthesized."""
-    if c == "0":
-        return ""
-    if exp == 0:
-        return c
-    power = var if exp == 1 else f"{var}^{exp}"
-    if c == "1":
-        return power
-    return f"({c})*{power}" if "+" in c else f"{c}*{power}"
-
-
-def _format_terms(coefficient_texts: Iterable[str], var: str) -> str:
-    """Text of the polynomial with these coefficient texts, lowest degree
-    first: its nonzero terms in descending powers, or "0"."""
-    terms = [_term(c, exp, var) for exp, c in enumerate(coefficient_texts)]
-    return "+".join(filter(None, reversed(terms))) or "0"
+def _format_terms(codes: Sequence[int], text: Sequence[str], var: str) -> str:
+    """Text of the polynomial whose coefficients, lowest degree first, have
+    these codes, written ``text[code]``, in one loop from the highest power:
+    the code 0 writes no term, a coefficient written "1" writes the bare
+    power, and one that contains '+' is parenthesized; "0" when no term is
+    written."""
+    terms = []
+    for exp in range(len(codes) - 1, -1, -1):
+        c = codes[exp]
+        if not c:
+            continue
+        t = text[c]
+        if exp:
+            power = var if exp == 1 else f"{var}^{exp}"
+            t = power if t == "1" else f"({t})*{power}" if "+" in t else f"{t}*{power}"
+        terms.append(t)
+    return "+".join(terms) or "0"
 
 
 def _element_texts(p: int, l: int) -> tuple[str, ...]:
@@ -552,9 +563,9 @@ def _element_texts(p: int, l: int) -> tuple[str, ...]:
     in O(q) concatenations.  The table is grown one code digit at a time,
     from the least significant, which is the coefficient of a^(l-1) and so
     the term written first."""
-    texts = [""]
+    texts, digits = [""], [*map(str, range(p))]
     for exp in reversed(range(l)):
-        terms = [_term(str(d), exp, "a") for d in range(p)]
+        terms = [""] + [_format_terms([0] * exp + [d], digits, "a") for d in range(1, p)]
         texts = [s + "+" + t if s and t else s or t for t in terms for s in texts]
     texts[0] = "0"
     return tuple(texts)

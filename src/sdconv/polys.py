@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence, Union
 
 from .errors import DimensionMismatch, DivisionByZero, FieldMismatch, OutOfRange
-from .fields import FieldElement, FieldSpec, _element_code, _parse_terms
+from .fields import FieldElement, FieldSpec, _element_code, _format_terms, _parse_terms
 
 NEG_INF = float("-inf")
 
@@ -301,8 +301,9 @@ def vec_content(vec: Sequence[Poly]) -> Poly:
 # on codes: the parser reads each coefficient straight to a code, in the
 # order the terms are written, so the first fault in the text is the one
 # reported; canonical coefficient text is a lookup in the field's inverse
-# text table.  The formatter is one loop over the codes, highest power
-# first, that writes each nonzero term from the field's text table.
+# text table.  The formatter takes each coefficient's text from the field's
+# text table and writes the nonzero terms in fields._format_terms's one loop,
+# highest power first.
 
 
 def parse_poly(spec: FieldSpec, text: str) -> Poly:
@@ -318,17 +319,5 @@ def parse_poly(spec: FieldSpec, text: str) -> Poly:
 
 
 def format_poly(p: Poly) -> str:
-    """Canonical emission: descending powers, no zero terms, units omitted,
-    and a coefficient that contains '+' parenthesized."""
-    text, one, codes = p.spec._text, p.spec.one.code, p.codes
-    terms = []
-    for e in range(len(codes) - 1, -1, -1):
-        c = codes[e]
-        if not c:
-            continue
-        t = text[c]
-        if e:
-            power = "z" if e == 1 else f"z^{e}"
-            t = power if c == one else f"({t})*{power}" if "+" in t else f"{t}*{power}"
-        terms.append(t)
-    return "+".join(terms) or "0"
+    """Canonical emission: descending powers, no zero terms, units omitted."""
+    return _format_terms(p.codes, p.spec._text, "z")

@@ -62,11 +62,13 @@ def test_make_field_errors():
         make_field(2, 2, (0, 0, 1))  # x^2 = x * x
     with pytest.raises(ValueError):
         make_field(2, 0)
-    # a p, l or modulus coefficient that is not an int is refused before
-    # anything is built (1.5 would otherwise truncate to a reducible a^2+1)
+    # a p, l or modulus coefficient that is not an int, or a modulus that is
+    # not iterable, is refused before anything is built (1.5 would otherwise
+    # truncate to a reducible a^2+1)
     misses = fields._build_field.cache_info().misses
-    for args in ((5, 2, ("x", 1, 1)), (5, 2.5), (5, 2, (1.5, 0, 1)), (5.0,), ("5",)):
-        with pytest.raises(OutOfRange, match="must be an int"):
+    probes = ((5, 2, ("x", 1, 1)), (5, 2.5), (5, 2, (1.5, 0, 1)), (5.0,), ("5",), (5, 2, 7), ("5", 2, 7))
+    for args in probes:
+        with pytest.raises(OutOfRange, match="must be an (int|iterable of ints), got"):
             make_field(*args)
     assert fields._build_field.cache_info().misses == misses
 

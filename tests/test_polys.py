@@ -247,12 +247,15 @@ def test_format_parse_roundtrip(spec):
 @pytest.mark.parametrize("spec", [F9, F16, F256])
 def test_canonical_text_is_read_and_written_by_table(spec, monkeypatch):
     # canonical element text, bare or in one pair of parentheses, is a
-    # lookup in the field's inverse text table, and format_poly writes each
-    # term from the text table: neither runs the grammar or _term
+    # lookup in the field's inverse text table and never runs the grammar,
+    # and format_poly writes every term of a polynomial in one
+    # _format_terms call, with the coefficient texts from the text table
     calls = []
-    for name in ("parse_int_poly", "_term"):
-        real = getattr(fields, name)
-        monkeypatch.setattr(fields, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    real = fields.parse_int_poly
+    monkeypatch.setattr(fields, "parse_int_poly", lambda *args: calls.append(args) or real(*args))
+    formatted = []
+    real_format = fields._format_terms
+    monkeypatch.setattr("sdconv.polys._format_terms", lambda *args: formatted.append(args) or real_format(*args))
     for e in spec.elements():
         text = str(e)
         for written in (text, f"({text})"):
@@ -263,6 +266,7 @@ def test_canonical_text_is_read_and_written_by_table(spec, monkeypatch):
         assert parse_poly(spec, written) == p
         assert written == oracle_format_poly(p)
     assert calls == []
+    assert len(formatted) == spec.q
 
 
 # Short text over the grammar's alphabet; the two-letter pieces make powers
