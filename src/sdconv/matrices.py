@@ -11,9 +11,8 @@ Conventions used throughout:
   DESCENDING divisibility order, g_{i+1} | g_i.  Most references order them
   ascending.  Only the output of ``smith`` itself depends on the order: no
   other function here calls it.  Smith forms, kernels, membership,
-  left-primeness, rank and inverses all come from the one Hermite
-  elimination; only ``determinant`` runs another, Bareiss fraction-free
-  elimination, for the worked-example minors.
+  left-primeness, rank, inverses and determinants all come from the one
+  Hermite elimination, ``polys._hermite_core``.
 
 One grid per elimination: a transform is never kept beside the matrix,
 it rides along as identity columns.  The rows of [A | I_m] reduce to
@@ -26,9 +25,9 @@ and a transform is read only where coefficients are needed (``solve_left``).
 
 The eliminations run on code grids: a list of rows, each a list of
 trimmed code lists (``Poly.codes`` as a list), every entry its own list
-object.  Code grid in, pivots out: ``_hermite_core`` reduces one in
-place, each step a quotient by ``polys._divmod_codes`` and the one row
-step ``_sub_mul_row``.  Poly objects and ``PolyMatrix._of`` are built
+object.  Code grid in, pivots out: ``polys._hermite_core`` reduces one
+in place, each step a division by ``polys._divmod_codes`` and the one row
+step ``polys._sub_mul_row``.  Poly objects and ``PolyMatrix._of`` are built
 only from the slices a caller returns (``_matrix``); rank, membership,
 (self-)orthogonality and the non-catastrophic test build none.
 
@@ -52,7 +51,7 @@ from .errors import (
     ShapeUnsupported,
 )
 from .fields import FieldElement, FieldSpec
-from .polys import Poly, _divmod_codes, _mul_into, _poly, dot, format_poly, parse_poly
+from .polys import Poly, _divmod_codes, _hermite_core, _mul_into, _poly, _sub_mul_row, dot, format_poly, parse_poly
 
 Entryish = Union[Poly, FieldElement, int]
 
@@ -182,72 +181,6 @@ class SmithDecomposition:
 
     def diagonal(self) -> tuple[Poly, ...]:
         return tuple(self.S.entries[i][i] for i in range(self.S.rows))
-
-
-# ---------------------------------------------------------------------------
-# Row echelon Hermite core: code grid in, pivots out.  It reduces the grid
-# in place and pivots only on its first ``width`` columns; the columns past
-# them ride along, so [A | I_m] reduces to [H | U] and A alone to H (see
-# the module docstring).  The pivot of a column is its shortest code list,
-# ties to the smallest row index.  Zero rows sink to the bottom.
-
-def _hermite_core(spec: FieldSpec, grid: list, width: int) -> list[int]:
-    m = len(grid)
-    one = spec.one.code
-    pivots: list[int] = []
-    r = 0
-    for j in range(width):
-        if r == m:
-            break
-        while True:
-            nz = [(len(grid[i][j]), i) for i in range(r, m) if grid[i][j]]
-            if not nz:
-                break
-            piv = min(nz)[1]
-            if piv != r:
-                grid[r], grid[piv] = grid[piv], grid[r]
-            top = grid[r]
-            done = True
-            for i in range(r + 1, m):
-                if grid[i][j]:
-                    q = _divmod_codes(spec, grid[i][j], top[j])[0]
-                    if q:
-                        _sub_mul_row(spec, grid[i], q, top)
-                    if grid[i][j]:
-                        done = False
-            if done:
-                break
-        top = grid[r]
-        if top[j]:
-            if top[j][-1] != one:
-                _scale_row(spec, top, top[j][-1])
-            for i in range(r):
-                q = _divmod_codes(spec, grid[i][j], top[j])[0]
-                if q:
-                    _sub_mul_row(spec, grid[i], q, top)
-            pivots.append(j)
-            r += 1
-    return pivots
-
-
-def _sub_mul_row(spec: FieldSpec, row: list, q: Sequence[int], top: Sequence) -> None:
-    """The one row step: row -= q * top, in place on the code lists of
-    ``row``, skipping the zero entries of ``top``.  ``row`` and ``top`` may
-    also list the entries of two columns, which then step in their grid."""
-    e = spec._log_minus_one
-    for x, y in zip(row, top):
-        if y:
-            _mul_into(spec, x, q, y, e)
-            while x and not x[-1]:
-                x.pop()
-
-
-def _scale_row(spec: FieldSpec, row: list, c: int) -> None:
-    """Divides the code lists of ``row`` in place by the nonzero code c."""
-    log, exp = spec._log, spec._exp
-    s = spec.q - 1 - log[c]
-    for x in row:
-        x[:] = [exp[log[v] + s] if v else 0 for v in x]
 
 
 def _grid(rows: Iterable[Sequence[Poly]]) -> list:
@@ -387,29 +320,19 @@ def smith(matrix: PolyMatrix) -> SmithDecomposition:
 
 
 def determinant(matrix: PolyMatrix) -> Poly:
-    """Exact determinant by Bareiss fraction-free elimination; every
-    division is exact over F_q[z]."""
+    """Exact determinant: 0 below full rank, else the product of the
+    diagonal of the row Hermite form H = U @ A times det(U)^-1, the unit
+    that the elimination records (``_hermite_core``)."""
     n, spec = matrix.rows, matrix.spec
     if n != matrix.cols:
         raise NotSquare(f"determinant of {n}x{matrix.cols} matrix")
-    if n == 0:
-        return Poly.one(spec)
-    m = [list(row) for row in matrix.entries]
-    sign = spec.one
-    prev = Poly.one(spec)
-    for t in range(n - 1):
-        if not m[t][t]:
-            swap = next((i for i in range(t + 1, n) if m[i][t]), None)
-            if swap is None:
-                return Poly.zero(spec)
-            m[t], m[swap] = m[swap], m[t]
-            sign = -sign
-        for i in range(t + 1, n):
-            for j in range(t + 1, n):
-                m[i][j] = (m[t][t] * m[i][j] - m[i][t] * m[t][j]) // prev
-            m[i][t] = Poly.zero(spec)
-        prev = m[t][t]
-    return m[n - 1][n - 1] * sign
+    grid, units = _grid(matrix.entries), []
+    if len(_hermite_core(spec, grid, n, units)) < n:
+        return Poly.zero(spec)
+    det = [spec._exp[sum(spec._log[c] for c in units) % (spec.q - 1)]]
+    for i, row in enumerate(grid):
+        det = _mul_into(spec, [], det, row[i], 0)
+    return _poly(spec, det)
 
 
 def inverse_unimodular(matrix: PolyMatrix) -> PolyMatrix:

@@ -10,16 +10,17 @@ the codes as the field's interned elements.
 All arithmetic runs on code lists through one inner loop, :func:`_mul_into`,
 which adds g^e times a product of code lists into a third with the field's
 log and Zech tables, and one division loop built on it,
-:func:`_divmod_codes`.  ``Poly`` operators wrap them.  The Hermite and
-Smith eliminations of ``matrices`` run on grids of code lists with the two
-loops directly, and the d_free trellis of ``codes`` adds its branches with
-:func:`_mul_into`.  One fused kernel on ``Poly`` values remains:
-:func:`dot`, the product of two vectors.
+:func:`_divmod_codes`.  ``Poly`` operators wrap them.  The one elimination,
+:func:`_hermite_core`, reduces grids of code lists with the two loops
+directly: it answers ``gcd``, ``xgcd`` and ``vec_content`` as the Hermite
+form of one column, and every elimination of ``matrices``.  The d_free
+trellis of ``codes`` adds its branches with :func:`_mul_into`.  One fused
+kernel on ``Poly`` values remains: :func:`dot`, the product of two vectors.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import DimensionMismatch, DivisionByZero, FieldMismatch, OutOfRange
 from .fields import FieldElement, FieldSpec, _element_code, _format_terms, _parse_terms
@@ -239,6 +240,80 @@ def _divmod_codes(spec: FieldSpec, a: Sequence[int], b: Sequence[int]) -> tuple[
     return quo, rem
 
 
+# ---------------------------------------------------------------------------
+# Row echelon Hermite core: code grid in, pivots out.  It reduces the grid
+# in place and pivots only on its first ``width`` columns; the columns past
+# them ride along, so [A | I_m] reduces to [H | U] and A alone to H (see
+# ``matrices``).  The pivot of a column is its shortest code list, ties to
+# the smallest row index.  Zero rows sink to the bottom.  A row step keeps
+# the remainder by the pivot and steps only the columns after it, as the
+# pivot row is zero before it.  A list ``units`` gets the code of -1 per row
+# swap and the leading code of each pivot scaled to monic: their product is
+# det A / det H for square A of full rank.
+
+def _hermite_core(spec: FieldSpec, grid: list, width: int, units: Optional[list] = None) -> list[int]:
+    m = len(grid)
+    one = spec.one.code
+    pivots: list[int] = []
+    r = 0
+    for j in range(width):
+        if r == m:
+            break
+        while True:
+            nz = [(len(grid[i][j]), i) for i in range(r, m) if grid[i][j]]
+            if not nz:
+                break
+            piv = min(nz)[1]
+            if piv != r:
+                grid[r], grid[piv] = grid[piv], grid[r]
+                if units is not None:
+                    units.append(spec._neg[one])
+            top = grid[r]
+            done = True
+            for i in range(r + 1, m):
+                if grid[i][j]:
+                    q, grid[i][j][:] = _divmod_codes(spec, grid[i][j], top[j])
+                    if q:
+                        _sub_mul_row(spec, grid[i][j + 1 :], q, top[j + 1 :])
+                    if grid[i][j]:
+                        done = False
+            if done:
+                break
+        top = grid[r]
+        if top[j]:
+            if top[j][-1] != one:
+                if units is not None:
+                    units.append(top[j][-1])
+                _scale_row(spec, top, top[j][-1])
+            for i in range(r):
+                q, grid[i][j][:] = _divmod_codes(spec, grid[i][j], top[j])
+                if q:
+                    _sub_mul_row(spec, grid[i][j + 1 :], q, top[j + 1 :])
+            pivots.append(j)
+            r += 1
+    return pivots
+
+
+def _sub_mul_row(spec: FieldSpec, row: list, q: Sequence[int], top: Sequence) -> None:
+    """The one row step: row -= q * top, in place on the code lists of
+    ``row``, skipping the zero entries of ``top``.  ``row`` and ``top`` may
+    also list the entries of two columns, which then step in their grid."""
+    e = spec._log_minus_one
+    for x, y in zip(row, top):
+        if y:
+            _mul_into(spec, x, q, y, e)
+            while x and not x[-1]:
+                x.pop()
+
+
+def _scale_row(spec: FieldSpec, row: list, c: int) -> None:
+    """Divides the code lists of ``row`` in place by the nonzero code c."""
+    log, exp = spec._log, spec._exp
+    s = spec.q - 1 - log[c]
+    for x in row:
+        x[:] = [exp[log[v] + s] if v else 0 for v in x]
+
+
 def dot(u: Sequence[Poly], v: Sequence[Poly]) -> Poly:
     """The sum of u[i] * v[i], accumulated in one code list."""
     if len(u) != len(v):
@@ -254,45 +329,46 @@ def dot(u: Sequence[Poly], v: Sequence[Poly]) -> Poly:
     return _poly(spec, out)
 
 
+def _code_column(vec: Sequence[Union[Poly, Coeffish]]) -> tuple[FieldSpec, list]:
+    """The field of the first Poly in ``vec`` and the one-column code grid
+    of the entries, each lifted over it as a Poly operator lifts its operand."""
+    first = next((e for e in vec if isinstance(e, Poly)), None)
+    if first is None:
+        raise FieldMismatch("no polynomial argument fixes the field")
+    lifted = [first._coerce(e) for e in vec]
+    if any(p is None for p in lifted):
+        raise FieldMismatch(f"an entry is neither a polynomial nor a value of {first.spec!r}")
+    return first.spec, [[list(p.codes)] for p in lifted]
+
+
 def xgcd(u: Poly, v: Poly) -> tuple[Poly, Poly, Poly]:
-    """Extended Euclid: returns (g, s, t) with g = s*u + t*v.
+    """Returns (g, s, t) with g = s*u + t*v: the rows [v | 1 0] and
+    [u | 0 1] reduce to [g | t s] and a zero row.
 
     g is monic when nonzero; gcd(0, 0) = 0 with s = t = 0.
     """
-    if u.spec is not v.spec and u.spec != v.spec:
-        raise FieldMismatch("polynomials over different fields")
-    spec = u.spec
-    r0, r1 = u, v
-    s0, s1 = Poly.one(spec), Poly.zero(spec)
-    t0, t1 = Poly.zero(spec), Poly.one(spec)
-    while r1:
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if not r0:
-        return r0, Poly.zero(spec), Poly.zero(spec)
-    c = r0.lc().inverse()
-    return r0 * c, s0 * c, t0 * c
+    spec, (v_row, u_row) = _code_column((v, u))
+    grid = [v_row + [[spec.one.code], []], u_row + [[], [spec.one.code]]]
+    if not _hermite_core(spec, grid, 1):
+        return (Poly.zero(spec),) * 3
+    g, t, s = [_poly(spec, e) for e in grid[0]]
+    return g, s, t
 
 
 def gcd(u: Poly, v: Poly) -> Poly:
-    """Monic gcd by Euclid's loop, without cofactors; gcd(0, 0) = 0."""
-    if u.spec is not v.spec and u.spec != v.spec:
-        raise FieldMismatch("polynomials over different fields")
-    while v:
-        u, v = v, u % v
-    return u.monic()
+    """Monic gcd, without cofactors; gcd(0, 0) = 0."""
+    return vec_content((u, v))
 
 
-def vec_content(vec: Sequence[Poly]) -> Poly:
-    """Monic gcd of all entries of a polynomial vector (0 if all zero)."""
+def vec_content(vec: Iterable[Poly]) -> Poly:
+    """Monic gcd of all entries of a polynomial vector (0 if all zero): the
+    first entry of the Hermite form of the vector as one column."""
+    vec = tuple(vec)
     if not vec:
         raise DimensionMismatch("content of an empty vector")
-    g = Poly.zero(vec[0].spec)
-    for entry in vec:
-        g = gcd(g, entry)
-    return g
+    spec, grid = _code_column(vec)
+    _hermite_core(spec, grid, 1)
+    return _poly(spec, grid[0][0])
 
 
 # ---------------------------------------------------------------------------

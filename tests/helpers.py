@@ -17,15 +17,12 @@ from sdconv import (
     classify_42_binary,
     classify_double_diagonal,
     col_hermite,
-    determinant,
     direct_sum,
     dot,
-    gcd,
     iter_bounded_polys,
     make_field,
     rank,
     smith,
-    xgcd,
 )
 from sdconv.constructions import (
     NON_TRIVIAL,
@@ -102,7 +99,7 @@ def maximal_minors(matrix: PolyMatrix) -> list[Poly]:
     if k > n:
         raise ShapeUnsupported(f"need rows <= cols, got {k}x{n}")
     return [
-        determinant(PolyMatrix(matrix.spec, [[row[j] for j in cols] for row in matrix.entries], cols=k))
+        det_bareiss([[row[j] for j in cols] for row in matrix.entries], matrix.spec)
         for cols in itertools.combinations(range(n), k)
     ]
 
@@ -112,14 +109,14 @@ def is_unimodular(matrix: PolyMatrix) -> bool:
     (``inverse_unimodular``): the Bareiss determinant is a nonzero constant."""
     if matrix.rows != matrix.cols:
         raise NotSquare(f"unimodularity of {matrix.rows}x{matrix.cols} matrix")
-    return determinant(matrix).degree() == 0
+    return det_bareiss(matrix.entries, matrix.spec).degree() == 0
 
 
 def is_left_prime(matrix: PolyMatrix) -> bool:
     """Oracle for the column-Hermite route of ``is_noncatastrophic``: a
     full-row-rank matrix is left-prime iff the gcd of its maximal minors is
     a nonzero constant."""
-    return reduce(gcd, maximal_minors(matrix), Poly.zero(matrix.spec)).degree() == 0
+    return reduce(oracle_gcd, maximal_minors(matrix), Poly.zero(matrix.spec)).degree() == 0
 
 
 def is_identity_padded(matrix: PolyMatrix) -> bool:
@@ -128,9 +125,59 @@ def is_identity_padded(matrix: PolyMatrix) -> bool:
     return all(e == (one if i == j else zero) for i, row in enumerate(matrix.entries) for j, e in enumerate(row))
 
 
+def oracle_xgcd(u: Poly, v: Poly) -> tuple:
+    """Oracle for ``xgcd``: Euclid's loop with cofactors on Poly operators,
+    (g, s, t) with g = s*u + t*v monic; gcd(0, 0) = 0 with s = t = 0."""
+    spec = u.spec
+    r0, r1 = u, v
+    s0, s1 = Poly.one(spec), Poly.zero(spec)
+    t0, t1 = Poly.zero(spec), Poly.one(spec)
+    while r1:
+        q, r = divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    if not r0:
+        return r0, Poly.zero(spec), Poly.zero(spec)
+    c = r0.lc().inverse()
+    return r0 * c, s0 * c, t0 * c
+
+
+def oracle_gcd(u: Poly, v: Poly) -> Poly:
+    """Oracle for ``gcd`` and ``vec_content``: Euclid's loop without
+    cofactors on Poly operators; gcd(0, 0) = 0."""
+    while v:
+        u, v = v, u % v
+    return u.monic()
+
+
+def det_bareiss(entries, spec) -> Poly:
+    """Oracle for ``determinant``: Bareiss fraction-free elimination on
+    Poly operators, where every division is exact over F_q[z]."""
+    n = len(entries)
+    if n == 0:
+        return Poly.one(spec)
+    m = [list(row) for row in entries]
+    sign = spec.one
+    prev = Poly.one(spec)
+    for t in range(n - 1):
+        if not m[t][t]:
+            swap = next((i for i in range(t + 1, n) if m[i][t]), None)
+            if swap is None:
+                return Poly.zero(spec)
+            m[t], m[swap] = m[swap], m[t]
+            sign = -sign
+        for i in range(t + 1, n):
+            for j in range(t + 1, n):
+                m[i][j] = (m[t][t] * m[i][j] - m[i][t] * m[t][j]) // prev
+            m[i][t] = Poly.zero(spec)
+        prev = m[t][t]
+    return m[n - 1][n - 1] * sign
+
+
 def det_laplace(entries, spec) -> Poly:
-    """Oracle for the Bareiss ``determinant``: cofactor expansion along the
-    first row."""
+    """Oracle for ``determinant`` by another route than Bareiss: cofactor
+    expansion along the first row."""
     n = len(entries)
     if n == 0:
         return Poly.one(spec)
@@ -285,7 +332,7 @@ def invariant_factors(matrix: PolyMatrix) -> tuple:
             for rows in itertools.combinations(matrix.entries, i)
             for cols in itertools.combinations(range(n), i)
         )
-        divisor = reduce(gcd, minors, Poly.zero(spec))
+        divisor = reduce(oracle_gcd, minors, Poly.zero(spec))
         factors.append(divisor // previous)
         previous = divisor
     return tuple(factors[::-1])
@@ -391,7 +438,7 @@ def _bezout(spec, values) -> tuple:
     g = Poly.zero(spec)
     coeffs = []
     for v in values:
-        g, s, t = xgcd(g, v)
+        g, s, t = oracle_xgcd(g, v)
         coeffs = [c * s for c in coeffs] + [t]
     assert g == Poly.one(spec)
     return tuple(coeffs)
@@ -432,7 +479,7 @@ def oracle_find_completion(gt: PolyMatrix, witness=None) -> CompletionResult:
 
     def attempt(f):
         beta = dot(f, e_row)
-        if not beta or gcd(dot(f, y), beta) != one:
+        if not beta or oracle_gcd(dot(f, y), beta) != one:
             return None
         return CompletionResult(kind=NON_TRIVIAL, generator=vstack(PolyMatrix(spec, [f]), gt), witness=f)
 
@@ -471,7 +518,7 @@ def scan_21_generators(spec, max_deg: int) -> list[PolyMatrix]:
             continue
         if g1 * g1 + g2 * g2:
             continue
-        if gcd(g1, g2) != one:
+        if oracle_gcd(g1, g2) != one:
             continue
         gen = PolyMatrix(spec, [[g1, g2]])
         assert ConvolutionalCode(gen).is_self_dual()

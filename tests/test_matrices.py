@@ -9,6 +9,7 @@ from helpers import (
     base_self_dual_codes,
     classify42,
     col_hermite_solve_left,
+    det_bareiss,
     det_laplace,
     invariant_factors,
     is_identity_padded,
@@ -50,7 +51,9 @@ from sdconv import (
     row_hermite,
     smith,
     solve_left,
+    vec_content,
     vstack,
+    xgcd,
 )
 from sdconv.errors import (
     DimensionMismatch,
@@ -262,7 +265,7 @@ def test_unimodular_examples():
     assert verdicts == {False, True}
 
 
-def test_determinant_bareiss_matches_laplace():
+def test_determinant_from_the_hermite_form_matches_laplace():
     rng = random.Random(3)
     for n in (5, 6):
         for _ in range(4):
@@ -591,7 +594,7 @@ def test_eliminations_match_the_poly_oracles(field):
     # self-orthogonal inputs: rows constant over p columns, and self-dual codes
     cases += [PolyMatrix(spec, [[rand_poly(rng, spec, 2)] * p for _ in range(2)], cols=p)]
     cases += [rand_unimodular(rng, spec, c.k) @ c.generator for c in base_self_dual_codes() if c.spec == spec]
-    orthogonal = deficient = 0
+    orthogonal = deficient = singular = 0
     for a in cases:
         k, n = a.rows, a.cols
         grid = _beside_identity(spec, _grid(a.entries))
@@ -614,6 +617,9 @@ def test_eliminations_match_the_poly_oracles(field):
         square = PolyMatrix(spec, [row[:k] for row in a.entries], cols=k)
         for b in (square, rand_unimodular(rng, spec, max(k, 1))):
             assert outcome(inverse_unimodular, b) == outcome(oracle_inverse_unimodular, b)
+            det = determinant(b)
+            assert det == det_bareiss(b.entries, spec) == det_laplace(b.entries, spec), str(b)
+            singular += not det
         m = tuple(rand_poly(rng, spec, 2) for _ in range(k))
         word = tuple(dot(m, a.column(j)) for j in range(n)) if k else (Poly.zero(spec),) * n
         other = tuple(rand_poly(rng, spec, 2) for _ in range(n))
@@ -628,7 +634,7 @@ def test_eliminations_match_the_poly_oracles(field):
         else:
             deficient += 1
         orthogonal += oracle_is_self_orthogonal(a)
-    assert deficient and orthogonal
+    assert deficient and orthogonal and singular
 
 
 def test_eliminations_do_no_poly_arithmetic(monkeypatch):
@@ -642,6 +648,7 @@ def test_eliminations_do_no_poly_arithmetic(monkeypatch):
     top = max(classify42(2), key=lambda rec: rec.degree)
     g = rand_unimodular(rng, F2, 2) @ top.canonical_generator
     codeword = tuple(dot((Poly.one(F2), Poly.z(F2)), g.column(j)) for j in range(4))
+    square = PolyMatrix(F9, [row[1:3] for row in a.entries])
 
     def code_answers():
         c = ConvolutionalCode(g)
@@ -657,6 +664,10 @@ def test_eliminations_do_no_poly_arithmetic(monkeypatch):
         "solve_left": lambda: solve_left(a, word),
         "row_reduced": lambda: row_reduced(a),
         "code": code_answers,
+        "gcd": lambda: gcd(a.entries[0][0], a.entries[1][0]),
+        "xgcd": lambda: xgcd(a.entries[0][1], a.entries[1][1]),
+        "vec_content": lambda: vec_content(word),
+        "determinant": lambda: (determinant(square), determinant(u)),
     }
     expected = {name: call() for name, call in calls.items()}
     assert expected["code"][1:] == (True, True, 2)

@@ -3,8 +3,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
     oracle_format_poly,
+    oracle_gcd,
     oracle_parse_element,
     oracle_parse_poly,
+    oracle_xgcd,
     school_add,
     school_divmod,
     school_dot,
@@ -20,6 +22,7 @@ F3 = make_field(3)
 F4 = make_field(2, 2)
 F5 = make_field(5)
 F9 = make_field(3, 2)
+F13 = make_field(13)
 F16 = make_field(2, 4)
 F256 = make_field(2, 8)
 
@@ -72,6 +75,14 @@ def test_xgcd_examples():
     assert g == u.monic() and t == Poly.zero(F5)
     assert s == Poly(F5, (F5.from_int(3).inverse(),))
     assert xgcd(Poly.zero(F2), Poly.zero(F2))[0] == Poly.zero(F2)
+    # a field element or an int is lifted over the polynomial's field, as
+    # Poly operators lift it; a value that cannot be is a typed error
+    one = Poly.one(F2)
+    assert xgcd(z, 1) == (one, Poly.zero(F2), one) == xgcd(z, F2.one)
+    assert xgcd(F5.from_int(2), u) == (Poly.one(F5), Poly(F5, (3,)), Poly.zero(F5))
+    for bad in ((1, 1), (F2.one, F2.one), (z, "z"), (z, F5.one), (z, Poly.z(F5))):
+        with pytest.raises(FieldMismatch):
+            xgcd(*bad)
 
 
 @pytest.mark.parametrize("spec", [F2, F4, F5])
@@ -88,11 +99,18 @@ def test_divrem_roundtrip_property(spec):
     inner()
 
 
-@pytest.mark.parametrize("spec", [F2, F4, F5])
+@pytest.mark.parametrize("spec", [F2, F4, F5, F3, F9, F13, F16])
 def test_xgcd_bezout_property(spec):
+    z = Poly.z(spec)
+
     @settings(max_examples=150)
     @given(polys(spec), polys(spec))
+    @example(Poly.zero(spec), Poly.zero(spec))
+    @example(Poly.zero(spec), z + 1)
+    @example(z**2 + 1, z**2 + z)
     def inner(u, v):
+        # the cofactors too are Euclid's, ties of equal degree included
+        assert xgcd(u, v) == oracle_xgcd(u, v)
         g, s, t = xgcd(u, v)
         assert s * u + t * v == g
         if g:
@@ -140,12 +158,17 @@ def test_kernel_matches_the_element_oracle(spec):
     inner()
 
 
-@pytest.mark.parametrize("spec", [F2, F3, F4, F5, F9])
+@pytest.mark.parametrize("spec", [F2, F3, F4, F5, F9, F13, F16])
 def test_gcd_is_the_gcd_of_xgcd(spec):
+    z = Poly.z(spec)
+
     @settings(max_examples=100)
     @given(polys(spec), polys(spec))
+    @example(Poly.zero(spec), Poly.zero(spec))
+    @example(z + 1, Poly.zero(spec))
+    @example(z**2 + z, z**2 + 1)
     def inner(u, v):
-        assert gcd(u, v) == xgcd(u, v)[0]
+        assert gcd(u, v) == oracle_gcd(u, v) == oracle_xgcd(u, v)[0]
 
     inner()
 
@@ -166,6 +189,19 @@ def test_vec_content_examples():
     assert vec_content((Poly.zero(F2), z**2 + z + 1, z, z**2 + 1)) == Poly.one(F2)
     assert vec_content((z, z**2, z**3)) == z
     assert vec_content((Poly.zero(F2), Poly.zero(F2))) == Poly.zero(F2)
+    # entries that are field elements or ints are lifted over the field of
+    # the polynomial ones; a call without one, or with a value that cannot
+    # be lifted, is a typed error
+    assert vec_content([z, 1]) == Poly.one(F2) == gcd(z, 1) == gcd(z, F2.one)
+    assert vec_content([0, z**2, z]) == z == gcd(0, z)
+    assert vec_content(p for p in (z + 1, z**2)) == Poly.one(F2)  # any iterable, read once
+    assert vec_content([F5.from_int(3), Poly.zero(F5)]) == Poly.one(F5) == gcd(Poly.z(F5), 2)
+    for bad in ([1, 2], [F2.one], [z, None], [z, 1.5], [z, F5.one], [z, Poly.z(F5)]):
+        with pytest.raises(SdconvError):
+            vec_content(bad)
+    for bad in ((1, 0), (z, "1"), (F4.one, z)):
+        with pytest.raises(SdconvError):
+            gcd(*bad)
 
 
 def test_gcd_monic_over_f5():
