@@ -9,6 +9,7 @@ is self-orthogonal (G G^T = 0) and non-catastrophic (column Hermite form
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -27,7 +28,7 @@ from .matrices import (
     right_kernel_basis,
     row_reduced,
 )
-from .polys import Poly, _mul_into
+from .polys import Poly
 
 STATUS_EXACT = "exact-under-bound"
 STATUS_UPPER = "upper-bound"
@@ -147,14 +148,21 @@ class ConvolutionalCode:
     def free_distance(self, bound: int) -> DistanceReport:
         """Minimum codeword weight over nonzero messages of degree <= bound.
 
-        A forward dynamic program over the encoder trellis, on int codes.
-        Step t feeds the input block u_t in F_q^k; a state is the code tuple
-        that the inputs so far still owe the next m output blocks (m the
-        largest entry degree), its cost the least weight already emitted.
-        ``polys._mul_into`` builds each branch output sum(u_i * row_i) and
-        each step owed + branch.  Weight is invariant under shift and
-        scaling, so step 0 takes only nonzero inputs whose first nonzero
-        entry is 1.
+        A forward dynamic program over the encoder trellis.  Step t feeds
+        the input block u_t in F_q^k; a state is what the inputs so far
+        still owe the next m output blocks (m the largest entry degree),
+        its cost the least weight already emitted.  A state and a branch
+        output sum(u_i * row_i) are words of ``_Words``: one int holds the
+        width = n(m + 1) entries of the output blocks, each entry l slots
+        of s = bit_length(p - 1) + 1 bits, one per base-p digit of its
+        code.  So a sum of two words is one int sum and a fix-up: a slot
+        sum is at most 2p - 2, below H + p for H = 2^(s-1) >= p, and no
+        carry crosses a slot (see ``_Words.add``).  The emitted block is
+        the lowest n entries, its weight one ``bit_count`` (see
+        ``_Words.counter``), and the next state is the word shifted right
+        by one block.  The branches are the span of the rows, built once.
+        Weight is invariant under shift and scaling, so step 0 takes only
+        nonzero inputs whose first nonzero entry is 1.
 
         After each step but the last, a state goes on only if it still owes
         output and costs less than the lightest ended message and than it
@@ -167,7 +175,8 @@ class ConvolutionalCode:
         The message cap does not bound the states: while a generator's
         output is delayed, every state still owes output at cost 0 and goes
         on.  So the steps may compute MAX_CANDIDATES output entries in all,
-        and ``SearchSpaceTooLarge`` is raised before a step past that.
+        and ``SearchSpaceTooLarge`` is raised before a step past that, and
+        before the branches of the first step are built.
         """
         if bound < 0:
             raise OutOfRange("bound must be nonnegative")
@@ -175,28 +184,11 @@ class ConvolutionalCode:
             raise OutOfRange("the empty code has no nonzero codewords")
         spec, k, n = self.spec, self.k, self.n
         check_search_size(spec.q, k * (bound + 1))
-        one, codes = spec.one.code, range(spec.q)
         width = n * max(len(e.codes) for row in self.generator.entries for e in row)
-        rows = [[0] * width for _ in range(k)]  # entry d*n + j: z^d in column j
-        for flat, row in zip(rows, self.generator.entries):
-            for j, entry in enumerate(row):
-                flat[j : j + n * len(entry.codes) : n] = entry.codes
-
-        def output(u):  # sum(u_i * row_i) as one code list of output blocks
-            out = [0] * width
-            for c, row in zip(u, rows):
-                _mul_into(spec, out, (c,), row, 0)
-            return out
-
-        branches = (  # streamed: step 0 has one state
-            output((0,) * i + (one,) + u)
-            for i in range(k)
-            for u in itertools.product(codes, repeat=k - i - 1)
-        )
-        every = [output(u) for u in itertools.product(codes, repeat=k)] if bound else None
-        # each state, what is owed followed by one zero block, maps to its cost
-        states = {(0,) * width: 0}
-        pad = [0] * n
+        words = _Words(spec, width)
+        add, shift = words.add, words.bits * n
+        emitted, weight = words.counter(n), words.counter(width)
+        states = {0: 0}  # each state, the word of what is owed, maps to its cost
         ended = float("inf")  # the least weight of a message whose output ended
         seen: dict = {}  # the least cost of each state that went on
         work = 0  # output entries, counted as states x q^k x width per step
@@ -207,30 +199,35 @@ class ConvolutionalCode:
             if work > MAX_CANDIDATES:
                 raise SearchSpaceTooLarge(f"the trellis search exceeds the cap of {MAX_CANDIDATES}")
 
+        charge()  # before the branches: step 0 alone may have q^(k-1) of them
+        # the span of rows i.. in itertools.product order, from the last row
+        # up, and the step-0 branches, whose first nonzero input is 1
+        span, branches = [0], []
+        for i in reversed(range(k)):
+            flat = [0] * width  # entry d*n + j: z^d in column j
+            for j, entry in enumerate(self.generator.entries[i]):
+                flat[j : j + n * len(entry.codes) : n] = entry.codes
+            row = words.pack(flat)
+            branches = [add(row, w) for w in span] + branches
+            if i or bound:
+                span = [add(m, w) for m in words.multiples(flat) for w in span]
         for _ in range(bound):
-            charge()
             layer: dict = {}
             for owed, cost in states.items():
                 for branch in branches:
-                    out = _mul_into(spec, list(owed), (one,), branch, 0)
-                    total = cost + n - out[:n].count(0)
-                    nxt = tuple(out[n:] + pad)
+                    out = add(owed, branch)
+                    total = cost + emitted(out)
+                    nxt = out >> shift
                     if total < layer.get(nxt, total + 1):
                         layer[nxt] = total
-            ended = min(ended, min(c + width - o.count(0) for o, c in layer.items()))
-            states = {
-                o: c for o, c in layer.items() if any(o) and c < min(ended, seen.get(o, ended))
-            }
+            ended = min(ended, min(c + weight(o) for o, c in layer.items()))
+            states = {o: c for o, c in layer.items() if o and c < min(ended, seen.get(o, ended))}
             if not states:
                 return DistanceReport(value=ended, search_bound=bound, status=STATUS_EXACT)
             seen.update(states)
-            branches = every
-        charge()
-        best = min(
-            c + width - _mul_into(spec, list(o), (one,), b, 0).count(0)
-            for o, c in states.items()
-            for b in branches
-        )
+            branches = span
+            charge()
+        best = min(c + weight(add(o, b)) for o, c in states.items() for b in branches)
         return DistanceReport(value=min(ended, best), search_bound=bound, status=STATUS_UPPER)
 
     def __eq__(self, other):
@@ -243,6 +240,74 @@ class ConvolutionalCode:
 
     def __repr__(self):
         return f"ConvolutionalCode({self.generator!r})"
+
+
+class _Words:
+    """Vectors of ``width`` field codes packed in one int each: the states
+    and branches of the d_free trellis.
+
+    Entry e takes the bits [e*b, (e+1)*b), b = l*s: l slots of
+    s = bit_length(p - 1) + 1 bits, slot i holding base-p digit i of the
+    code, lowest first.  Every digit is below p <= H = 2^(s-1), so the top
+    bit of every slot is 0.
+    """
+
+    __slots__ = ("spec", "p", "top", "bits", "low", "bias", "spread")
+
+    def __init__(self, spec, width: int):
+        p, s = spec.p, (spec.p - 1).bit_length() + 1
+        self.spec, self.p, self.top, self.bits = spec, p, s - 1, spec.l * s
+        self.low = ((1 << width * self.bits) - 1) // ((1 << s) - 1)  # bit 0 of every slot
+        self.bias = ((1 << s - 1) - p) * self.low  # H - p in every slot
+        self.spread = _spread(p, spec.l)
+
+    def pack(self, codes) -> int:
+        """The word of a code list of at most ``width`` entries."""
+        word, b, spread = 0, self.bits, self.spread
+        for c in reversed(codes):
+            word = word << b | spread[c]
+        return word
+
+    def multiples(self, codes) -> list[int]:
+        """The words of c * codes for every code c, in code order.  They are
+        linear in the digits of c, so only the multiples by the codes p^j,
+        whose one nonzero digit is 1, are packed from the log tables; the
+        rest are sums."""
+        log, exp, p = self.spec._log, self.spec._exp, self.p
+        out = [0]
+        for j in range(self.spec.l):  # out holds the multiples by codes < p^j
+            unit = self.pack([exp[log[p**j] + log[r]] if r else 0 for r in codes])
+            for _ in range(p - 1):
+                out += [self.add(w, unit) for w in out[-(p**j) :]]
+        return out
+
+    def add(self, x: int, y: int) -> int:
+        """The entrywise sum: digits add mod p in every slot.  A slot sum v
+        is at most 2p - 2 < H + p, so adding H - p to it sets the top bit
+        of its slot iff v >= p and carries into no other slot; p is taken
+        from the slots whose top bit that sets."""
+        v = x + y
+        return v - ((v + self.bias) >> self.top & self.low) * self.p
+
+    def counter(self, entries: int):
+        """The function counting the nonzero entries among the first
+        ``entries`` of a word.  An entry is below 2^(b-1), as its top digit
+        is below H, so adding 2^(b-1) - 1 sets its top bit iff it is
+        nonzero, with no carry out."""
+        b = self.bits
+        ones = ((1 << entries * b) - 1) // ((1 << b) - 1)  # bit 0 of every entry
+        fill, tops = ((1 << b - 1) - 1) * ones, (1 << b - 1) * ones
+        return lambda x: ((x + fill) & tops).bit_count()
+
+
+@functools.lru_cache(maxsize=8)
+def _spread(p: int, l: int) -> tuple[int, ...]:
+    """Each code of GF(p^l) with its base-p digits one per slot of a word."""
+    s = (p - 1).bit_length() + 1
+    spread = [0] * p**l
+    for c in range(1, p**l):
+        spread[c] = spread[c // p] << s | c % p
+    return tuple(spread)
 
 
 def check_search_size(base: int, exp: int) -> None:

@@ -13,9 +13,11 @@ log and Zech tables, and one division loop built on it,
 :func:`_divmod_codes`.  ``Poly`` operators wrap them.  The one elimination,
 :func:`_hermite_core`, reduces grids of code lists with the two loops
 directly: it answers ``gcd``, ``xgcd`` and ``vec_content`` as the Hermite
-form of one column, and every elimination of ``matrices``.  The d_free
-trellis of ``codes`` adds its branches with :func:`_mul_into`.  One fused
+form of one column, and every elimination of ``matrices``.  One fused
 kernel on ``Poly`` values remains: :func:`dot`, the product of two vectors.
+The d_free trellis of ``codes`` does not add through these loops: it packs
+each vector of codes into one int and adds whole vectors in a few int
+operations (``codes._Words``).
 """
 
 from __future__ import annotations
@@ -314,17 +316,23 @@ def _scale_row(spec: FieldSpec, row: list, c: int) -> None:
         x[:] = [exp[log[v] + s] if v else 0 for v in x]
 
 
-def dot(u: Sequence[Poly], v: Sequence[Poly]) -> Poly:
-    """The sum of u[i] * v[i], accumulated in one code list."""
+def dot(u: Sequence[Union[Poly, Coeffish]], v: Sequence[Union[Poly, Coeffish]]) -> Poly:
+    """The sum of u[i] * v[i], accumulated in one code list.  An entry that
+    is not a polynomial is lifted over the field of the first one that is,
+    as a Poly operator lifts its operand; FieldMismatch if none is."""
     if len(u) != len(v):
         raise DimensionMismatch("dot product of vectors with different lengths")
     if not u:
         raise DimensionMismatch("empty dot product: no field to sum over")
-    spec = u[0].spec
+    spec = getattr(u[0], "spec", None)
     out: list[int] = []
     for x, y in zip(u, v):
-        if (x.spec is not spec or y.spec is not spec) and not x.spec == spec == y.spec:
-            raise FieldMismatch("polynomials over different fields")
+        if not (isinstance(x, Poly) and isinstance(y, Poly) and x.spec is spec is y.spec):
+            spec, grid = _code_column((*u, *v))  # not all over one spec object
+            out = []
+            for (a,), (b,) in zip(grid, grid[len(u) :]):
+                _mul_into(spec, out, a, b, 0)
+            break
         _mul_into(spec, out, x.codes, y.codes, 0)
     return _poly(spec, out)
 
@@ -363,7 +371,10 @@ def gcd(u: Poly, v: Poly) -> Poly:
 def vec_content(vec: Iterable[Poly]) -> Poly:
     """Monic gcd of all entries of a polynomial vector (0 if all zero): the
     first entry of the Hermite form of the vector as one column."""
-    vec = tuple(vec)
+    try:
+        vec = tuple(vec)
+    except TypeError:
+        raise DimensionMismatch(f"content of {vec!r}, which is not a vector") from None
     if not vec:
         raise DimensionMismatch("content of an empty vector")
     spec, grid = _code_column(vec)

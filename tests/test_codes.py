@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -32,8 +33,9 @@ from sdconv import (
     parse_matrix,
     parse_vector,
 )
-from sdconv.codes import MAX_CANDIDATES, STATUS_EXACT, STATUS_UPPER
+from sdconv.codes import MAX_CANDIDATES, STATUS_EXACT, STATUS_UPPER, _Words
 from sdconv.errors import DimensionMismatch, OutOfRange, RankDeficient, SearchSpaceTooLarge
+from sdconv.polys import _mul_into
 
 
 def code(spec, text):
@@ -211,7 +213,11 @@ def test_free_distance_upper_bound_status_at_zero():
 def test_free_distance_matches_message_scan_oracle():
     rng = random.Random(4087)
     statuses = set()
-    for spec in (F2, F4, F5, make_field(3, 2), make_field(13), make_field(2, 4)):
+    # slot widths s = 2 (p = 2, with l = 1, 2, 4 and 8), 3 (p = 3, l = 1
+    # and 2), 4 (p = 5 and 7) and 5 (p = 13)
+    fields = (F2, F4, F5, make_field(3, 2), make_field(13), make_field(2, 4),
+              make_field(3), make_field(7), make_field(2, 8))
+    for spec in fields:
         for k in (1, 2, 3):
             for bound in range(3):
                 if spec.q ** (k * (bound + 1)) > 4096:
@@ -257,6 +263,37 @@ def test_free_distance_claims_no_unproven_exact_value(generator, bound, lighter)
     c = code(F2, generator)
     assert c.contains(parse_vector(F2, lighter))
     assert c.free_distance(bound).render() == f"d_free <= 4 (bound {bound})"
+
+
+@pytest.mark.parametrize("p, l", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2), (13, 1), (2, 4), (2, 8)])
+def test_packed_words_add_and_count_as_code_lists(p, l):
+    # every pair of codes sits in one entry of a pair of words: the words
+    # of all codes and of all codes rotated by r
+    spec = make_field(p, l)
+    q, one = spec.q, spec.one.code
+    words = _Words(spec, q)
+    count = words.counter(q)
+    every = list(range(q))
+    for r in range(q):
+        rotated = every[r:] + every[:r]
+        sums = [_mul_into(spec, [a], (one,), (b,), 0)[0] for a, b in zip(every, rotated)]
+        assert words.add(words.pack(every), words.pack(rotated)) == words.pack(sums)
+        assert count(words.pack(sums)) == q - sums.count(0)
+        assert words.counter(r)(words.pack(sums)) == r - sums[:r].count(0)
+    for c, multiple in enumerate(words.multiples(every)):
+        assert multiple == words.pack([_mul_into(spec, [0], (c,), (a,), 0)[0] for a in every])
+
+
+def test_free_distance_refuses_before_building_branches():
+    # at bound 0 the one step has 2^20 inputs of 120 entries each: the cap
+    # refuses it before the 2^20 - 1 step-0 branches are built
+    k = 20
+    rows = [["1" if j == i else "z^2" if j == k + i else "0" for j in range(2 * k)] for i in range(k)]
+    c = code(F2, " ; ".join(",".join(row) for row in rows))
+    start = time.perf_counter()
+    with pytest.raises(SearchSpaceTooLarge, match="the trellis search exceeds the cap"):
+        c.free_distance(0)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_free_distance_search_cap():

@@ -14,7 +14,7 @@ from helpers import (
     school_sub_mul,
 )
 from sdconv import FieldSpec, Poly, dot, fields, gcd, make_field, parse_element, parse_poly, vec_content, xgcd
-from sdconv.errors import DivisionByZero, FieldMismatch, ParseError, SdconvError, SearchSpaceTooLarge
+from sdconv.errors import DimensionMismatch, DivisionByZero, FieldMismatch, ParseError, SdconvError, SearchSpaceTooLarge
 from sdconv.polys import NEG_INF, format_poly
 
 F2 = make_field(2)
@@ -202,6 +202,22 @@ def test_vec_content_examples():
     for bad in ((1, 0), (z, "1"), (F4.one, z)):
         with pytest.raises(SdconvError):
             gcd(*bad)
+    with pytest.raises(DimensionMismatch):
+        vec_content(5)  # not iterable
+
+
+def test_dot_lifts_values_as_poly_operators_do():
+    z = Poly.z(F2)
+    assert dot([z], [1]) == z == z * 1
+    assert dot([z, F2.one], [z, z]) == z**2 + z
+    assert dot([1, z], [z, 1]) == Poly.zero(F2)  # 2z over GF(2)
+    z5 = Poly.z(F5)
+    assert dot([F5.from_int(3), 2], [z5, z5 + 1]) == 3 * z5 + 2 * (z5 + 1)
+    # a spec equal to the first entry's, but another object, combines
+    assert dot([z], [Poly.z(FieldSpec(2, 1, F2.modulus))]) == z**2
+    for bad in (([1], [1]), ([F2.one], [1]), ([z], [Poly.z(F5)]), ([z], ["1"]), ([z], [1.5])):
+        with pytest.raises(FieldMismatch):
+            dot(*bad)
 
 
 def test_gcd_monic_over_f5():
