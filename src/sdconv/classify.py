@@ -16,7 +16,7 @@ from typing import Optional
 
 from .codes import ConvolutionalCode, DistanceReport, STATUS_EXACT, check_search_size, iter_bounded_polys
 from .errors import NotBinary, NotSelfDual, NotTriangularPattern, OutOfRange
-from .fields import FieldSpec, make_field, sqrt_of_minus_one
+from .fields import FieldSpec, _as_int, make_field, sqrt_of_minus_one
 from .matrices import PolyMatrix, format_matrix
 from .polys import Poly, gcd
 
@@ -70,6 +70,7 @@ def classify_42_binary(max_deg: int) -> list[ClassificationRecord]:
     and emits the representative with all-ones first row and second row
     (0, g23+g24, g23, g24); records are deduplicated by canonical form.
     """
+    max_deg = _as_int("max_deg", max_deg)
     if max_deg < 0:
         raise OutOfRange("max_deg must be nonnegative")
     spec = make_field(2)
@@ -94,6 +95,7 @@ def classify_double_diagonal(spec: FieldSpec, k: int) -> Optional[list[Classific
     returned when the field has none.  For k = 1 these are all the
     self-dual (2,1) codes: the constant generators (1, b) with 1 + b^2 = 0.
     """
+    k = _as_int("k", k)
     if k < 1:
         raise OutOfRange("k must be at least 1")
     root = sqrt_of_minus_one(spec)

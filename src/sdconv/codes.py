@@ -9,12 +9,12 @@ is self-orthogonal (G G^T = 0) and non-catastrophic (column Hermite form
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatch, OutOfRange, RankDeficient, SearchSpaceTooLarge
+from .fields import _Words, _as_int
 from .matrices import (
     PolyMatrix,
     _grid,
@@ -152,15 +152,12 @@ class ConvolutionalCode:
         the input block u_t in F_q^k; a state is what the inputs so far
         still owe the next m output blocks (m the largest entry degree),
         its cost the least weight already emitted.  A state and a branch
-        output sum(u_i * row_i) are words of ``_Words``: one int holds the
-        width = n(m + 1) entries of the output blocks, each entry l slots
-        of s = bit_length(p - 1) + 1 bits, one per base-p digit of its
-        code.  So a sum of two words is one int sum and a fix-up: a slot
-        sum is at most 2p - 2, below H + p for H = 2^(s-1) >= p, and no
-        carry crosses a slot (see ``_Words.add``).  The emitted block is
-        the lowest n entries, its weight one ``bit_count`` (see
-        ``_Words.counter``), and the next state is the word shifted right
-        by one block.  The branches are the span of the rows, built once.
+        output sum(u_i * row_i) are words of ``fields._Words``: one int
+        holds the width = n(m + 1) entries of the output blocks, so a sum
+        of two is one int sum and a fix-up.  The emitted block is the lowest
+        n entries, its weight one ``bit_count``, and the next state is the
+        word shifted right by one block.  The branches are the span of the
+        rows, built once from the words of p^j * row_i.
         Weight is invariant under shift and scaling, so step 0 takes only
         nonzero inputs whose first nonzero entry is 1.
 
@@ -178,6 +175,7 @@ class ConvolutionalCode:
         and ``SearchSpaceTooLarge`` is raised before a step past that, and
         before the branches of the first step are built.
         """
+        bound = _as_int("bound", bound)
         if bound < 0:
             raise OutOfRange("bound must be nonnegative")
         if self.k == 0:
@@ -185,7 +183,8 @@ class ConvolutionalCode:
         spec, k, n = self.spec, self.k, self.n
         check_search_size(spec.q, k * (bound + 1))
         width = n * max(len(e.codes) for row in self.generator.entries for e in row)
-        words = _Words(spec, width)
+        log, exp, p = spec._log, spec._exp, spec.p
+        words = _Words(p, spec.l, width, spec._spread)
         add, shift = words.add, words.bits * n
         emitted, weight = words.counter(n), words.counter(width)
         states = {0: 0}  # each state, the word of what is owed, maps to its cost
@@ -209,8 +208,9 @@ class ConvolutionalCode:
                 flat[j : j + n * len(entry.codes) : n] = entry.codes
             row = words.pack(flat)
             branches = [add(row, w) for w in span] + branches
-            if i or bound:
-                span = [add(m, w) for m in words.multiples(flat) for w in span]
+            if i or bound:  # the multiples c * row: the span of the p^j * row
+                units = [[exp[log[p**j] + log[r]] if r else 0 for r in flat] for j in range(spec.l)]
+                span = words.span([words.pack(u) for u in units], span)
         for _ in range(bound):
             layer: dict = {}
             for owed, cost in states.items():
@@ -242,74 +242,6 @@ class ConvolutionalCode:
         return f"ConvolutionalCode({self.generator!r})"
 
 
-class _Words:
-    """Vectors of ``width`` field codes packed in one int each: the states
-    and branches of the d_free trellis.
-
-    Entry e takes the bits [e*b, (e+1)*b), b = l*s: l slots of
-    s = bit_length(p - 1) + 1 bits, slot i holding base-p digit i of the
-    code, lowest first.  Every digit is below p <= H = 2^(s-1), so the top
-    bit of every slot is 0.
-    """
-
-    __slots__ = ("spec", "p", "top", "bits", "low", "bias", "spread")
-
-    def __init__(self, spec, width: int):
-        p, s = spec.p, (spec.p - 1).bit_length() + 1
-        self.spec, self.p, self.top, self.bits = spec, p, s - 1, spec.l * s
-        self.low = ((1 << width * self.bits) - 1) // ((1 << s) - 1)  # bit 0 of every slot
-        self.bias = ((1 << s - 1) - p) * self.low  # H - p in every slot
-        self.spread = _spread(p, spec.l)
-
-    def pack(self, codes) -> int:
-        """The word of a code list of at most ``width`` entries."""
-        word, b, spread = 0, self.bits, self.spread
-        for c in reversed(codes):
-            word = word << b | spread[c]
-        return word
-
-    def multiples(self, codes) -> list[int]:
-        """The words of c * codes for every code c, in code order.  They are
-        linear in the digits of c, so only the multiples by the codes p^j,
-        whose one nonzero digit is 1, are packed from the log tables; the
-        rest are sums."""
-        log, exp, p = self.spec._log, self.spec._exp, self.p
-        out = [0]
-        for j in range(self.spec.l):  # out holds the multiples by codes < p^j
-            unit = self.pack([exp[log[p**j] + log[r]] if r else 0 for r in codes])
-            for _ in range(p - 1):
-                out += [self.add(w, unit) for w in out[-(p**j) :]]
-        return out
-
-    def add(self, x: int, y: int) -> int:
-        """The entrywise sum: digits add mod p in every slot.  A slot sum v
-        is at most 2p - 2 < H + p, so adding H - p to it sets the top bit
-        of its slot iff v >= p and carries into no other slot; p is taken
-        from the slots whose top bit that sets."""
-        v = x + y
-        return v - ((v + self.bias) >> self.top & self.low) * self.p
-
-    def counter(self, entries: int):
-        """The function counting the nonzero entries among the first
-        ``entries`` of a word.  An entry is below 2^(b-1), as its top digit
-        is below H, so adding 2^(b-1) - 1 sets its top bit iff it is
-        nonzero, with no carry out."""
-        b = self.bits
-        ones = ((1 << entries * b) - 1) // ((1 << b) - 1)  # bit 0 of every entry
-        fill, tops = ((1 << b - 1) - 1) * ones, (1 << b - 1) * ones
-        return lambda x: ((x + fill) & tops).bit_count()
-
-
-@functools.lru_cache(maxsize=8)
-def _spread(p: int, l: int) -> tuple[int, ...]:
-    """Each code of GF(p^l) with its base-p digits one per slot of a word."""
-    s = (p - 1).bit_length() + 1
-    spread = [0] * p**l
-    for c in range(1, p**l):
-        spread[c] = spread[c // p] << s | c % p
-    return tuple(spread)
-
-
 def check_search_size(base: int, exp: int) -> None:
     """Refuses a search over base^exp candidates above MAX_CANDIDATES,
     without computing a power far above the cap."""
@@ -319,6 +251,7 @@ def check_search_size(base: int, exp: int) -> None:
 
 def iter_bounded_polys(spec, max_deg: int) -> list[Poly]:
     """All polynomials of degree <= max_deg, lexicographic in coefficients."""
+    max_deg = _as_int("max_deg", max_deg)
     if max_deg < 0:
         raise OutOfRange("max_deg must be nonnegative")
     check_search_size(spec.q, max_deg + 1)

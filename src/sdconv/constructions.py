@@ -176,10 +176,9 @@ def building_up(
             raise FieldObstruction(f"-1 is not a square in {spec}")
         a, b = spec.one, root
     else:
-        if isinstance(a, int):
-            a = spec.from_int(a)
-        if isinstance(b, int):
-            b = spec.from_int(b)
+        a, b = (spec.from_int(s) if isinstance(s, int) else s for s in (a, b))
+        if not (isinstance(a, FieldElement) and isinstance(b, FieldElement)):
+            raise BadScalars(f"scalars must be field elements or ints, got {a!r} and {b!r}")
         if not a or not b:
             raise BadScalars("scalars must be nonzero")
         if a * a + b * b != spec.zero:

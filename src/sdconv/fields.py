@@ -15,8 +15,21 @@ are the same object.  An element's canonical text lives in its field's text
 table, indexed by code like the elements, and its inverse, a dict from the
 text to the code, makes reading canonical text one lookup; the parser reads
 any other text straight to a code.  The inverse costs one dict entry per
-element: on 64-bit CPython 3.11 a built GF(2^16) holds 32.1 MiB with it
-and 28.3 MiB without.
+element: on 64-bit CPython 3.11 a built GF(2^16) holds 34.6 MiB with it
+and 30.8 MiB without.
+
+Packed words.  A vector of codes packs into one int, a word of
+:class:`_Words`, so that whole vectors add in a few int operations: the
+field tables and the d_free trellis of ``codes`` run on them.  Entry e of
+a word takes the bits [e*b, (e+1)*b), b = l*s: l slots of
+s = bit_length(p - 1) + 1 bits, and slot i holds base-p digit i of the
+entry's code, lowest first.  Every digit is below p <= H = 2^(s-1), so
+the top bit of every slot is 0.  Two words add entrywise, digits mod p,
+with one int sum and a fix-up: a slot sum v is at most 2p - 2 < H + p, so
+adding H - p to it sets the top bit of its slot iff v >= p and carries
+into no other slot, and p is taken from the slots whose top bit that sets.
+The field keeps the word of every code, its digit table, which is 2.5 MiB
+of a built GF(2^16).
 
 Arithmetic is list indexing into tables the field builds once, in O(q*l)
 steps, from the powers of a primitive element g.  The tables hold codes, so
@@ -159,52 +172,95 @@ def _primitive_element(p: int, l: int, modulus: tuple[int, ...]) -> list[int]:
     raise AssertionError("F_q^* is cyclic")  # cannot happen for an irreducible modulus
 
 
-def _power_codes(p: int, l: int, modulus: tuple[int, ...]) -> list[int]:
-    """Codes of g^0 .. g^(q-2) for the primitive element g, in O(q + p*l^2).
+def _fold(digits: Iterable[int], p: int) -> int:
+    """The number with these base-p digits, most significant first: the
+    code of a coefficient vector, lowest degree first."""
+    code = 0
+    for c in digits:
+        code = code * p + c
+    return code
 
-    Vectors are packed into ints, k bits per coefficient with 2^(k-1) > p,
-    so two packed vectors add coefficient-wise without carries and one
-    masked subtraction of p takes every coefficient back below p.  As g * v
-    is linear in v, it is the sum of g times the leading digits of v's code
-    and g times the trailing ones, and both are tabulated for every digit
-    string: a step is two lookups, one addition and one reduction.
-    """
-    g = _primitive_element(p, l, modulus)
-    k = p.bit_length() + 1
-    high = sum(1 << (k * i + k - 1) for i in range(l))
-    bias = sum(((1 << (k - 1)) - p) << (k * i) for i in range(l))
 
-    def add(s: int, t: int) -> int:
-        s += t
-        return s - (((s + bias) & high) >> (k - 1)) * p
+def _slot_bits(p: int) -> int:
+    """The width s of one slot of a packed word (see Packed words)."""
+    return (p - 1).bit_length() + 1
 
-    def table(columns: list[list[int]]) -> list[int]:
-        """The packed sums of the digits times the columns, for every digit
-        string in code order (the first column takes the leading digit)."""
-        out = [0]
-        for col in columns:
-            packed = sum(a << (k * i) for i, a in enumerate(col))
-            multiples = [0]
-            for _ in range(p - 1):
-                multiples.append(add(multiples[-1], packed))
-            out = [add(t, m) for t in out for m in multiples]
+
+def _digit_table(p: int, l: int) -> tuple[int, ...]:
+    """The packed word of every code of F_{p^l}, by code, one digit per slot."""
+    s, table = _slot_bits(p), [0]
+    for j in range(l):  # table holds the words of the codes < p^j
+        table = [d << s * j | w for d in range(p) for w in table]
+    return tuple(table)
+
+
+class _Words:
+    """Vectors of ``width`` codes of F_{p^l} packed in one int each (see
+    Packed words), with the field's digit table ``spread``."""
+
+    __slots__ = ("p", "top", "bits", "low", "bias", "spread")
+
+    def __init__(self, p: int, l: int, width: int, spread: Sequence[int]):
+        s = _slot_bits(p)
+        self.p, self.top, self.bits, self.spread = p, s - 1, l * s, spread
+        self.low = ((1 << width * self.bits) - 1) // ((1 << s) - 1)  # bit 0 of every slot
+        self.bias = ((1 << s - 1) - p) * self.low  # H - p in every slot
+
+    def pack(self, codes: Sequence[int]) -> int:
+        """The word of a code list of at most ``width`` entries."""
+        word, b, spread = 0, self.bits, self.spread
+        for c in reversed(codes):
+            word = word << b | spread[c]
+        return word
+
+    def span(self, units: Sequence[int], out: Sequence[int] = (0,)) -> list[int]:
+        """The F_p span of the unit words added to each word of ``out``, in
+        code order: the word at index i + len(out) * sum(d_t * p^t) is
+        out[i] + sum(d_t * units[t]), in one addition per word."""
+        add, out = self.add, list(out)
+        for u in units:
+            block = out
+            for _ in range(self.p - 1):
+                block = [add(w, u) for w in block]
+                out += block
         return out
 
-    unit_columns = [[int(i == j) for j in range(l)] for i in range(l)]
-    code_of = {v: code for code, v in enumerate(table(unit_columns))}
-    g_columns = []  # g * x^i
-    v = g + [0] * (l - len(g))
-    for _ in range(l):
-        g_columns.append(v)
+    def add(self, x: int, y: int) -> int:
+        """The entrywise sum, digits mod p (see Packed words)."""
+        v = x + y
+        return v - ((v + self.bias) >> self.top & self.low) * self.p
+
+    def counter(self, entries: int):
+        """The function counting the nonzero entries among the first
+        ``entries`` of a word.  An entry is below 2^(b-1), as its top digit
+        is below H, so adding 2^(b-1) - 1 sets its top bit iff it is
+        nonzero, with no carry out."""
+        b = self.bits
+        ones = ((1 << entries * b) - 1) // ((1 << b) - 1)  # bit 0 of every entry
+        fill, tops = ((1 << b - 1) - 1) * ones, (1 << b - 1) * ones
+        return lambda x: ((x + fill) & tops).bit_count()
+
+
+def _power_codes(p: int, l: int, modulus: tuple[int, ...], spread: Sequence[int]) -> list[int]:
+    """Codes of g^0 .. g^(q-2) for the primitive element g, in O(q) word
+    additions and dict lookups once g is found.
+
+    Multiplying by g is F_p-linear, so the words of g times every code are
+    the span of the words of g times the codes p^j, which are the elements
+    a^(l-1-j); the walk reads each next code back from its word.
+    """
+    g = _primitive_element(p, l, modulus)
+    units, v = [], g + [0] * (l - len(g))
+    for _ in range(l):  # g * a^i, the image of the code p^(l-1-i)
+        units.append(spread[_fold(v, p)])
         v = _times_x(v, modulus, p)
-    h = l // 2
-    lead, trail = table(g_columns[:h]), table(g_columns[h:])
-    split = p ** (l - h)
+    times_g = _Words(p, l, 1, spread).span(units[::-1])
+    code_of = {w: c for c, w in enumerate(spread)}
     codes = []
     code = p ** (l - 1)  # the code of 1
     for _ in range(p**l - 1):
         codes.append(code)
-        code = code_of[add(lead[code // split], trail[code % split])]
+        code = code_of[times_g[code]]
     return codes
 
 
@@ -295,7 +351,7 @@ class FieldElement:
         return spec._els[spec._exp[spec.q - 1 - spec._log[self.code]]]
 
     def __pow__(self, n: int):
-        spec = self.spec
+        spec, n = self.spec, _as_int("exponent", n)
         if not self.code:
             if n < 0:
                 raise DivisionByZero("zero has no multiplicative inverse")
@@ -333,7 +389,7 @@ class FieldSpec:
 
     __slots__ = (
         "p", "l", "q", "modulus", "zero", "one",
-        "_els", "_text", "_code", "_log", "_exp", "_zech", "_neg", "_log_minus_one",
+        "_els", "_text", "_code", "_spread", "_log", "_exp", "_zech", "_neg", "_log_minus_one",
     )
 
     def __init__(self, p: int, l: int, modulus: tuple[int, ...]):
@@ -351,7 +407,8 @@ class FieldSpec:
         self.zero = els[0]
         unit = p ** (l - 1)  # the code of 1
         self.one = els[unit]
-        power_codes = _power_codes(p, l, modulus)
+        self._spread = _digit_table(p, l)
+        power_codes = _power_codes(p, l, modulus, self._spread)
         log: list[Optional[int]] = [None] * q
         for i, c in enumerate(power_codes):
             log[c] = i
@@ -367,10 +424,7 @@ class FieldSpec:
         """The element with this coefficient vector, lowest degree first."""
         if len(coeffs) != self.l or not all(0 <= c < self.p for c in coeffs):
             raise OutOfRange(f"{tuple(coeffs)} is not a coefficient vector of {self}")
-        code = 0
-        for c in coeffs:
-            code = code * self.p + c
-        return self._els[code]
+        return self._els[_fold(coeffs, self.p)]
 
     def from_int(self, c: int) -> FieldElement:
         """Embed an integer as a constant of the prime subfield."""
@@ -630,10 +684,7 @@ def _element_code(spec: FieldSpec, s: str, text: str) -> int:
     digits = parse_int_poly(s, "a", p)
     if len(digits) > l:
         digits = _int_poly_mod(digits, spec.modulus, p)
-    code = 0
-    for c in digits:  # the constant term is the most significant digit
-        code = code * p + c
-    return code * p ** (l - len(digits))
+    return _fold(digits, p) * p ** (l - len(digits))
 
 
 def parse_element(spec: FieldSpec, text: str) -> FieldElement:
@@ -666,6 +717,8 @@ def parse_field_selector(text: str, modulus_text: Optional[str] = None) -> Field
         if others:
             raise ParseError(f"{q} is not a prime power")
         l = round(math.log(q, p))
+    if p < 2:  # refused before a modulus is read mod p
+        raise NotPrime(f"{p} is not prime")
     # the parsed modulus keeps the length as written for the degree check
     modulus = None if modulus_text is None else parse_int_poly(modulus_text, "a", p)
     return make_field(p, l, modulus)

@@ -50,7 +50,7 @@ from .errors import (
     ParseError,
     ShapeUnsupported,
 )
-from .fields import FieldElement, FieldSpec
+from .fields import FieldElement, FieldSpec, _as_int
 from .polys import Poly, _divmod_codes, _hermite_core, _mul_into, _poly, _sub_mul_row, dot, format_poly, parse_poly
 
 Entryish = Union[Poly, FieldElement, int]
@@ -63,6 +63,8 @@ class PolyMatrix:
 
     def __init__(self, spec: FieldSpec, rows: Iterable[Iterable[Entryish]], cols: Optional[int] = None):
         grid = [as_poly_vector(spec, row) for row in rows]
+        if cols is not None:
+            cols = _as_int("cols", cols)
         if grid:
             width = len(grid[0])
             if any(len(r) != width for r in grid):
@@ -91,12 +93,14 @@ class PolyMatrix:
 
     @classmethod
     def identity(cls, spec: FieldSpec, n: int) -> "PolyMatrix":
+        n = _as_int("n", n)
         if n < 0:
             raise OutOfRange(f"negative column count {n}")
         return _matrix(spec, _unit_rows(spec, n), n)
 
     @classmethod
     def zeros(cls, spec: FieldSpec, rows: int, cols: int) -> "PolyMatrix":
+        rows, cols = _as_int("rows", rows), _as_int("cols", cols)
         if rows < 0 or cols < 0:
             raise OutOfRange(f"negative shape {rows}x{cols}")
         zero = Poly.zero(spec)

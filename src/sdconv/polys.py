@@ -17,7 +17,7 @@ form of one column, and every elimination of ``matrices``.  One fused
 kernel on ``Poly`` values remains: :func:`dot`, the product of two vectors.
 The d_free trellis of ``codes`` does not add through these loops: it packs
 each vector of codes into one int and adds whole vectors in a few int
-operations (``codes._Words``).
+operations (``fields._Words``).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import DimensionMismatch, DivisionByZero, FieldMismatch, OutOfRange
-from .fields import FieldElement, FieldSpec, _element_code, _format_terms, _parse_terms
+from .fields import FieldElement, FieldSpec, _as_int, _element_code, _format_terms, _parse_terms
 
 NEG_INF = float("-inf")
 
@@ -133,6 +133,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        n = _as_int("exponent", n)
         if n < 0:
             raise OutOfRange("negative polynomial power")
         out = Poly.one(self.spec)

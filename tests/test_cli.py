@@ -177,6 +177,19 @@ def test_precondition_violation_exits_3(capsys):
     assert "RankDeficient" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "--field", "0^2", "--modulus", "a", "1,1"),
+        ("classify", "two-one", "--field", "0^2", "--modulus", "a^2+2"),
+    ],
+)
+def test_field_selector_below_two_with_a_modulus_exits_3(capsys, argv):
+    # the modulus is not read mod 0: p < 2 is refused first, as without it
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (3, "", "error: NotPrime: 0 is not prime\n")
+
+
 def test_dual_roundtrip(capsys):
     code, out, _ = run(capsys, "dual", "--field", "2", "1,1")
     assert code == 0

@@ -33,9 +33,8 @@ from sdconv import (
     parse_matrix,
     parse_vector,
 )
-from sdconv.codes import MAX_CANDIDATES, STATUS_EXACT, STATUS_UPPER, _Words
+from sdconv.codes import MAX_CANDIDATES, STATUS_EXACT, STATUS_UPPER
 from sdconv.errors import DimensionMismatch, OutOfRange, RankDeficient, SearchSpaceTooLarge
-from sdconv.polys import _mul_into
 
 
 def code(spec, text):
@@ -263,25 +262,6 @@ def test_free_distance_claims_no_unproven_exact_value(generator, bound, lighter)
     c = code(F2, generator)
     assert c.contains(parse_vector(F2, lighter))
     assert c.free_distance(bound).render() == f"d_free <= 4 (bound {bound})"
-
-
-@pytest.mark.parametrize("p, l", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2), (13, 1), (2, 4), (2, 8)])
-def test_packed_words_add_and_count_as_code_lists(p, l):
-    # every pair of codes sits in one entry of a pair of words: the words
-    # of all codes and of all codes rotated by r
-    spec = make_field(p, l)
-    q, one = spec.q, spec.one.code
-    words = _Words(spec, q)
-    count = words.counter(q)
-    every = list(range(q))
-    for r in range(q):
-        rotated = every[r:] + every[:r]
-        sums = [_mul_into(spec, [a], (one,), (b,), 0)[0] for a, b in zip(every, rotated)]
-        assert words.add(words.pack(every), words.pack(rotated)) == words.pack(sums)
-        assert count(words.pack(sums)) == q - sums.count(0)
-        assert words.counter(r)(words.pack(sums)) == r - sums[:r].count(0)
-    for c, multiple in enumerate(words.multiples(every)):
-        assert multiple == words.pack([_mul_into(spec, [0], (c,), (a,), 0)[0] for a in every])
 
 
 def test_free_distance_refuses_before_building_branches():

@@ -16,6 +16,7 @@ from sdconv.errors import (
     ParseError,
     ReducibleModulus,
 )
+from sdconv.polys import _mul_into
 
 FIELDS = {
     2: (2, 1),
@@ -194,6 +195,10 @@ def test_parse_field_selector():
         parse_field_selector("6")
     with pytest.raises(ParseError):
         parse_field_selector("zzz")
+    # p < 2 is refused before the modulus is read mod p
+    for text in ("0^2", "1^2", "-3^2"):
+        with pytest.raises(NotPrime):
+            parse_field_selector(text, "a")
 
 
 @given(st.integers(), st.integers())
@@ -204,12 +209,14 @@ def test_from_int_is_a_ring_morphism(x, y):
 
 
 # The table arithmetic against the coefficient-vector oracle: every field of
-# FIELDS plus GF(7^2) and GF(2^8); all pairs up to q = 16, a seeded sample
-# of pairs above.
+# FIELDS plus GF(7^2) and GF(2^8), and the largest fields; all pairs up to
+# q = 16, a seeded sample of pairs above, and every element up to q = 256,
+# the first of each sampled pair above.
 ORACLE_FIELDS = [FIELDS[q] for q in sorted(FIELDS)] + [(7, 2), (2, 8)]
+LARGEST_FIELDS = [(2, 16), (3, 10), (65521, 1)]
 
 
-@pytest.mark.parametrize("p, l", ORACLE_FIELDS, ids=lambda v: str(v))
+@pytest.mark.parametrize("p, l", ORACLE_FIELDS + LARGEST_FIELDS, ids=lambda v: str(v))
 def test_table_arithmetic_matches_coefficient_vector_oracle(p, l):
     spec = make_field(p, l)
     mod = spec.modulus
@@ -219,7 +226,7 @@ def test_table_arithmetic_matches_coefficient_vector_oracle(p, l):
     else:
         rng = random.Random(spec.q)
         pairs = [(rng.choice(els), rng.choice(els)) for _ in range(2000)]
-    for a in els:
+    for a in els if spec.q <= 256 else [a for a, _ in pairs]:
         assert -a is spec.element(vec_neg(a.coeffs, p))
         if a:
             inv = vec_inverse(a.coeffs, mod, p)
@@ -239,6 +246,34 @@ def test_table_arithmetic_matches_coefficient_vector_oracle(p, l):
                 a / b
 
 
+@pytest.mark.parametrize("p, l", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (3, 2), (13, 1), (2, 4), (2, 8)])
+def test_packed_words_add_and_count_as_code_lists(p, l):
+    # every pair of codes sits in one entry of a pair of words: the words
+    # of all codes and of all codes rotated by r
+    spec = make_field(p, l)
+    q, one = spec.q, spec.one.code
+    words = fields._Words(p, l, q, spec._spread)
+    count = words.counter(q)
+    every = list(range(q))
+    for r in range(q):
+        rotated = every[r:] + every[:r]
+        sums = [_mul_into(spec, [a], (one,), (b,), 0)[0] for a, b in zip(every, rotated)]
+        assert words.add(words.pack(every), words.pack(rotated)) == words.pack(sums)
+        assert count(words.pack(sums)) == q - sums.count(0)
+        assert words.counter(r)(words.pack(sums)) == r - sums[:r].count(0)
+    # every multiple c * every is in the span of the multiples by the codes p^j
+    units = [words.pack([_mul_into(spec, [0], (p**j,), (a,), 0)[0] for a in every]) for j in range(l)]
+    for c, multiple in enumerate(words.span(units)):
+        assert multiple == words.pack([_mul_into(spec, [0], (c,), (a,), 0)[0] for a in every])
+    # the span of g's units, g the primitive element, is the word of g * x
+    # for every code x, the step of the power walk, against the oracle
+    g, els, mod = spec.elements()[spec._exp[1]], spec.elements(), spec.modulus
+    one_entry = fields._Words(p, l, 1, spec._spread)
+    units = [one_entry.pack([spec.element(vec_mul(g.coeffs, els[p**j].coeffs, mod, p)).code]) for j in range(l)]
+    times_g = [one_entry.pack([spec.element(vec_mul(g.coeffs, x.coeffs, mod, p)).code]) for x in els]
+    assert one_entry.span(units) == times_g
+
+
 def test_codes_index_the_lexicographic_enumeration():
     for p, l in ORACLE_FIELDS:
         spec = make_field(p, l)
@@ -246,7 +281,7 @@ def test_codes_index_the_lexicographic_enumeration():
         assert spec.from_int(1) is spec.one and spec.from_int(p) is spec.zero
 
 
-@pytest.mark.parametrize("p, l", [(2, 16), (3, 10), (65521, 1)], ids=lambda v: str(v))
+@pytest.mark.parametrize("p, l", LARGEST_FIELDS, ids=lambda v: str(v))
 def test_largest_fields_build_within_budget(p, l):
     fields._build_field.cache_clear()  # time a build, not a lookup
     start = perf_counter()
