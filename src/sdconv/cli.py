@@ -6,6 +6,11 @@ separated by ';' and entries by ',', and field selectors like "2", "4" or
 "3^2".  All output is deterministic.  Exit codes: 0 for success
 (including "false" verdicts), 2 for unparseable input, 3 for violated
 preconditions, among them an ``--out`` path that cannot be written.
+
+Each request is parsed once.  An argv that starts with a command word is
+read by that command's own parser; any other argv by the root parser.
+Strings the command's parser leaves over are reported by the root parser,
+as ``parse_args`` would, so the message keeps the root usage line.
 """
 
 from __future__ import annotations
@@ -38,12 +43,18 @@ from .matrices import (
 )
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The root parser and each command word's own parser."""
     parser = argparse.ArgumentParser(
         prog="sdconv",
         description="Exact arithmetic for self-dual convolutional codes over F_q[z].",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
+
+    def command(name, **kwargs):
+        commands[name] = sub.add_parser(name, **kwargs)
+        return commands[name]
 
     def add_common(p, needs_field=True):
         if needs_field:
@@ -52,31 +63,31 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", default=None, help="write output to this path")
 
-    p = sub.add_parser("check", help="self-orthogonality / catastrophicity / self-duality")
+    p = command("check", help="self-orthogonality / catastrophicity / self-duality")
     add_common(p)
     p.add_argument("--canonical", action="store_true", help="also print the canonical generator")
     p.add_argument("matrix")
 
-    p = sub.add_parser("dual", help="print a generator of the dual code")
+    p = command("dual", help="print a generator of the dual code")
     add_common(p)
     p.add_argument("--canonical", action="store_true", help="canonicalize the output")
     p.add_argument("matrix")
 
-    p = sub.add_parser("hermite", help="row or column Hermite decomposition")
+    p = command("hermite", help="row or column Hermite decomposition")
     add_common(p)
     p.add_argument("--side", choices=("row", "col"), default="row")
     p.add_argument("matrix")
 
-    p = sub.add_parser("smith", help="Smith decomposition U A V = S")
+    p = command("smith", help="Smith decomposition U A V = S")
     add_common(p)
     p.add_argument("matrix")
 
-    p = sub.add_parser("distance", help="bounded free-distance search")
+    p = command("distance", help="bounded free-distance search")
     add_common(p)
     p.add_argument("--bound", type=int, required=True)
     p.add_argument("matrix")
 
-    p = sub.add_parser("construct", help="build a new self-dual code")
+    p = command("construct", help="build a new self-dual code")
     csub = p.add_subparsers(dest="construction", required=True)
 
     pc = csub.add_parser("direct-sum")
@@ -98,13 +109,13 @@ def _build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--perm", action="append", default=[], help="permutation matrix (repeatable)")
     pc.add_argument("matrix")
 
-    p = sub.add_parser("complete", help="paired-column extension and its self-dual completion")
+    p = command("complete", help="paired-column extension and its self-dual completion")
     add_common(p)
     p.add_argument("--a", required=True, help="comma list of pairing polynomials")
     p.add_argument("--witness", default=None, help="candidate completion row to validate")
     p.add_argument("matrix")
 
-    p = sub.add_parser("classify", help="write a classification catalog")
+    p = command("classify", help="write a classification catalog")
     ksub = p.add_subparsers(dest="family", required=True)
 
     pk = ksub.add_parser("two-one")
@@ -118,7 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(pk)
     pk.add_argument("--k", type=int, required=True)
 
-    return parser
+    return parser, commands
 
 
 # Text labels are the result keys with "_" spelled "-", except these.
@@ -284,17 +295,32 @@ _DISPATCH = {
 }
 
 
-# Built by the first call to main and reused: parsing leaves no state in
-# the parser, and building it costs more than a small request.
-_PARSER: Optional[argparse.ArgumentParser] = None
+# Built by the first request and reused: parsing leaves no state in the
+# parsers, and building them costs more than a small request.  A command
+# word's own parser reads its request alone, since the root parser would
+# only hand it the same strings to parse again; leftover strings still go
+# to the root parser, so their message keeps its usage line.
+_PARSER: Optional[tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]] = None
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The parsed request: what the root parser's ``parse_args`` gives."""
     global _PARSER
     if _PARSER is None:
         _PARSER = _build_parser()
+    root, commands = _PARSER
+    parser = commands.get(argv[0]) if argv else None
+    if parser is None:
+        return root.parse_args(argv)
+    args, rest = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if rest:
+        root.error(f"unrecognized arguments: {' '.join(rest)}")
+    return args
+
+
+def main(argv: Optional[list[str]] = None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

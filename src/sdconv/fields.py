@@ -422,13 +422,17 @@ class FieldSpec:
 
     def element(self, coeffs: tuple[int, ...]) -> FieldElement:
         """The element with this coefficient vector, lowest degree first."""
+        try:
+            coeffs = tuple(_as_int("coefficient", c) for c in coeffs)
+        except TypeError:
+            raise OutOfRange(f"coefficients must be an iterable of ints, got {coeffs!r}") from None
         if len(coeffs) != self.l or not all(0 <= c < self.p for c in coeffs):
-            raise OutOfRange(f"{tuple(coeffs)} is not a coefficient vector of {self}")
+            raise OutOfRange(f"{coeffs} is not a coefficient vector of {self}")
         return self._els[_fold(coeffs, self.p)]
 
     def from_int(self, c: int) -> FieldElement:
         """Embed an integer as a constant of the prime subfield."""
-        return self._els[(c % self.p) * self.one.code]
+        return self._els[(_as_int("c", c) % self.p) * self.one.code]
 
     def elements(self) -> tuple[FieldElement, ...]:
         """All q elements, in lexicographic coefficient-vector order."""

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -148,6 +149,8 @@ REQUEST_SEQUENCE = [
     ("check", "--bogus", "1,1"),
     ("check", "--field", "2", "1,1"),
     ("distance", "--field", "2", "--bound", "4", "0,z^2+z+1,z,z^2+1 ; 1,1,1,1"),
+    ("chec", "1"),
+    (),
 ]
 
 
@@ -164,7 +167,58 @@ def test_reused_parser_answers_like_a_fresh_one(capsys, monkeypatch):
     reused += [run(capsys, *argv) for argv in REQUEST_SEQUENCE[1:]]
     assert cli._PARSER is parser
     assert reused == fresh
-    assert [code for code, _, _ in fresh] == [0] * 6 + [2, 0, 0]
+    assert [code for code, _, _ in fresh] == [0] * 6 + [2, 0, 0, 2, 2]
+
+
+def _parse_outcome(capsys, parse, argv):
+    try:
+        result = vars(parse(list(argv)))
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+# Requests the command's own parser reads, and requests the root parser
+# keeps: empty, help, options before the command, an unknown word.
+PARSE_ROUTE_CASES = [
+    (), ("-h",), ("check",), ("check", "-h"),
+    ("check", "--bogus", "1,1"), ("check", "1,1", "extra"), ("check", "1,1", "-x"),
+    ("-x", "check", "1,1"), ("--field", "5", "check", "1,1"), ("chec", "1"),
+    ("check", "--canon", "1,1"), ("check", "--field=5", "1,1"), ("check", "--", "1,1"),
+    ("check", "--format", "xml", "1"), ("distance", "--bound", "x", "1,1"),
+    ("classify",), ("classify", "bogus"), ("classify", "four-two", "-h"),
+    ("classify", "four-two", "--max-deg", "0", "--bogus"),
+    ("construct",), ("construct", "direct-sum", "1,1", "1,1", "x"),
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_ROUTE_CASES, ids=" ".join)
+def test_command_parser_route_answers_like_the_root_parser(capsys, argv):
+    from sdconv import cli
+
+    root, _ = cli._build_parser()
+    expected = _parse_outcome(capsys, root.parse_args, argv)
+    assert _parse_outcome(capsys, cli._parse, argv) == expected
+
+
+@pytest.mark.parametrize(
+    "argv, calls",
+    [(("check", "1,1"), 1), (("classify", "four-two", "--max-deg", "0"), 2)],
+    ids=["check", "classify"],
+)
+def test_a_request_is_parsed_once_per_parser_level(capsys, monkeypatch, argv, calls):
+    run(capsys, "check", "1,1")  # builds the parsers outside the count
+    seen = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        seen.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    assert run(capsys, *argv)[0] == 0
+    assert len(seen) == calls, seen
 
 
 def test_unknown_flag_exits_2(capsys):

@@ -42,9 +42,14 @@ SELF_DUAL = sdconv.ConvolutionalCode(sdconv.parse_matrix(F5, "1,2"))  # 1 + 2^2 
         (OutOfRange, lambda: sdconv.PolyMatrix.zeros(F5, 1.5, 2)),
         (OutOfRange, lambda: sdconv.PolyMatrix(F5, [], cols=2.5)),
         (BadScalars, lambda: sdconv.building_up(SELF_DUAL, [1, 0], 1.0, 2)),
+        (OutOfRange, lambda: F5.from_int(2.5)),
+        (OutOfRange, lambda: F5.from_int("3")),
+        (OutOfRange, lambda: F5.element((1.0,))),
+        (OutOfRange, lambda: F5.element(3)),
     ],
     ids=["Poly-pow", "element-pow", "iter_bounded_polys", "classify_42_binary",
-         "classify_double_diagonal", "free_distance", "identity", "zeros", "cols", "building_up"],
+         "classify_double_diagonal", "free_distance", "identity", "zeros", "cols", "building_up",
+         "from_int-float", "from_int-str", "element-float", "element-int"],
 )
 def test_int_arguments_refuse_other_numbers_with_a_typed_error(error, call):
     with pytest.raises(error):
