@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional
 
 from .errors import DimensionMismatch, OutOfRange, RankDeficient, SearchSpaceTooLarge
 from .fields import _Words, _as_int
@@ -22,13 +22,11 @@ from .matrices import (
     _is_identity,
     _matrix,
     _reduce,
-    as_poly_vector,
-    dot,
     is_self_orthogonal,
     right_kernel_basis,
     row_reduced,
 )
-from .polys import Poly
+from .polys import Poly, as_poly_vector, dot
 
 STATUS_EXACT = "exact-under-bound"
 STATUS_UPPER = "upper-bound"
@@ -129,14 +127,14 @@ class ConvolutionalCode:
             and self.is_noncatastrophic()
         )
 
-    def contains(self, vec: Sequence) -> bool:
+    def contains(self, vec: Iterable) -> bool:
         """True iff nothing is left of the vector reduced by the canonical generator."""
-        if len(vec) != self.n:
-            raise DimensionMismatch(f"vector of length {len(vec)} in length-{self.n} code")
         rest = _grid([as_poly_vector(self.spec, vec)])[0]
+        if len(rest) != self.n:
+            raise DimensionMismatch(f"vector of length {len(rest)} in length-{self.n} code")
         return not any(_reduce(self.spec, self._form, self._pivots, rest))
 
-    def encode(self, message: Sequence) -> tuple[Poly, ...]:
+    def encode(self, message: Iterable) -> tuple[Poly, ...]:
         """The codeword m @ G for a length-k message vector."""
         msg = as_poly_vector(self.spec, message)
         if len(msg) != self.k:

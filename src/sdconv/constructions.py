@@ -46,13 +46,11 @@ from .matrices import (
     _hermite_core,
     _is_identity,
     _matrix,
-    as_poly_vector,
-    dot,
     is_orthogonal_to,
     is_self_orthogonal,
     vstack,
 )
-from .polys import Poly, gcd, vec_content
+from .polys import Poly, _lift, as_poly_vector, dot, gcd, vec_content
 
 NON_TRIVIAL = "non-trivial"
 TRIVIAL_ONLY = "trivial-only"
@@ -111,7 +109,7 @@ def orthogonal_chain(
     spec = code.spec
     gen = code.generator
     for m, lam, perm in steps:
-        lam_poly = lam if isinstance(lam, Poly) else Poly(spec, (lam,))
+        lam_poly = _lift(spec, lam)
         if not lam_poly or lam_poly.degree() != 0:
             raise NotUnit(f"scale factor {lam_poly} is not a nonzero constant")
         if m.rows != code.n or m.cols != code.n:
@@ -176,9 +174,10 @@ def building_up(
             raise FieldObstruction(f"-1 is not a square in {spec}")
         a, b = spec.one, root
     else:
-        a, b = (spec.from_int(s) if isinstance(s, int) else s for s in (a, b))
-        if not (isinstance(a, FieldElement) and isinstance(b, FieldElement)):
+        ea, eb = spec.one._coerce(a), spec.one._coerce(b)
+        if ea is None or eb is None:
             raise BadScalars(f"scalars must be field elements or ints, got {a!r} and {b!r}")
+        a, b = ea, eb
         if not a or not b:
             raise BadScalars("scalars must be nonzero")
         if a * a + b * b != spec.zero:

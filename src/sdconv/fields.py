@@ -276,8 +276,11 @@ class FieldElement:
         self.code = code
 
     def _coerce(self, other):
-        """``other`` as an element of this very spec object; None if it is
-        not a field value."""
+        """The lift into F_q: ``other`` as an element of this very spec
+        object.  An element of an equal field maps to this field's element
+        and an int to ``from_int``; an element of another field raises
+        FieldMismatch, and any other value gives None.  The lift into
+        F_q[z], ``polys._lift``, is built on it."""
         if isinstance(other, FieldElement):
             if other.spec is self.spec:
                 return other
@@ -461,10 +464,11 @@ def make_field(p: int, l: int = 1, modulus: Optional[Iterable[int]] = None) -> F
     irreducible of degree l over F_p is selected by exhaustive scan
     (coefficient vectors compared lowest degree first), so repeated calls
     are deterministic.  A supplied modulus must be monic of degree l with
-    coefficients in [0, p), given lowest degree first.  The last few fields
-    used are kept, and a repeated call returns the same object.  A p, l or
-    modulus coefficient that is not an int, or a modulus that is not
-    iterable, is refused with OutOfRange before anything is built.
+    coefficients in [0, p), given lowest degree first; every x + c gives
+    the one GF(p).  The last few fields used are kept, and a repeated call
+    returns the same object.  A p, l or modulus coefficient that is not an
+    int, or a modulus that is not iterable, is refused with OutOfRange
+    before anything is built.
     """
     p, l = _as_int("p", p), _as_int("l", l)
     if modulus is not None:
@@ -495,7 +499,10 @@ def _as_int(what: str, v) -> int:
 def _build_field(p: int, l: int, modulus: Optional[tuple[int, ...]]) -> FieldSpec:
     if _prime_factors(p) != [p]:
         raise NotPrime(f"{p} is not prime")
-    return FieldSpec(p, l, _choose_modulus(p, l, modulus))
+    chosen = _choose_modulus(p, l, modulus)
+    if l == 1 and modulus is not None:  # every x + c gives GF(p), with the tables of x
+        return _build_field(p, 1, None)
+    return FieldSpec(p, l, chosen)
 
 
 def _choose_modulus(p: int, l: int, mod: Optional[tuple[int, ...]]) -> tuple[int, ...]:
@@ -682,7 +689,7 @@ def _element_code(spec: FieldSpec, s: str, text: str) -> int:
         raise ParseError("empty field element text")
     p, l = spec.p, spec.l
     if s.isdecimal():
-        return _parse_coefficient(s) % p * spec.one.code
+        return spec.from_int(_parse_coefficient(s)).code
     if l == 1 or "a" not in s:
         raise ParseError(f"{text!r} is not a valid {spec} element")
     digits = parse_int_poly(s, "a", p)

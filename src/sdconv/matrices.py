@@ -38,7 +38,7 @@ broken by smallest index, so all outputs are deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -50,10 +50,11 @@ from .errors import (
     ParseError,
     ShapeUnsupported,
 )
-from .fields import FieldElement, FieldSpec, _as_int
-from .polys import Poly, _divmod_codes, _hermite_core, _mul_into, _poly, _sub_mul_row, dot, format_poly, parse_poly
-
-Entryish = Union[Poly, FieldElement, int]
+from .fields import FieldSpec, _as_int
+from .polys import (
+    Poly, _divmod_codes, _hermite_core, _mul_into, _poly, _sub_mul_row,
+    as_poly_vector, dot, format_poly, parse_poly,
+)
 
 
 class PolyMatrix:
@@ -61,7 +62,7 @@ class PolyMatrix:
 
     __slots__ = ("spec", "rows", "cols", "entries")
 
-    def __init__(self, spec: FieldSpec, rows: Iterable[Iterable[Entryish]], cols: Optional[int] = None):
+    def __init__(self, spec: FieldSpec, rows: Iterable[Iterable], cols: Optional[int] = None):
         grid = [as_poly_vector(spec, row) for row in rows]
         if cols is not None:
             cols = _as_int("cols", cols)
@@ -389,18 +390,6 @@ def is_orthogonal_to(spec: FieldSpec, u: Sequence[Poly], rows: Iterable[Sequence
     return True
 
 
-def as_poly_vector(spec: FieldSpec, vec: Iterable[Entryish]) -> tuple[Poly, ...]:
-    """Lift a sequence of Poly / FieldElement / int entries to Poly."""
-    out = []
-    for e in vec:
-        if not isinstance(e, Poly):
-            e = Poly(spec, (e,))
-        elif e.spec is not spec and e.spec != spec:
-            raise FieldMismatch("matrix entry from a different field")
-        out.append(e)
-    return tuple(out)
-
-
 def _reduce(spec: FieldSpec, grid, pivots: Sequence[int], rest: list) -> list:
     """What is left of the code row ``rest``, reduced in place, after
     reduction by the echelon code rows of ``grid``, whose monic pivots sit
@@ -418,7 +407,7 @@ def _reduce(spec: FieldSpec, grid, pivots: Sequence[int], rest: list) -> list:
     return rest
 
 
-def solve_left(matrix: PolyMatrix, vec: Sequence[Entryish]) -> Optional[tuple[Poly, ...]]:
+def solve_left(matrix: PolyMatrix, vec: Iterable) -> Optional[tuple[Poly, ...]]:
     """Solve m @ A = v for a full-row-rank A; None when v is outside the span.
 
     Reduces [v | 0] by the rows of [H | U], H = U @ A the row Hermite
@@ -426,11 +415,12 @@ def solve_left(matrix: PolyMatrix, vec: Sequence[Entryish]) -> Optional[tuple[Po
     when nothing is left of v, and then the tail is -c @ U = -m.
     """
     spec, k, n = matrix.spec, matrix.rows, matrix.cols
-    if len(vec) != n:
-        raise DimensionMismatch(f"vector of length {len(vec)} against {k}x{n} matrix")
+    rest = _grid([as_poly_vector(spec, vec)])[0]
+    if len(rest) != n:
+        raise DimensionMismatch(f"vector of length {len(rest)} against {k}x{n} matrix")
     if k > n:
         raise ShapeUnsupported(f"need rows <= cols, got {k}x{n}")
-    rest = _grid([as_poly_vector(spec, vec)])[0] + [[] for _ in range(k)]
+    rest += [[] for _ in range(k)]
     grid = _beside_identity(spec, _grid(matrix.entries))
     pivots = _hermite_core(spec, grid, n)
     if len(pivots) < k:

@@ -13,11 +13,15 @@ log and Zech tables, and one division loop built on it,
 :func:`_divmod_codes`.  ``Poly`` operators wrap them.  The one elimination,
 :func:`_hermite_core`, reduces grids of code lists with the two loops
 directly: it answers ``gcd``, ``xgcd`` and ``vec_content`` as the Hermite
-form of one column, and every elimination of ``matrices``.  One fused
-kernel on ``Poly`` values remains: :func:`dot`, the product of two vectors.
-The d_free trellis of ``codes`` does not add through these loops: it packs
-each vector of codes into one int and adds whole vectors in a few int
-operations (``fields._Words``).
+form of one column, and every elimination of ``matrices``.  The d_free
+trellis of ``codes`` does not add through these loops: it packs each vector
+of codes into one int and adds whole vectors in a few int operations
+(``fields._Words``).
+
+A value enters F_q[z] by one lift, :func:`_lift`, built on the one lift
+into F_q, ``FieldElement._coerce``; :func:`as_poly_vector` maps it over a
+vector.  ``dot``, ``gcd``, ``xgcd`` and ``vec_content`` lift over the field
+of their first polynomial entry.
 """
 
 from __future__ import annotations
@@ -29,23 +33,19 @@ from .fields import FieldElement, FieldSpec, _as_int, _element_code, _format_ter
 
 NEG_INF = float("-inf")
 
-Coeffish = Union[FieldElement, int]
-
 
 class Poly:
     """Element of F_q[z]."""
 
     __slots__ = ("spec", "codes")
 
-    def __init__(self, spec: FieldSpec, coeffs: Iterable[Coeffish] = ()):
-        codes = []
+    def __init__(self, spec: FieldSpec, coeffs: Iterable = ()):
+        lift, codes = spec.one._coerce, []
         for c in coeffs:
-            if isinstance(c, int):
-                codes.append((c % spec.p) * spec.one.code)
-            elif isinstance(c, FieldElement) and (c.spec is spec or c.spec == spec):
-                codes.append(c.code)
-            else:
+            e = lift(c)
+            if e is None:
                 raise FieldMismatch(f"coefficient {c!r} is not an element of {spec!r}")
+            codes.append(e.code)
         while codes and not codes[-1]:
             codes.pop()
         self.spec = spec
@@ -88,46 +88,25 @@ class Poly:
         """Number of nonzero coefficients."""
         return len(self.codes) - self.codes.count(0)
 
-    def _coerce(self, other):
-        """``other`` as a polynomial over a field equal to this one, whose
-        codes therefore mean the same; None if it is not a field value."""
-        if isinstance(other, Poly):
-            if other.spec is not self.spec and other.spec != self.spec:
-                raise FieldMismatch("polynomials over different fields")
-            return other
-        if isinstance(other, (FieldElement, int)):
-            return Poly(self.spec, (other,))
-        return None
-
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+        o = _lift(self.spec, other)
         spec = self.spec
         return _poly(spec, _mul_into(spec, list(self.codes), (spec.one.code,), o.codes, 0))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + -o
+        return self + -_lift(self.spec, other)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        return _lift(self.spec, other) - self
 
     def __neg__(self):
         neg = self.spec._neg
         return _poly(self.spec, [neg[c] for c in self.codes])
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+        o = _lift(self.spec, other)
         return _poly(self.spec, _mul_into(self.spec, [], self.codes, o.codes, 0))
 
     __rmul__ = __mul__
@@ -146,9 +125,7 @@ class Poly:
         return out
 
     def __divmod__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+        o = _lift(self.spec, other)
         if not o.codes:
             raise DivisionByZero("polynomial division by zero")
         quo, rem = _divmod_codes(self.spec, self.codes, o.codes)
@@ -191,6 +168,47 @@ def _poly(spec: FieldSpec, codes: list[int]) -> Poly:
     out.spec = spec
     out.codes = tuple(codes)
     return out
+
+
+def _lift(spec: FieldSpec, value) -> Poly:
+    """The lift into F_q[z]: ``value`` as a polynomial over ``spec``.  A
+    polynomial over an equal field is kept, and a field value becomes a
+    constant (``FieldElement._coerce``); anything else is FieldMismatch."""
+    if isinstance(value, Poly):
+        if value.spec is not spec and value.spec != spec:
+            raise FieldMismatch(f"polynomials over {value.spec!r} and {spec!r} cannot be combined")
+        return value
+    c = spec.one._coerce(value)
+    if c is None:
+        raise FieldMismatch(f"{value!r} is not a value of {spec!r}")
+    return _poly(spec, [c.code])
+
+
+def as_poly_vector(spec: FieldSpec, vec: Iterable) -> tuple[Poly, ...]:
+    """The lift (``_lift``) of each entry of the iterable ``vec``, read once.
+    The common case, polynomials over this very spec object, lifts to itself."""
+    vec = _entries(vec)
+    for e in vec:
+        if e.__class__ is not Poly or e.spec is not spec:
+            return tuple([_lift(spec, e) for e in vec])
+    return vec
+
+
+def _entries(vec) -> tuple:
+    """The entries of the iterable ``vec`` as a tuple, else DimensionMismatch."""
+    try:
+        return tuple(vec)
+    except TypeError:
+        raise DimensionMismatch(f"{vec!r} is not a vector") from None
+
+
+def _field_of(vec: Sequence) -> FieldSpec:
+    """The field of the first polynomial in ``vec``: the functions on
+    polynomials that take no field lift the other entries over it."""
+    for e in vec:
+        if isinstance(e, Poly):
+            return e.spec
+    raise FieldMismatch("no polynomial argument fixes the field")
 
 
 def _mul_into(
@@ -317,37 +335,21 @@ def _scale_row(spec: FieldSpec, row: list, c: int) -> None:
         x[:] = [exp[log[v] + s] if v else 0 for v in x]
 
 
-def dot(u: Sequence[Union[Poly, Coeffish]], v: Sequence[Union[Poly, Coeffish]]) -> Poly:
-    """The sum of u[i] * v[i], accumulated in one code list.  An entry that
-    is not a polynomial is lifted over the field of the first one that is,
-    as a Poly operator lifts its operand; FieldMismatch if none is."""
+def dot(u: Iterable, v: Iterable) -> Poly:
+    """The sum of u[i] * v[i], accumulated in one code list, over the field
+    of the first polynomial entry, which the other entries are lifted over."""
+    u, v = _entries(u), _entries(v)
     if len(u) != len(v):
         raise DimensionMismatch("dot product of vectors with different lengths")
     if not u:
         raise DimensionMismatch("empty dot product: no field to sum over")
-    spec = getattr(u[0], "spec", None)
+    uv = u + v
+    spec = _field_of(uv)
+    uv = as_poly_vector(spec, uv)
     out: list[int] = []
-    for x, y in zip(u, v):
-        if not (isinstance(x, Poly) and isinstance(y, Poly) and x.spec is spec is y.spec):
-            spec, grid = _code_column((*u, *v))  # not all over one spec object
-            out = []
-            for (a,), (b,) in zip(grid, grid[len(u) :]):
-                _mul_into(spec, out, a, b, 0)
-            break
+    for x, y in zip(uv, uv[len(u) :]):
         _mul_into(spec, out, x.codes, y.codes, 0)
     return _poly(spec, out)
-
-
-def _code_column(vec: Sequence[Union[Poly, Coeffish]]) -> tuple[FieldSpec, list]:
-    """The field of the first Poly in ``vec`` and the one-column code grid
-    of the entries, each lifted over it as a Poly operator lifts its operand."""
-    first = next((e for e in vec if isinstance(e, Poly)), None)
-    if first is None:
-        raise FieldMismatch("no polynomial argument fixes the field")
-    lifted = [first._coerce(e) for e in vec]
-    if any(p is None for p in lifted):
-        raise FieldMismatch(f"an entry is neither a polynomial nor a value of {first.spec!r}")
-    return first.spec, [[list(p.codes)] for p in lifted]
 
 
 def xgcd(u: Poly, v: Poly) -> tuple[Poly, Poly, Poly]:
@@ -356,8 +358,9 @@ def xgcd(u: Poly, v: Poly) -> tuple[Poly, Poly, Poly]:
 
     g is monic when nonzero; gcd(0, 0) = 0 with s = t = 0.
     """
-    spec, (v_row, u_row) = _code_column((v, u))
-    grid = [v_row + [[spec.one.code], []], u_row + [[], [spec.one.code]]]
+    spec = _field_of((v, u))
+    v, u = as_poly_vector(spec, (v, u))
+    grid = [[list(v.codes), [spec.one.code], []], [list(u.codes), [], [spec.one.code]]]
     if not _hermite_core(spec, grid, 1):
         return (Poly.zero(spec),) * 3
     g, t, s = [_poly(spec, e) for e in grid[0]]
@@ -372,13 +375,11 @@ def gcd(u: Poly, v: Poly) -> Poly:
 def vec_content(vec: Iterable[Poly]) -> Poly:
     """Monic gcd of all entries of a polynomial vector (0 if all zero): the
     first entry of the Hermite form of the vector as one column."""
-    try:
-        vec = tuple(vec)
-    except TypeError:
-        raise DimensionMismatch(f"content of {vec!r}, which is not a vector") from None
+    vec = _entries(vec)
     if not vec:
         raise DimensionMismatch("content of an empty vector")
-    spec, grid = _code_column(vec)
+    spec = _field_of(vec)
+    grid = [[list(e.codes)] for e in as_poly_vector(spec, vec)]
     _hermite_core(spec, grid, 1)
     return _poly(spec, grid[0][0])
 

@@ -399,6 +399,13 @@ def test_extension_field_selector(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_degree_one_modulus_prints_what_the_prime_field_prints(capsys, fmt):
+    plain = run(capsys, "check", "--field", "5", "--format", fmt, "1,2")
+    assert plain[0] == 0 and "true" in plain[1]
+    assert run(capsys, "check", "--field", "5", "--modulus", "a+3", "--format", fmt, "1,2") == plain
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "catalog.txt"
     code, out, _ = run(

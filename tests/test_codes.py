@@ -126,6 +126,11 @@ def test_contains_examples():
     assert code(F2, CAT).contains(parse_vector(F2, "0,0,0,0"))
     with pytest.raises(DimensionMismatch):
         code(F2, NBU).contains(parse_vector(F2, "1,1"))
+    # any iterable, read once: lifted first, its length checked after
+    assert code(F2, NBU).contains(e for e in ones)
+    assert not code(F2, CAT).contains(e for e in (1, 1, 1, 1))
+    with pytest.raises(DimensionMismatch):
+        code(F2, NBU).contains(e for e in ones[:2])
 
 
 def test_canonical_generator_examples():

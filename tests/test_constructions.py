@@ -54,6 +54,7 @@ from sdconv.constructions import (
 from sdconv.errors import (
     BadScalars,
     BadVector,
+    FieldMismatch,
     FieldObstruction,
     MalformedInput,
     NotBinary,
@@ -195,6 +196,18 @@ def test_building_up_bad_scalars():
         building_up(c, parse_vector(F5, "1,0,0,0"), F5.from_int(0), F5.from_int(0))
     with pytest.raises(BadScalars):
         building_up(c, parse_vector(F5, "1,0,0,0"), F5.from_int(1), None)
+    # scalars enter F_q by its one lift: another field is FieldMismatch, and
+    # a value that is no field value is named as the caller gave it
+    F13 = sdconv.make_field(13)
+    one_two = code(F5, "1,2")
+    with pytest.raises(FieldMismatch, match="GF.5. and GF.13."):
+        building_up(one_two, [1, 0], F13.one, F13.from_int(5))
+    with pytest.raises(FieldMismatch):
+        building_up(one_two, [1, 0], 1, F13.from_int(5))
+    with pytest.raises(BadScalars, match=r"got 1\.0 and 'x'$"):
+        building_up(one_two, [1, 0], 1.0, "x")
+    with pytest.raises(BadScalars, match=r"got 1 and 2\.0$"):
+        building_up(one_two, [1, 0], 1, 2.0)
 
 
 def test_building_up_field_obstruction():

@@ -43,6 +43,21 @@ def test_prime_field_modulus_is_x():
     assert make_field(7).modulus == (0, 1)
 
 
+def test_a_degree_one_modulus_builds_the_one_gf_p():
+    # every x + c gives GF(p) with the tables of x, so it is the one field
+    # and its elements combine; the modulus is still checked
+    F5 = make_field(5)
+    for c in range(5):
+        G = make_field(5, 1, (c, 1))
+        assert G is F5 and G == F5 and hash(G) == hash(F5) and G.modulus == (0, 1)
+        assert G.one + F5.one == F5.from_int(2) == F5.one + G.one
+        assert Poly.z(G) * Poly.one(F5) == Poly.z(F5)
+        assert parse_field_selector("5", f"a+{c}") == F5
+    for modulus, error in (((3, 2), DegreeMismatch), ((3, 1, 0), DegreeMismatch), ((5, 1), OutOfRange)):
+        with pytest.raises(error):
+            make_field(5, 1, modulus)
+
+
 def test_f4_modulus_is_the_unique_irreducible_quadratic():
     # oracle: a binary quadratic is reducible iff it has a root in GF(2)
     reducible = []

@@ -451,11 +451,16 @@ def test_solve_left_examples():
     row0 = a.entries[0]
     assert solve_left(a, row0) == (Poly.one(F2), Poly.zero(F2))
     assert solve_left(M(F2, "z,z,1,1"), parse_vector(F2, "1,1,1,1")) is None
+    # any iterable, read once
+    assert solve_left(a, (e for e in row0)) == (Poly.one(F2), Poly.zero(F2))
+    assert solve_left(a, iter((1, 1, 1, 1))) == sol
 
 
 def test_solve_left_errors():
     with pytest.raises(DimensionMismatch):
         solve_left(M(F2, "1,1"), parse_vector(F2, "1,1,1"))
+    with pytest.raises(DimensionMismatch):
+        solve_left(M(F2, "1,1"), (e for e in parse_vector(F2, "1,1,1")))
     with pytest.raises(RankDeficient):
         solve_left(M(F2, "z,z ; z,z"), parse_vector(F2, "1,1"))
     with pytest.raises(ShapeUnsupported, match="need rows <= cols, got 2x1"):

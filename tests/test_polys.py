@@ -13,9 +13,22 @@ from helpers import (
     school_mul,
     school_sub_mul,
 )
-from sdconv import FieldSpec, Poly, dot, fields, gcd, make_field, parse_element, parse_poly, vec_content, xgcd
+from sdconv import (
+    ConvolutionalCode,
+    FieldSpec,
+    Poly,
+    PolyMatrix,
+    dot,
+    fields,
+    gcd,
+    make_field,
+    parse_element,
+    parse_poly,
+    vec_content,
+    xgcd,
+)
 from sdconv.errors import DimensionMismatch, DivisionByZero, FieldMismatch, ParseError, SdconvError, SearchSpaceTooLarge
-from sdconv.polys import NEG_INF, format_poly
+from sdconv.polys import NEG_INF, as_poly_vector, format_poly
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -218,6 +231,61 @@ def test_dot_lifts_values_as_poly_operators_do():
     for bad in (([1], [1]), ([F2.one], [1]), ([z], [Poly.z(F5)]), ([z], ["1"]), ([z], [1.5])):
         with pytest.raises(FieldMismatch):
             dot(*bad)
+    # any iterables, read once
+    assert dot((e for e in [z, F2.one]), iter([z, z])) == z**2 + z
+    assert dot(iter([1]), (e for e in [z])) == z
+    with pytest.raises(DimensionMismatch):
+        dot(iter([z]), (e for e in [z, z]))
+
+
+def test_every_door_into_f9_z_lifts_a_value_alike():
+    # one table of values, each with its lift over F9, or None where the
+    # lift is FieldMismatch; each door must answer as it does on the lift
+    twin = FieldSpec(3, 2, F9.modulus)  # equal to F9, another object
+    other = make_field(3, 2, (2, 2, 1))  # GF(9) with another modulus
+    assert twin == F9 and twin is not F9 and other != F9
+    a, z = F9.element((0, 1)), Poly.z(F9)
+    lift = lambda text: parse_poly(F9, text)
+    table = [
+        (7, lift("1")),
+        (-1, lift("2")),
+        (True, lift("1")),
+        (a, lift("a")),
+        (twin.element((0, 1)), lift("a")),
+        (F3.from_int(2), None),
+        (other.element((0, 1)), None),
+        (Poly(F9, (1, a)), lift("a*z+1")),
+        (Poly(twin, (1, twin.element((0, 1)))), lift("a*z+1")),
+        (Poly(F3, (1, 2)), None),
+        (Poly(other, (1, other.element((0, 1)))), None),
+        ("a", None),
+        (1.0, None),
+    ]
+    code = ConvolutionalCode(PolyMatrix(F9, [[1, z]]))
+    doors = {
+        "add": lambda x: z + x,
+        "mul": lambda x: z * x,
+        "PolyMatrix": lambda x: PolyMatrix(F9, [[x]]).entries[0][0],
+        "as_poly_vector": lambda x: as_poly_vector(F9, [x])[0],
+        "dot": lambda x: dot([Poly.one(F9)], [x]),
+        "gcd": lambda x: gcd(z + a, x),
+        "vec_content": lambda x: vec_content([z, x]),
+        "contains": lambda x: code.contains((x, a * z)),  # iff x lifts to a
+    }
+
+    def outcome(f, x):
+        try:
+            return f(x)
+        except Exception as e:
+            return type(e)
+
+    for value, expected in table:
+        got = {name: outcome(door, value) for name, door in doors.items()}
+        want = {name: FieldMismatch if expected is None else door(expected) for name, door in doors.items()}
+        if not isinstance(value, Poly):  # a coefficient is a scalar
+            got["Poly"] = outcome(lambda x: Poly(F9, (x,)), value)
+            want["Poly"] = FieldMismatch if expected is None else expected
+        assert got == want, value
 
 
 def test_gcd_monic_over_f5():
