@@ -16,6 +16,7 @@ as ``parse_args`` would, so the message keeps the root usage line.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -43,9 +44,19 @@ from .matrices import (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that wraps help and usage text at 78 columns, the
+    width argparse takes on an 80-column terminal, whatever the terminal or
+    COLUMNS says, so the CLI prints the same bytes everywhere.  Its
+    subparsers are _Parser too."""
+
+    def __init__(self, **kwargs):
+        super().__init__(formatter_class=functools.partial(argparse.HelpFormatter, width=78), **kwargs)
+
+
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The root parser and each command word's own parser."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sdconv",
         description="Exact arithmetic for self-dual convolutional codes over F_q[z].",
     )

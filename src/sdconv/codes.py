@@ -26,7 +26,7 @@ from .matrices import (
     right_kernel_basis,
     row_reduced,
 )
-from .polys import Poly, as_poly_vector, dot
+from .polys import Poly, _poly, as_poly_vector, dot
 
 STATUS_EXACT = "exact-under-bound"
 STATUS_UPPER = "upper-bound"
@@ -253,7 +253,4 @@ def iter_bounded_polys(spec, max_deg: int) -> list[Poly]:
     if max_deg < 0:
         raise OutOfRange("max_deg must be nonnegative")
     check_search_size(spec.q, max_deg + 1)
-    return [
-        Poly(spec, coeffs)
-        for coeffs in itertools.product(spec.elements(), repeat=max_deg + 1)
-    ]
+    return [_poly(spec, list(codes)) for codes in itertools.product(range(spec.q), repeat=max_deg + 1)]

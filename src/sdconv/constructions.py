@@ -79,7 +79,7 @@ def _require_self_dual(code: ConvolutionalCode, who: str) -> None:
 
 def direct_sum(c1: ConvolutionalCode, c2: ConvolutionalCode) -> ConvolutionalCode:
     """Block-diagonal sum of two self-dual codes; self-dual of size (n+n', k+k')."""
-    if c1.spec != c2.spec:
+    if c1.spec is not c2.spec:
         raise FieldMismatch("direct sum of codes over different fields")
     _require_self_dual(c1, "direct_sum")
     _require_self_dual(c2, "direct_sum")

@@ -10,13 +10,13 @@ freely between threads.  Each element keeps its coefficient vector
 (``coeffs``, lowest degree first) and an int ``code``: its index in
 :meth:`FieldSpec.elements`, which lists the vectors in lexicographic order,
 so the base-p digits of the code, most significant first, are the
-coefficients.  Two elements of one field object are equal exactly when they
-are the same object.  An element's canonical text lives in its field's text
-table, indexed by code like the elements, and its inverse, a dict from the
-text to the code, makes reading canonical text one lookup; the parser reads
-any other text straight to a code.  The inverse costs one dict entry per
-element: on 64-bit CPython 3.11 a built GF(2^16) holds 34.6 MiB with it
-and 30.8 MiB without.
+coefficients.  Fields are interned too (:func:`make_field`), so two fields,
+or two elements, are equal exactly when they are the same object.  An
+element's canonical text lives in its field's text table, indexed by code
+like the elements, and its inverse, a dict from the text to the code, makes
+reading canonical text one lookup; the parser reads any other text straight
+to a code.  The inverse costs one dict entry per element: on 64-bit CPython
+3.11 a built GF(2^16) holds 34.6 MiB with it and 30.8 MiB without.
 
 Packed words.  A vector of codes packs into one int, a word of
 :class:`_Words`, so that whole vectors add in a few int operations: the
@@ -45,8 +45,8 @@ looks its result code up in :meth:`FieldSpec.elements`:
 * text: code -> canonical text, and its inverse, text -> code (q entries
   each; see Representation).
 
-:func:`make_field` keeps the fields it used most recently (an LRU cache),
-so repeated calls return one object and build its tables once.
+:func:`make_field` interns each field while it is referenced and keeps the
+fields it used most recently (an LRU cache), so each field is built once.
 
 Element text syntax: prime fields use plain decimals ("3"); extension
 fields use the letter ``a`` for the residue class of x ("a+1", "a^2+2*a").
@@ -58,6 +58,8 @@ import functools
 import itertools
 import math
 import operator
+import threading
+import weakref
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -78,8 +80,11 @@ MAX_FIELD_SIZE = 1 << 16
 MAX_EXPONENT = 1 << 10
 # Longest decimal coefficient the text parsers accept: the int() default.
 MAX_COEFFICIENT_DIGITS = 4300
-# make_field keeps this many of the fields it used most recently.
+# make_field keeps this many of the fields it used most recently, and every
+# field still referenced, by (p, l, modulus); the lock builds each field once.
 _KEPT_FIELDS = 8
+_FIELDS: "weakref.WeakValueDictionary[tuple, FieldSpec]" = weakref.WeakValueDictionary()
+_FIELDS_LOCK = threading.Lock()
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -276,16 +281,13 @@ class FieldElement:
         self.code = code
 
     def _coerce(self, other):
-        """The lift into F_q: ``other`` as an element of this very spec
-        object.  An element of an equal field maps to this field's element
-        and an int to ``from_int``; an element of another field raises
-        FieldMismatch, and any other value gives None.  The lift into
-        F_q[z], ``polys._lift``, is built on it."""
+        """The lift into F_q: ``other`` as an element of this field.  An
+        element of this field is kept and an int maps to ``from_int``; an
+        element of another field raises FieldMismatch, and any other value
+        gives None.  The lift into F_q[z], ``polys._lift``, is built on it."""
         if isinstance(other, FieldElement):
             if other.spec is self.spec:
                 return other
-            if other.spec == self.spec:
-                return self.spec._els[other.code]
             raise FieldMismatch(
                 f"elements of {self.spec} and {other.spec} cannot be combined"
             )
@@ -365,14 +367,14 @@ class FieldElement:
         return self.code != 0
 
     def __eq__(self, other):
-        # Equality with ints is not offered: no hash agrees with equality
-        # mod p, so F.one and 1 are different values.
-        if other.__class__ is FieldElement:
-            return self is other or (self.code == other.code and self.spec == other.spec)
-        return NotImplemented
+        # Elements are interned, so equality is identity.  No hash agrees
+        # with equality mod p, so F.one and 1 are different values.
+        return self is other if other.__class__ is FieldElement else NotImplemented
 
-    def __hash__(self):
-        return hash((self.spec, self.code))
+    __hash__ = object.__hash__
+
+    def __reduce__(self):
+        return self.spec.element, (self.coeffs,)
 
     def __str__(self):
         return format_element(self)
@@ -384,18 +386,24 @@ class FieldElement:
 class FieldSpec:
     """The finite field F_q, q = p^l, with a fixed modulus polynomial.
 
-    Instances are immutable; two specs compare equal iff they have the same
-    characteristic, degree and modulus, and elements of equal specs combine.
-    The elements, the arithmetic tables and the text table are built by the
-    constructor; :meth:`element` and :meth:`from_int` look elements up.
+    ``FieldSpec(p, l, modulus)`` is ``make_field(p, l, modulus)``, and copy,
+    deepcopy and pickle return the field itself: fields compare by identity.
+    Instances are immutable; ``_build`` builds the elements and the tables
+    once per field, and :meth:`element` and :meth:`from_int` look them up.
     """
 
     __slots__ = (
-        "p", "l", "q", "modulus", "zero", "one",
+        "p", "l", "q", "modulus", "zero", "one", "__weakref__",
         "_els", "_text", "_code", "_spread", "_log", "_exp", "_zech", "_neg", "_log_minus_one",
     )
 
-    def __init__(self, p: int, l: int, modulus: tuple[int, ...]):
+    def __new__(cls, p: int, l: int = 1, modulus: Optional[Iterable[int]] = None):
+        return make_field(p, l, modulus)
+
+    def __reduce__(self):
+        return make_field, (self.p, self.l, self.modulus)
+
+    def _build(self, p: int, l: int, modulus: tuple[int, ...]) -> "FieldSpec":
         self.p = p
         self.l = l
         self.q = q = p**l
@@ -422,6 +430,7 @@ class FieldSpec:
         self._zech = [log[c + unit if c < top else c - top] for c in power_codes] * 2
         h = self._log_minus_one = log[top]
         self._neg = (0,) + tuple(self._exp[log[c] + h] for c in range(1, q))
+        return self
 
     def element(self, coeffs: tuple[int, ...]) -> FieldElement:
         """The element with this coefficient vector, lowest degree first."""
@@ -441,16 +450,6 @@ class FieldSpec:
         """All q elements, in lexicographic coefficient-vector order."""
         return self._els
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if isinstance(other, FieldSpec):
-            return (self.p, self.l, self.modulus) == (other.p, other.l, other.modulus)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.p, self.l, self.modulus))
-
     def __repr__(self):
         if self.l == 1:
             return f"GF({self.p})"
@@ -465,10 +464,10 @@ def make_field(p: int, l: int = 1, modulus: Optional[Iterable[int]] = None) -> F
     (coefficient vectors compared lowest degree first), so repeated calls
     are deterministic.  A supplied modulus must be monic of degree l with
     coefficients in [0, p), given lowest degree first; every x + c gives
-    the one GF(p).  The last few fields used are kept, and a repeated call
-    returns the same object.  A p, l or modulus coefficient that is not an
-    int, or a modulus that is not iterable, is refused with OutOfRange
-    before anything is built.
+    the one GF(p).  A field is one object: a repeated call, with or without
+    the default modulus, returns it.  A p, l or modulus coefficient that is
+    not an int, or a modulus that is not iterable, is refused with
+    OutOfRange before anything is built.
     """
     p, l = _as_int("p", p), _as_int("l", l)
     if modulus is not None:
@@ -495,14 +494,23 @@ def _as_int(what: str, v) -> int:
         raise OutOfRange(f"{what} must be an int, got {v!r}") from None
 
 
+def _as_field(spec) -> FieldSpec:
+    """``spec`` if it is a field, else FieldMismatch."""
+    if spec.__class__ is not FieldSpec:
+        raise FieldMismatch(f"{spec!r} is not a field")
+    return spec
+
+
 @functools.lru_cache(maxsize=_KEPT_FIELDS)
 def _build_field(p: int, l: int, modulus: Optional[tuple[int, ...]]) -> FieldSpec:
     if _prime_factors(p) != [p]:
         raise NotPrime(f"{p} is not prime")
-    chosen = _choose_modulus(p, l, modulus)
-    if l == 1 and modulus is not None:  # every x + c gives GF(p), with the tables of x
-        return _build_field(p, 1, None)
-    return FieldSpec(p, l, chosen)
+    key = (p, l, _choose_modulus(p, l, modulus))
+    with _FIELDS_LOCK:
+        spec = _FIELDS.get(key)
+        if spec is None:
+            spec = _FIELDS[key] = object.__new__(FieldSpec)._build(*key)
+    return spec
 
 
 def _choose_modulus(p: int, l: int, mod: Optional[tuple[int, ...]]) -> tuple[int, ...]:
@@ -516,7 +524,7 @@ def _choose_modulus(p: int, l: int, mod: Optional[tuple[int, ...]]) -> tuple[int
             raise OutOfRange("modulus coefficients must lie in [0, p)")
         if not _modulus_is_irreducible(mod, p):
             raise ReducibleModulus(f"{_format_terms(mod, [*map(str, range(p))], 'a')} factors over GF({p})")
-        return mod
+        return mod if l > 1 else (0, 1)  # every x + c gives the one GF(p)
     if l == 1:
         return (0, 1)
     # a zero constant term makes x a factor, so the scan starts at 1
@@ -700,6 +708,7 @@ def _element_code(spec: FieldSpec, s: str, text: str) -> int:
 
 def parse_element(spec: FieldSpec, text: str) -> FieldElement:
     """Parse field-element text ("3" over GF(5), "a^2+2*a" over GF(9))."""
+    spec = _as_field(spec)
     return spec._els[_element_code(spec, "".join(text.split()), text)]
 
 

@@ -50,7 +50,7 @@ from .errors import (
     ParseError,
     ShapeUnsupported,
 )
-from .fields import FieldSpec, _as_int
+from .fields import FieldSpec, _as_field, _as_int
 from .polys import (
     Poly, _divmod_codes, _hermite_core, _mul_into, _poly, _sub_mul_row,
     as_poly_vector, dot, format_poly, parse_poly,
@@ -63,6 +63,7 @@ class PolyMatrix:
     __slots__ = ("spec", "rows", "cols", "entries")
 
     def __init__(self, spec: FieldSpec, rows: Iterable[Iterable], cols: Optional[int] = None):
+        spec = _as_field(spec)
         grid = [as_poly_vector(spec, row) for row in rows]
         if cols is not None:
             cols = _as_int("cols", cols)
@@ -120,7 +121,7 @@ class PolyMatrix:
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if not isinstance(other, PolyMatrix):
             return NotImplemented
-        if self.spec is not other.spec and self.spec != other.spec:
+        if self.spec is not other.spec:
             raise FieldMismatch("matrices over different fields")
         if self.cols != other.rows:
             raise DimensionMismatch(
@@ -138,7 +139,7 @@ class PolyMatrix:
     def __eq__(self, other):
         if isinstance(other, PolyMatrix):
             return (
-                (self.spec is other.spec or self.spec == other.spec)
+                self.spec is other.spec
                 and self.rows == other.rows
                 and self.cols == other.cols
                 and self.entries == other.entries
@@ -162,7 +163,7 @@ def vstack(*blocks: PolyMatrix) -> PolyMatrix:
     cols = blocks[0].cols
     if any(b.cols != cols for b in blocks):
         raise DimensionMismatch("vstack blocks with different widths")
-    if any(b.spec is not spec and b.spec != spec for b in blocks):
+    if any(b.spec is not spec for b in blocks):
         raise FieldMismatch("vstack blocks over different fields")
     return PolyMatrix._of(spec, tuple(row for b in blocks for row in b.entries), cols)
 
@@ -436,6 +437,7 @@ def solve_left(matrix: PolyMatrix, vec: Iterable) -> Optional[tuple[Poly, ...]]:
 # Text format: rows separated by ';', entries by ','.
 
 def parse_matrix(spec: FieldSpec, text: str) -> PolyMatrix:
+    spec = _as_field(spec)
     if not text.strip():
         raise ParseError("empty matrix text")
     rows = []
@@ -451,6 +453,7 @@ def parse_matrix(spec: FieldSpec, text: str) -> PolyMatrix:
 
 
 def parse_vector(spec: FieldSpec, text: str) -> tuple[Poly, ...]:
+    _as_field(spec)
     if not text.strip():
         raise ParseError("empty vector text")
     if ";" in text:

@@ -3,9 +3,10 @@
 A polynomial stores its coefficients as the field's int codes, the indices
 in ``spec.elements()``, lowest degree first with no trailing zeros; the
 zero polynomial is the empty tuple and its degree is -infinity, which keeps
-degree comparisons in the canonical-form algorithms uniform.  Codes depend
-only on the field, not on the spec object.  ``coeffs`` is the API view of
-the codes as the field's interned elements.
+degree comparisons in the canonical-form algorithms uniform.  A field is
+one object (``fields.make_field``), so polynomials over one field share
+their spec object.  ``coeffs`` is the API view of the codes as the field's
+interned elements.
 
 All arithmetic runs on code lists through one inner loop, :func:`_mul_into`,
 which adds g^e times a product of code lists into a third with the field's
@@ -29,7 +30,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import DimensionMismatch, DivisionByZero, FieldMismatch, OutOfRange
-from .fields import FieldElement, FieldSpec, _as_int, _element_code, _format_terms, _parse_terms
+from .fields import FieldElement, FieldSpec, _as_field, _as_int, _element_code, _format_terms, _parse_terms
 
 NEG_INF = float("-inf")
 
@@ -40,6 +41,7 @@ class Poly:
     __slots__ = ("spec", "codes")
 
     def __init__(self, spec: FieldSpec, coeffs: Iterable = ()):
+        spec = _as_field(spec)
         lift, codes = spec.one._coerce, []
         for c in coeffs:
             e = lift(c)
@@ -59,15 +61,15 @@ class Poly:
 
     @classmethod
     def zero(cls, spec: FieldSpec) -> "Poly":
-        return _poly(spec, [])
+        return _poly(_as_field(spec), [])
 
     @classmethod
     def one(cls, spec: FieldSpec) -> "Poly":
-        return _poly(spec, [spec.one.code])
+        return _poly(spec, [_as_field(spec).one.code])
 
     @classmethod
     def z(cls, spec: FieldSpec) -> "Poly":
-        return _poly(spec, [0, spec.one.code])
+        return _poly(spec, [0, _as_field(spec).one.code])
 
     def degree(self) -> Union[int, float]:
         """Degree, with degree(0) = -inf so it sorts below every integer."""
@@ -144,9 +146,7 @@ class Poly:
         # Only polynomials compare equal to polynomials: no hash of a
         # constant could also agree with the hash of an int or an element.
         if isinstance(other, Poly):
-            return self.codes == other.codes and (
-                self.spec is other.spec or self.spec == other.spec
-            )
+            return self.spec is other.spec and self.codes == other.codes
         return NotImplemented
 
     def __hash__(self):
@@ -172,10 +172,10 @@ def _poly(spec: FieldSpec, codes: list[int]) -> Poly:
 
 def _lift(spec: FieldSpec, value) -> Poly:
     """The lift into F_q[z]: ``value`` as a polynomial over ``spec``.  A
-    polynomial over an equal field is kept, and a field value becomes a
+    polynomial over this field is kept, and a field value becomes a
     constant (``FieldElement._coerce``); anything else is FieldMismatch."""
     if isinstance(value, Poly):
-        if value.spec is not spec and value.spec != spec:
+        if value.spec is not spec:
             raise FieldMismatch(f"polynomials over {value.spec!r} and {spec!r} cannot be combined")
         return value
     c = spec.one._coerce(value)
@@ -186,7 +186,7 @@ def _lift(spec: FieldSpec, value) -> Poly:
 
 def as_poly_vector(spec: FieldSpec, vec: Iterable) -> tuple[Poly, ...]:
     """The lift (``_lift``) of each entry of the iterable ``vec``, read once.
-    The common case, polynomials over this very spec object, lifts to itself."""
+    The common case, polynomials over this very field, lifts to itself."""
     vec = _entries(vec)
     for e in vec:
         if e.__class__ is not Poly or e.spec is not spec:
@@ -397,6 +397,7 @@ def vec_content(vec: Iterable[Poly]) -> Poly:
 
 def parse_poly(spec: FieldSpec, text: str) -> Poly:
     """Parse polynomial text over z; whitespace-insensitive."""
+    spec = _as_field(spec)
     one = spec.one.code
     codes: dict[int, int] = {}
     for ct, e in _parse_terms(text, "z"):  # whitespace is gone from ct

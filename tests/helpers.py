@@ -63,12 +63,18 @@ def load_bench(name: str):
 
 
 def run_cli_capped(argv, seconds: float = 10.0, memory: int = 1 << 30):
-    """Runs ``python -m sdconv.cli`` on argv in a child process whose
-    address space is capped at ``memory`` bytes (RLIMIT_AS) and which is
-    killed after ``seconds`` (``subprocess.TimeoutExpired``), so a request
-    that stops ending promptly fails its test instead of exhausting the
-    host's memory.  Returns the completed process and the child's CPU
-    seconds."""
+    """Runs ``python -m sdconv.cli`` on argv in the capped child process of
+    ``run_capped``."""
+    return run_capped(["-m", "sdconv.cli", *argv], seconds, memory)
+
+
+def run_capped(args, seconds: float = 10.0, memory: int = 1 << 30):
+    """Runs ``python`` on args, with ``sdconv`` importable, in a child
+    process whose address space is capped at ``memory`` bytes (RLIMIT_AS)
+    and which is killed after ``seconds`` (``subprocess.TimeoutExpired``),
+    so a call that stops ending promptly fails its test instead of
+    exhausting the host's memory.  Returns the completed process and the
+    child's CPU seconds."""
 
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (memory, memory))
@@ -76,7 +82,7 @@ def run_cli_capped(argv, seconds: float = 10.0, memory: int = 1 << 30):
     src = Path(__file__).resolve().parents[1] / "src"
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     env = {**os.environ, "PYTHONPATH": str(src)}
-    proc = subprocess.run([sys.executable, "-m", "sdconv.cli", *argv], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True,
                           text=True, timeout=seconds, preexec_fn=cap)
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
     return proc, after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime

@@ -449,6 +449,20 @@ def test_outputs_match_the_golden_file(capsys):
     assert replayed == records
 
 
+@pytest.mark.parametrize("columns", ["40", "400"])
+def test_usage_text_does_not_depend_on_the_terminal_width(capsys, monkeypatch, columns):
+    # argparse wraps at COLUMNS unless the width is fixed: the golden usage
+    # entries and the help text must read as on an 80-column terminal
+    records = [r for r in json.loads(GOLDEN.read_text(encoding="utf-8")) if "usage:" in r["stderr"] + r["stdout"]]
+    helps = [("-h",), ("check", "-h"), ("construct", "building-up", "-h")]
+    monkeypatch.setenv("COLUMNS", "80")
+    wanted = [run(capsys, *argv) for argv in helps]
+    monkeypatch.setenv("COLUMNS", columns)
+    assert records
+    assert [run(capsys, *r["argv"]) for r in records] == [(r["rc"], r["stdout"], r["stderr"]) for r in records]
+    assert [run(capsys, *argv) for argv in helps] == wanted
+
+
 def test_golden_proven_free_distances_respect_the_generalized_singleton_bound():
     # every exact d_free the golden file records, from `distance` in text
     # and JSON and from the JSON catalogs, is within (n-k)(floor(delta/k)+1)

@@ -299,6 +299,10 @@ def test_iter_bounded_polys_typed_errors_and_cap():
     polys = iter_bounded_polys(F2, 3)
     assert len(polys) == 16
     assert polys == [Poly(F2, c) for c in itertools.product(F2.elements(), repeat=4)]
+    # built from codes, in the order of the Poly-built list
+    for spec, max_deg in itertools.product((F2, F4, F5), range(3)):
+        polys = iter_bounded_polys(spec, max_deg)
+        assert polys == [Poly(spec, c) for c in itertools.product(spec.elements(), repeat=max_deg + 1)]
 
 
 def test_even_weight_of_binary_self_dual_codewords():

@@ -1,12 +1,25 @@
+import copy
+import gc
 import itertools
+import pickle
 import random
-from time import perf_counter
+import threading
+from time import perf_counter, sleep
 
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import oracle_format_element, vec_add, vec_inverse, vec_mul, vec_neg
-from sdconv import FieldSpec, Poly, fields, make_field, parse_element, parse_field_selector, sqrt_of_minus_one
+from helpers import oracle_format_element, run_capped, vec_add, vec_inverse, vec_mul, vec_neg
+from sdconv import (
+    FieldSpec,
+    Poly,
+    PolyMatrix,
+    fields,
+    make_field,
+    parse_element,
+    parse_field_selector,
+    sqrt_of_minus_one,
+)
 from sdconv.errors import (
     DegreeMismatch,
     DivisionByZero,
@@ -298,7 +311,9 @@ def test_codes_index_the_lexicographic_enumeration():
 
 @pytest.mark.parametrize("p, l", LARGEST_FIELDS, ids=lambda v: str(v))
 def test_largest_fields_build_within_budget(p, l):
-    fields._build_field.cache_clear()  # time a build, not a lookup
+    fields._build_field.cache_clear()
+    gc.collect()  # drops the unreferenced fields too: time a build, not a lookup
+    assert not [key for key in fields._FIELDS if key[:2] == (p, l)]
     start = perf_counter()
     spec = make_field(p, l)
     a, b = spec.elements()[-1], spec.elements()[-2]
@@ -320,10 +335,14 @@ def test_make_field_evicts_the_least_recently_used_field():
     # 8 distinct fields are all kept, and a hit makes GF(2) the most recent
     two, three, *kept = [make_field(p) for p in (2, 3, 5, 7, 11, 13, 17, 19)]
     assert make_field(2) is two
+    misses = fields._build_field.cache_info().misses
     make_field(23)  # the 9th distinct field evicts the least recent, GF(3)
     assert make_field(2) is two
     assert all(make_field(p) is f for p, f in zip((5, 7, 11, 13, 17, 19), kept))
-    assert make_field(3) is not three and make_field(3) == three
+    assert fields._build_field.cache_info().misses == misses + 1
+    # GF(3) left the cache but is still referenced: the miss finds it again
+    assert make_field(3) is three
+    assert fields._build_field.cache_info().misses == misses + 2
 
 
 
@@ -347,15 +366,98 @@ def test_equality_agrees_with_hash():
     assert Poly.one(F5) != 1 and Poly.one(F5) != F5.one
     assert len({Poly.one(F5), 1}) == 2
     for spec in (F5, field(9)):
-        twin = FieldSpec(spec.p, spec.l, spec.modulus)  # equal, not the same object
-        assert twin is not spec and twin == spec and hash(twin) == hash(spec)
+        twin = FieldSpec(spec.p, spec.l, spec.modulus)  # the field itself
+        assert twin is spec
         for a, b in zip(spec.elements(), twin.elements()):
-            assert a == b and hash(a) == hash(b)
+            assert a is b and a == b and hash(a) == hash(b)
         u = Poly(spec, spec.elements()[1:4])
         v = Poly(twin, twin.elements()[1:4])
         assert u == v and hash(u) == hash(v)
         assert len({u, v}) == 1
-        # elements and polynomials of equal specs combine, into the left spec
         x, y = spec.elements()[-1], twin.elements()[-1]
         assert (x + y).spec is spec and x + y == y + x
         assert (u * v).spec is spec and u * v == v * u
+    # another modulus is another field: its values with the same codes differ
+    other = make_field(3, 2, (2, 2, 1))
+    assert other is not field(9) and other.one != field(9).one
+    assert Poly.one(other) != Poly.one(field(9)) and len({Poly.one(other), Poly.one(field(9))}) == 2
+
+
+@pytest.mark.parametrize("p, l", [(5, 1), (3, 2), (2, 4)])
+def test_field_spec_is_make_field(p, l):
+    spec = make_field(p, l)
+    assert FieldSpec(p, l) is spec and FieldSpec(p, l, spec.modulus) is spec
+    assert make_field(p, l, spec.modulus) is spec  # the default modulus written out
+    assert FieldSpec(p, l, list(spec.modulus)) is make_field(p, l, iter(spec.modulus))
+    if l == 1:
+        assert FieldSpec(p) is spec
+    # identity is equality: the class defines neither
+    assert "__eq__" not in vars(FieldSpec) and "__hash__" not in vars(FieldSpec)
+
+
+def test_threads_that_build_one_new_field_at_once_get_one_object(monkeypatch):
+    p, l = 7, 3
+    fields._build_field.cache_clear()
+    gc.collect()
+    assert not [key for key in fields._FIELDS if key[:2] == (p, l)]
+    builds, build = [], FieldSpec._build
+
+    def slow_build(spec, *args):  # a slow build lets every thread reach it
+        builds.append(args)
+        sleep(0.05)
+        return build(spec, *args)
+
+    monkeypatch.setattr(FieldSpec, "_build", slow_build)
+    start, got = threading.Barrier(4), []
+
+    def ask():
+        start.wait()
+        got.append(make_field(p, l))
+
+    threads = [threading.Thread(target=ask) for _ in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert len(got) == 4 and all(f is got[0] for f in got) and len(builds) == 1
+
+
+def test_copies_and_pickles_keep_the_one_field():
+    F9 = field(9)
+    a, z = F9.element((0, 1)), Poly.z(F9)
+    values = [F9, a, F9.zero, a * z + 1, PolyMatrix(F9, [[1, z], [a, 0]])]
+    for value in values:
+        for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert twin == value
+            assert (twin if twin.__class__ is FieldSpec else twin.spec) is F9
+            if value.__class__ in (FieldSpec, fields.FieldElement):
+                assert twin is value
+    # a deep copy no longer copies the field: GF(2^16) took seconds
+    z16 = Poly.z(make_field(2, 16))
+    start = perf_counter()
+    twin = copy.deepcopy(z16)
+    assert twin.spec is z16.spec and twin == z16 and perf_counter() - start < 0.5
+
+
+FIELD_SPEC_PROBES = [
+    ((3, 10**50, None), "SearchSpaceTooLarge"),
+    ((4, 1, (0, 1)), "NotPrime"),
+    ((-1, 1, (0, 1)), "NotPrime"),
+    ((10**50, 1, (0, 1)), "SearchSpaceTooLarge"),
+    ((3, 3, (3, 3, 3)), "DegreeMismatch"),
+]
+
+
+@pytest.mark.parametrize("args, error", FIELD_SPEC_PROBES, ids=["huge-l", "p-4", "p-minus-1", "huge-p", "bad-modulus"])
+def test_field_spec_refuses_bad_arguments_promptly(args, error):
+    # in a capped child process, so a hang fails this test, not the suite
+    code = (
+        "import time; from sdconv import FieldSpec; from sdconv.errors import SdconvError\n"
+        "start = time.perf_counter()\n"
+        f"try: FieldSpec(*{args!r})\n"
+        "except SdconvError as e: print(type(e).__name__, time.perf_counter() - start)\n"
+    )
+    proc, _ = run_capped(["-c", code], seconds=10)
+    assert proc.returncode == 0 and proc.stderr == ""
+    name, seconds = proc.stdout.split()
+    assert name == error and float(seconds) < 1.0

@@ -23,7 +23,9 @@ from sdconv import (
     gcd,
     make_field,
     parse_element,
+    parse_matrix,
     parse_poly,
+    parse_vector,
     vec_content,
     xgcd,
 )
@@ -135,9 +137,9 @@ def test_xgcd_bezout_property(spec):
 
 @pytest.mark.parametrize("spec", [F2, F3, F4, F5, F9, F16, F256])
 def test_kernel_matches_the_element_oracle(spec):
-    # an equal field built apart from make_field's cache: a distinct object
+    # FieldSpec(...) is make_field's door: it gives the field itself
     twin = FieldSpec(spec.p, spec.l, spec.modulus)
-    assert twin is not spec and twin == spec
+    assert twin is spec
 
     pairs = st.lists(st.tuples(polys(spec), polys(spec)), min_size=1, max_size=4)
 
@@ -162,10 +164,10 @@ def test_kernel_matches_the_element_oracle(spec):
             assert got.coeffs == want, op
             els = spec.elements()
             assert all(e is els[k] for e, k in zip(got.coeffs, got.codes)), op
-        # == and hash agree across equal but distinct field objects
+        # a polynomial over FieldSpec(...) is one over the field itself
         x_twin = Poly(twin, a)
-        assert x_twin == x and hash(x_twin) == hash(x)
-        assert all(e is twin.elements()[e.code] for e in x_twin.coeffs)
+        assert x_twin.spec is spec and x_twin == x and hash(x_twin) == hash(x)
+        assert all(e is spec.elements()[e.code] for e in x_twin.coeffs)
         assert x_twin - x == Poly.zero(spec)
 
     inner()
@@ -226,7 +228,7 @@ def test_dot_lifts_values_as_poly_operators_do():
     assert dot([1, z], [z, 1]) == Poly.zero(F2)  # 2z over GF(2)
     z5 = Poly.z(F5)
     assert dot([F5.from_int(3), 2], [z5, z5 + 1]) == 3 * z5 + 2 * (z5 + 1)
-    # a spec equal to the first entry's, but another object, combines
+    # FieldSpec(...) gives the first entry's field itself
     assert dot([z], [Poly.z(FieldSpec(2, 1, F2.modulus))]) == z**2
     for bad in (([1], [1]), ([F2.one], [1]), ([z], [Poly.z(F5)]), ([z], ["1"]), ([z], [1.5])):
         with pytest.raises(FieldMismatch):
@@ -241,9 +243,9 @@ def test_dot_lifts_values_as_poly_operators_do():
 def test_every_door_into_f9_z_lifts_a_value_alike():
     # one table of values, each with its lift over F9, or None where the
     # lift is FieldMismatch; each door must answer as it does on the lift
-    twin = FieldSpec(3, 2, F9.modulus)  # equal to F9, another object
+    twin = FieldSpec(3, 2, F9.modulus)  # F9 itself
     other = make_field(3, 2, (2, 2, 1))  # GF(9) with another modulus
-    assert twin == F9 and twin is not F9 and other != F9
+    assert twin is F9 and other is not F9
     a, z = F9.element((0, 1)), Poly.z(F9)
     lift = lambda text: parse_poly(F9, text)
     table = [
@@ -296,6 +298,27 @@ def test_gcd_monic_over_f5():
 def test_field_mismatch():
     with pytest.raises(FieldMismatch):
         Poly.z(F2) + Poly.z(F5)
+
+
+FIELD_DOORS = {
+    "Poly": lambda spec: Poly(spec, (1,)),
+    "Poly.zero": Poly.zero,
+    "Poly.one": Poly.one,
+    "Poly.z": Poly.z,
+    "PolyMatrix": lambda spec: PolyMatrix(spec, [[1]]),
+    "parse_poly": lambda spec: parse_poly(spec, "z"),
+    "parse_matrix": lambda spec: parse_matrix(spec, "1,z"),
+    "parse_vector": lambda spec: parse_vector(spec, "1,z"),
+    "parse_element": lambda spec: parse_element(spec, "1"),
+}
+
+
+@pytest.mark.parametrize("door", FIELD_DOORS.values(), ids=FIELD_DOORS.keys())
+@pytest.mark.parametrize("spec", [5, None, "GF(5)", F5.one, Poly.z(F5)], ids=repr)
+def test_a_spec_that_is_not_a_field_is_field_mismatch(door, spec):
+    assert door(F5) is not None
+    with pytest.raises(FieldMismatch, match="is not a field"):
+        door(spec)
 
 
 def test_format_canonical():
