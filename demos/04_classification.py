@@ -1,8 +1,8 @@
 """Classification catalogs for four families of self-dual codes.
 
-Each driver enumerates a parameterized family exhaustively, verifies
-self-duality for every candidate, deduplicates by the canonical row
-Hermite generator and emits stable, diffable catalog lines.
+Each driver enumerates a parameterized family exhaustively, with
+parameters that give distinct codes, so no record repeats a canonical row
+Hermite generator, and emits stable, diffable catalog lines.
 """
 
 from sdconv import (

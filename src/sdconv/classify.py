@@ -1,8 +1,9 @@
-"""Exhaustive classification drivers with deduplicated, stable output.
+"""Exhaustive classification drivers with stable output.
 
-Records are deduplicated by the canonical row Hermite generator and listed
-in the deterministic enumeration order of their parameters, so repeated
-runs produce byte-identical catalogs.  The (2,1) codes are the k = 1 case
+Each driver enumerates parameters that give distinct codes, as its
+docstring proves, so records are made as the codes are enumerated, with
+no dedup, in the deterministic order of their parameters: repeated runs
+produce byte-identical catalogs.  The (2,1) codes are the k = 1 case
 of the double diagonal family.  The canonical form also decides the
 double-triangular reduction; the paper's row reduction stays in the tests
 as its oracle.
@@ -17,7 +18,7 @@ from typing import Optional
 from .codes import ConvolutionalCode, DistanceReport, STATUS_EXACT, check_search_size, iter_bounded_polys
 from .errors import NotBinary, NotSelfDual, NotTriangularPattern, OutOfRange
 from .fields import FieldSpec, _as_int, make_field, sqrt_of_minus_one
-from .matrices import PolyMatrix, format_matrix
+from .matrices import PolyMatrix, _as_matrix, format_matrix
 from .polys import Poly, gcd
 
 # Distance searches in records use this margin above the enumeration degree.
@@ -57,34 +58,30 @@ def _record(code: ConvolutionalCode, dfree_bound: int) -> ClassificationRecord:
     )
 
 
-def _catalog(codes, dfree_bound: int) -> list[ClassificationRecord]:
-    """One record per distinct code, in first-seen order: codes compare
-    and hash by their canonical generator."""
-    return [_record(c, dfree_bound) for c in dict.fromkeys(codes)]
-
-
 def classify_42_binary(max_deg: int) -> list[ClassificationRecord]:
     """All binary self-dual (4,2) codes whose parameter pair has degree <= max_deg.
 
     Enumerates coprime pairs (g23, g24) in lexicographic coefficient order
     and emits the representative with all-ones first row and second row
-    (0, g23+g24, g23, g24); records are deduplicated by canonical form.
+    (0, g23+g24, g23, g24).  Distinct pairs give distinct codes: the
+    codewords with first entry 0 are exactly the F_2[z]-multiples of row 2,
+    so two pairs that give one code have rows 2 equal up to a unit, and the
+    only unit of F_2[z] is 1.
     """
     max_deg = _as_int("max_deg", max_deg)
     if max_deg < 0:
         raise OutOfRange("max_deg must be nonnegative")
     spec = make_field(2)
-    # the messages each record's d_free scans, which outnumber the candidate pairs
-    check_search_size(spec.q, 2 * (max_deg + DFREE_BOUND_MARGIN + 1))
+    check_search_size(spec.q, 2 * (max_deg + 1))  # the candidate pairs
     one = Poly.one(spec)
     zero = Poly.zero(spec)
     candidates = iter_bounded_polys(spec, max_deg)
-    codes = (
-        ConvolutionalCode(PolyMatrix(spec, [[one, one, one, one], [zero, g23 + g24, g23, g24]]))
+    return [
+        _record(ConvolutionalCode(PolyMatrix(spec, [[one, one, one, one], [zero, g23 + g24, g23, g24]])),
+                max_deg + DFREE_BOUND_MARGIN)
         for g23, g24 in itertools.product(candidates, candidates)
         if gcd(g23, g24) == one
-    )
-    return _catalog(codes, max_deg + DFREE_BOUND_MARGIN)
+    ]
 
 
 def classify_double_diagonal(spec: FieldSpec, k: int) -> Optional[list[ClassificationRecord]]:
@@ -94,6 +91,8 @@ def classify_double_diagonal(spec: FieldSpec, k: int) -> Optional[list[Classific
     the family is parameterized by k-tuples of square roots of -1; None is
     returned when the field has none.  For k = 1 these are all the
     self-dual (2,1) codes: the constant generators (1, b) with 1 + b^2 = 0.
+    Distinct tuples give distinct codes: a code has at most one generator
+    of the form [I_k | B], and the roots are distinct.
     """
     k = _as_int("k", k)
     if k < 1:
@@ -102,17 +101,17 @@ def classify_double_diagonal(spec: FieldSpec, k: int) -> Optional[list[Classific
     if root is None:
         return None
     roots = list(dict.fromkeys((root, -root)))  # one root in characteristic 2
+    # the one guard before a k x 2k generator is built: GF(2) has one tuple
     check_search_size(spec.q, k * (DFREE_BOUND_CONSTANT + 1))
     zero = Poly.zero(spec)
     one = Poly.one(spec)
-    codes = (
-        ConvolutionalCode(PolyMatrix(spec, [
+    return [
+        _record(ConvolutionalCode(PolyMatrix(spec, [
             [one if j == i else Poly(spec, (b,)) if j == k + i else zero for j in range(2 * k)]
             for i, b in enumerate(bs)
-        ], cols=2 * k))
+        ], cols=2 * k)), DFREE_BOUND_CONSTANT)
         for bs in itertools.product(roots, repeat=k)
-    )
-    return _catalog(codes, DFREE_BOUND_CONSTANT)
+    ]
 
 
 def reduce_double_triangular(gen: PolyMatrix) -> PolyMatrix:
@@ -123,7 +122,7 @@ def reduce_double_triangular(gen: PolyMatrix) -> PolyMatrix:
     paired columns with that row leaves [I_k I_k] (the paper's reduction,
     kept in the tests as the oracle).  The canonical form decides it here.
     """
-    if gen.spec.q != 2:
+    if _as_matrix(gen).spec.q != 2:
         raise NotBinary("double-triangular reduction is defined over GF(2) only")
     k = gen.rows
     if gen.cols != 2 * k or k < 1:

@@ -17,6 +17,7 @@ from .errors import DimensionMismatch, OutOfRange, RankDeficient, SearchSpaceToo
 from .fields import _Words, _as_int
 from .matrices import (
     PolyMatrix,
+    _as_matrix,
     _grid,
     _hermite_core,
     _is_identity,
@@ -31,7 +32,8 @@ from .polys import Poly, _poly, as_poly_vector, dot
 STATUS_EXACT = "exact-under-bound"
 STATUS_UPPER = "upper-bound"
 # check_search_size refuses a search over more candidates than this: the
-# messages of free_distance and the candidates and d_free scans of classify.
+# messages of free_distance, the polynomials and pairs classify enumerates,
+# and, before any is built, the d_free messages of the double-diagonal codes.
 MAX_CANDIDATES = 1 << 22
 
 
@@ -59,6 +61,7 @@ class ConvolutionalCode:
     """Row span of a full-row-rank generator matrix over F_q[z]."""
 
     def __init__(self, generator: PolyMatrix):
+        generator = _as_matrix(generator)
         k, n = generator.rows, generator.cols
         if k > n:
             raise RankDeficient(f"{k}x{n} generator cannot have full row rank")
@@ -86,7 +89,7 @@ class ConvolutionalCode:
         return self.generator.cols
 
     def canonical_generator(self) -> PolyMatrix:
-        """The unique row Hermite form of the generator; the dedup key."""
+        """The unique row Hermite form of the generator; the equality key."""
         if self._canonical is None:
             self._canonical = _matrix(self.spec, self._form, self.n)
         return self._canonical

@@ -41,6 +41,7 @@ from .errors import (
 from .fields import FieldElement, FieldSpec, sqrt_of_minus_one
 from .matrices import (
     PolyMatrix,
+    _as_matrix,
     _beside_identity,
     _grid,
     _hermite_core,
@@ -108,7 +109,7 @@ def orthogonal_chain(
     _require_self_dual(code, "orthogonal_chain")
     spec = code.spec
     gen = code.generator
-    for m, lam, perm in steps:
+    for m, lam, perm in _as_steps(steps):
         lam_poly = _lift(spec, lam)
         if not lam_poly or lam_poly.degree() != 0:
             raise NotUnit(f"scale factor {lam_poly} is not a nonzero constant")
@@ -129,6 +130,18 @@ def orthogonal_chain(
     out = ConvolutionalCode(gen)
     assert out.is_self_dual()
     return out
+
+
+def _as_steps(steps) -> list[tuple[PolyMatrix, object, PolyMatrix]]:
+    """``steps``, read once, as a list of triples (M, lambda, P) of which M
+    and P are matrices, else MalformedInput."""
+    try:
+        steps = [tuple(step) for step in steps]
+    except TypeError:
+        raise MalformedInput(f"{steps!r} is not a list of steps (M, lambda, P)") from None
+    if any(len(step) != 3 for step in steps):
+        raise MalformedInput("a step is not a triple (M, lambda, P)")
+    return [(_as_matrix(m), lam, _as_matrix(perm)) for m, lam, perm in steps]
 
 
 def _is_permutation(m: PolyMatrix) -> bool:
@@ -218,7 +231,7 @@ def hm_extend(code: ConvolutionalCode, a_vec: Sequence) -> PolyMatrix:
 
 
 def _validate_extended(gt: PolyMatrix) -> None:
-    if gt.spec.q != 2:
+    if _as_matrix(gt).spec.q != 2:
         raise MalformedInput("extended matrix must be over GF(2)")
     if gt.rows < 1 or gt.cols != 2 * gt.rows + 2:
         raise MalformedInput(f"expected k x (2k+2) matrix, got {gt.rows}x{gt.cols}")
@@ -342,7 +355,7 @@ def is_trivial_completion(g1: PolyMatrix) -> bool:
     codes forces equality, so the completion equals the trivial one exactly
     when that row lies in its span.
     """
-    if g1.rows < 2 or g1.cols != 2 * g1.rows:
+    if _as_matrix(g1).rows < 2 or g1.cols != 2 * g1.rows:
         raise MalformedInput(f"expected (k+1) x (2k+2) matrix, got {g1.rows}x{g1.cols}")
     if g1.spec.q != 2:
         raise MalformedInput("completions are defined over GF(2) only")

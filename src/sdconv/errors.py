@@ -82,7 +82,8 @@ class NotBinary(SdconvError, ValueError):
 
 
 class MalformedInput(SdconvError, ValueError):
-    """Matrix lacks the structure required by the completion machinery."""
+    """A value is not the matrix or list of steps it stands for, or a matrix
+    lacks the structure required by the completion machinery."""
 
 
 class NotTriangularPattern(SdconvError, ValueError):

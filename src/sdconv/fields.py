@@ -660,14 +660,14 @@ def _parse_coefficient(digits: str) -> int:
     return int(digits)
 
 
-def parse_int_poly(text: str, var: str, p: int) -> list[int]:
-    """Parse an integer-coefficient polynomial in ``var`` over F_p.
+def parse_int_poly(text: str, p: int) -> list[int]:
+    """Parse an integer-coefficient polynomial in ``a`` over F_p.
 
     Returns the dense coefficient list, lowest degree first, reduced mod p
     but not trimmed of leading zeros the caller did not write.
     """
     coeffs: list[int] = []
-    for c, e in _parse_terms(text, var):
+    for c, e in _parse_terms(text, "a"):
         if c is None:
             n = 1
         else:
@@ -700,7 +700,7 @@ def _element_code(spec: FieldSpec, s: str, text: str) -> int:
         return spec.from_int(_parse_coefficient(s)).code
     if l == 1 or "a" not in s:
         raise ParseError(f"{text!r} is not a valid {spec} element")
-    digits = parse_int_poly(s, "a", p)
+    digits = parse_int_poly(s, p)
     if len(digits) > l:
         digits = _int_poly_mod(digits, spec.modulus, p)
     return _fold(digits, p) * p ** (l - len(digits))
@@ -740,5 +740,5 @@ def parse_field_selector(text: str, modulus_text: Optional[str] = None) -> Field
     if p < 2:  # refused before a modulus is read mod p
         raise NotPrime(f"{p} is not prime")
     # the parsed modulus keeps the length as written for the degree check
-    modulus = None if modulus_text is None else parse_int_poly(modulus_text, "a", p)
+    modulus = None if modulus_text is None else parse_int_poly(modulus_text, p)
     return make_field(p, l, modulus)

@@ -43,6 +43,7 @@ from typing import Iterable, Optional, Sequence
 from .errors import (
     DimensionMismatch,
     FieldMismatch,
+    MalformedInput,
     NotSquare,
     NotUnit,
     OutOfRange,
@@ -52,7 +53,7 @@ from .errors import (
 )
 from .fields import FieldSpec, _as_field, _as_int
 from .polys import (
-    Poly, _divmod_codes, _hermite_core, _mul_into, _poly, _sub_mul_row,
+    Poly, _divmod_codes, _entries, _field_of, _hermite_core, _mul_into, _poly, _sub_mul_row,
     as_poly_vector, dot, format_poly, parse_poly,
 )
 
@@ -156,9 +157,20 @@ class PolyMatrix:
         return f"PolyMatrix({format_matrix(self)!r}, {self.spec!r})"
 
 
+def _as_matrix(matrix, wide: bool = False) -> PolyMatrix:
+    """``matrix`` if it is a PolyMatrix, else MalformedInput; with ``wide``,
+    ShapeUnsupported unless it has rows <= cols."""
+    if matrix.__class__ is not PolyMatrix:
+        raise MalformedInput(f"{matrix!r} is not a matrix")
+    if wide and matrix.rows > matrix.cols:
+        raise ShapeUnsupported(f"need rows <= cols, got {matrix.rows}x{matrix.cols}")
+    return matrix
+
+
 def vstack(*blocks: PolyMatrix) -> PolyMatrix:
     if not blocks:
         raise DimensionMismatch("vstack of no blocks has no width")
+    blocks = [_as_matrix(b) for b in blocks]
     spec = blocks[0].spec
     cols = blocks[0].cols
     if any(b.cols != cols for b in blocks):
@@ -260,9 +272,8 @@ def row_hermite(matrix: PolyMatrix) -> HermiteDecomposition:
     entry above a pivot has strictly smaller degree than the pivot; zero
     rows come last.  Row-equivalent inputs yield identical forms.
     """
+    matrix = _as_matrix(matrix, wide=True)
     spec, k, n = matrix.spec, matrix.rows, matrix.cols
-    if k > n:
-        raise ShapeUnsupported(f"need rows <= cols, got {k}x{n}")
     grid = _beside_identity(spec, _grid(matrix.entries))
     _hermite_core(spec, grid, n)
     form, transform = _split(spec, grid, n, k)
@@ -271,9 +282,8 @@ def row_hermite(matrix: PolyMatrix) -> HermiteDecomposition:
 
 def col_hermite(matrix: PolyMatrix) -> HermiteDecomposition:
     """Unique column Hermite form: input @ transform = form = [L 0]."""
+    matrix = _as_matrix(matrix, wide=True)
     spec, k, n = matrix.spec, matrix.rows, matrix.cols
-    if k > n:
-        raise ShapeUnsupported(f"need rows <= cols, got {k}x{n}")
     grid = _beside_identity(spec, _grid(matrix.transpose().entries))
     _hermite_core(spec, grid, k)
     form, transform = _split(spec, grid, k, n)
@@ -282,7 +292,7 @@ def col_hermite(matrix: PolyMatrix) -> HermiteDecomposition:
 
 def rank(matrix: PolyMatrix) -> int:
     """Row rank, from the echelon pivot count (any shape)."""
-    return len(_hermite_core(matrix.spec, _grid(matrix.entries), matrix.cols))
+    return len(_hermite_core(_as_matrix(matrix).spec, _grid(matrix.entries), matrix.cols))
 
 
 def smith(matrix: PolyMatrix) -> SmithDecomposition:
@@ -299,9 +309,8 @@ def smith(matrix: PolyMatrix) -> SmithDecomposition:
     a row step puts their gcd at (i-1, i-1) (a column step would undo the
     add).  The ascending diagonal is then flipped.
     """
+    matrix = _as_matrix(matrix, wide=True)
     spec, k, n = matrix.spec, matrix.rows, matrix.cols
-    if k > n:
-        raise ShapeUnsupported(f"need rows <= cols, got {k}x{n}")
     rows, vt = _beside_identity(spec, _grid(matrix.entries)), _unit_rows(spec, n)
     while True:
         r = len(_hermite_core(spec, rows, n))
@@ -329,6 +338,7 @@ def determinant(matrix: PolyMatrix) -> Poly:
     """Exact determinant: 0 below full rank, else the product of the
     diagonal of the row Hermite form H = U @ A times det(U)^-1, the unit
     that the elimination records (``_hermite_core``)."""
+    matrix = _as_matrix(matrix)
     n, spec = matrix.rows, matrix.spec
     if n != matrix.cols:
         raise NotSquare(f"determinant of {n}x{matrix.cols} matrix")
@@ -343,6 +353,7 @@ def determinant(matrix: PolyMatrix) -> Poly:
 
 def inverse_unimodular(matrix: PolyMatrix) -> PolyMatrix:
     """Inverse of a unimodular matrix: [A | I] reduces to [I | A^-1]."""
+    matrix = _as_matrix(matrix)
     spec, n = matrix.spec, matrix.rows
     if n != matrix.cols:
         raise NotSquare(f"inverse of {n}x{matrix.cols} matrix")
@@ -362,9 +373,8 @@ def right_kernel_basis(matrix: PolyMatrix) -> PolyMatrix:
     past the first k span the kernel.  They are left-prime, as the kernel
     module is saturated (c*v in the kernel with c nonzero forces v in it).
     """
+    matrix = _as_matrix(matrix, wide=True)
     spec, k, n = matrix.spec, matrix.rows, matrix.cols
-    if k > n:
-        raise ShapeUnsupported(f"need rows <= cols, got {k}x{n}")
     grid = _beside_identity(spec, _grid(matrix.transpose().entries))
     pivots = _hermite_core(spec, grid, k)
     if len(pivots) < k:
@@ -415,12 +425,11 @@ def solve_left(matrix: PolyMatrix, vec: Iterable) -> Optional[tuple[Poly, ...]]:
     form (``_reduce``).  The multiples c of the rows of H give c @ H = v
     when nothing is left of v, and then the tail is -c @ U = -m.
     """
+    matrix = _as_matrix(matrix, wide=True)
     spec, k, n = matrix.spec, matrix.rows, matrix.cols
     rest = _grid([as_poly_vector(spec, vec)])[0]
     if len(rest) != n:
         raise DimensionMismatch(f"vector of length {len(rest)} against {k}x{n} matrix")
-    if k > n:
-        raise ShapeUnsupported(f"need rows <= cols, got {k}x{n}")
     rest += [[] for _ in range(k)]
     grid = _beside_identity(spec, _grid(matrix.entries))
     pivots = _hermite_core(spec, grid, n)
@@ -462,8 +471,11 @@ def parse_vector(spec: FieldSpec, text: str) -> tuple[Poly, ...]:
 
 
 def format_matrix(matrix: PolyMatrix) -> str:
-    return " ; ".join([",".join(map(format_poly, row)) for row in matrix.entries])
+    return " ; ".join([",".join(map(format_poly, row)) for row in _as_matrix(matrix).entries])
 
 
-def format_vector(vec: Sequence[Poly]) -> str:
-    return ",".join(str(e) for e in vec)
+def format_vector(vec: Iterable) -> str:
+    """The entries, comma-separated, lifted over the field of the first
+    polynomial among them (``polys._field_of``)."""
+    vec = _entries(vec)
+    return ",".join(map(format_poly, as_poly_vector(_field_of(vec), vec))) if vec else ""

@@ -725,7 +725,7 @@ def oracle_parse_element(spec, text: str):
         return spec.from_int(_parse_coefficient(s))
     if spec.l == 1 or "a" not in s:
         raise ParseError(f"{text!r} is not a valid {spec} element")
-    red = _int_poly_mod(parse_int_poly(s, "a", spec.p), list(spec.modulus), spec.p)
+    red = _int_poly_mod(parse_int_poly(s, spec.p), list(spec.modulus), spec.p)
     return spec.element(tuple(red) + (0,) * (spec.l - len(red)))
 
 

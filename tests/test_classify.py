@@ -153,15 +153,14 @@ def test_classify_42_records_are_self_dual_and_contain_all_ones():
 
 def test_classify_42_monotone_injective_and_matching_partitions():
     sets = []
-    for d in range(3):
+    for d in range(5):
         records = classify42(d)
         keys = {r.canonical_generator for r in records}
-        assert len(keys) == len(records)  # distinct pairs stay distinct
-        # the all-ones-row representatives partition exactly like the
-        # canonical-form dedup keys
-        assert len(records) == len(brute_force_coprime_pairs(d))
+        # one record per coprime pair, and no dedup: distinct pairs give
+        # distinct canonical generators
+        assert len(keys) == len(records) == len(brute_force_coprime_pairs(d))
         sets.append(keys)
-    assert sets[0] < sets[1] < sets[2]  # strictly increasing chains
+    assert sets[0] < sets[1] < sets[2] < sets[3] < sets[4]  # strictly increasing chains
 
 
 def test_catalog_free_distances_respect_the_generalized_singleton_bound():
@@ -255,6 +254,7 @@ def test_double_diagonal_counts_roots_to_the_k():
     for q, k in itertools.product([5, 9, 13], [1, 2]):
         recs = classify_double_diagonal(field(q), k)
         assert recs is not None and len(recs) == 2**k  # two roots of -1, k rows
+        assert len({r.canonical_generator for r in recs}) == len(recs)  # distinct with no dedup
         for r in recs:
             assert ConvolutionalCode(r.canonical_generator).is_self_dual()
 

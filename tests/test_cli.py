@@ -11,7 +11,7 @@ from time import perf_counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import generalized_singleton_bound, run_cli_capped
+from helpers import generalized_singleton_bound, run_capped, run_cli_capped
 from sdconv import ConvolutionalCode, make_field, parse_field_selector, parse_matrix
 from sdconv.cli import main
 
@@ -97,6 +97,8 @@ def test_huge_field_is_refused_before_factoring(capsys, field):
         ("check", "--field", "9", "1" * 5000 + "*a,1"),
         ("check", "1" * 5000 + "*z,1"),
         ("check", "--field", "3^2", "--modulus", "a^2000000+1", "1,1"),
+        ("classify", "four-two", "--max-deg", "7"),
+        ("classify", "four-two", "--max-deg", "10"),
         ("classify", "four-two", "--max-deg", "40"),
         ("classify", "double-diagonal", "--k", "40"),
         ("classify", "double-diagonal", "--field", "5", "--k", "40"),
@@ -447,6 +449,28 @@ def test_outputs_match_the_golden_file(capsys):
         for r in records
     ]
     assert replayed == records
+
+
+GOLDEN_REPLAY_SCRIPT = """
+import contextlib, io, json, sys
+from sdconv.cli import main
+replayed = []
+for r in json.load(open(sys.argv[1], encoding="utf-8")):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(r["argv"])
+    replayed.append({"argv": r["argv"], "rc": rc, "stdout": out.getvalue(), "stderr": err.getvalue()})
+print(json.dumps({"asserts": __debug__, "replayed": replayed}))
+"""
+
+
+def test_golden_outputs_hold_with_asserts_off():
+    # python -O drops every assert, so no output may depend on one
+    proc, _ = run_capped(["-O", "-c", GOLDEN_REPLAY_SCRIPT, str(GOLDEN)], seconds=60)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["asserts"] is False
+    assert result["replayed"] == json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("columns", ["40", "400"])

@@ -167,7 +167,7 @@ def test_code_equality_is_canonical_equality():
 
 def test_canonical_form_is_built_on_first_use(monkeypatch):
     # a code keeps its Hermite form as a code grid: membership and the
-    # self-duality test read that grid, and only the dedup key builds Poly
+    # self-duality test read that grid, and only the equality key builds Poly
     canon = parse_matrix(F2, "1,1,1,1 ; 0,z^2+z+1,z,z^2+1")
 
     def refuse(*args):

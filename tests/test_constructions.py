@@ -150,6 +150,10 @@ def test_orthogonal_chain_errors():
     not_perm = parse_matrix(F2, "1,1,0,0 ; 1,0,0,0 ; 0,0,1,0 ; 0,0,0,1")
     with pytest.raises(NotPermutation):
         orthogonal_chain(c, [(eye, 1, not_perm)])
+    # each step is a triple (M, lambda, P) whose M and P are matrices
+    for steps in ([(eye, 1)], [(3, 1, eye)], [(eye, 1, "P")], [eye]):
+        with pytest.raises(MalformedInput):
+            orthogonal_chain(c, steps)
 
 
 # -- building-up --------------------------------------------------------------

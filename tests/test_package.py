@@ -6,7 +6,7 @@ import types
 import pytest
 
 import sdconv
-from sdconv.errors import BadScalars, OutOfRange
+from sdconv.errors import BadScalars, OutOfRange, SdconvError
 
 
 def test_all_lists_every_public_name_the_package_imports():
@@ -54,3 +54,33 @@ SELF_DUAL = sdconv.ConvolutionalCode(sdconv.parse_matrix(F5, "1,2"))  # 1 + 2^2 
 def test_int_arguments_refuse_other_numbers_with_a_typed_error(error, call):
     with pytest.raises(error):
         call()
+
+
+# Each door that takes a matrix, a code's generator, a list of steps or a
+# vector, called with a value of the wrong kind.
+WRONG_KIND_DOORS = {
+    "smith": sdconv.smith,
+    "row_hermite": sdconv.row_hermite,
+    "col_hermite": sdconv.col_hermite,
+    "rank": sdconv.rank,
+    "determinant": sdconv.determinant,
+    "inverse_unimodular": sdconv.inverse_unimodular,
+    "right_kernel_basis": sdconv.right_kernel_basis,
+    "solve_left": lambda x: sdconv.solve_left(x, [1]),
+    "format_matrix": sdconv.format_matrix,
+    "vstack": sdconv.vstack,
+    "ConvolutionalCode": sdconv.ConvolutionalCode,
+    "orthogonal_chain": lambda x: sdconv.orthogonal_chain(SELF_DUAL, x),
+    "format_vector": sdconv.format_vector,
+    "find_completion": sdconv.find_completion,
+    "is_trivial_completion": sdconv.is_trivial_completion,
+    "reduce_double_triangular": sdconv.reduce_double_triangular,
+}
+WRONG_KINDS = {"int": 3, "str": "1,z", "None": None, "Poly": sdconv.Poly(F5, (0, 1)), "field": F5}
+
+
+@pytest.mark.parametrize("value", WRONG_KINDS.values(), ids=WRONG_KINDS)
+@pytest.mark.parametrize("door", WRONG_KIND_DOORS.values(), ids=WRONG_KIND_DOORS)
+def test_a_value_of_the_wrong_kind_at_a_door_is_a_typed_error(door, value):
+    with pytest.raises(SdconvError):
+        door(value)
