@@ -38,7 +38,7 @@ from .errors import (
     NotUnit,
     ShapeUnsupported,
 )
-from .fields import FieldElement, FieldSpec, sqrt_of_minus_one
+from .fields import FieldElement, FieldSpec, _trim, sqrt_of_minus_one
 from .matrices import (
     PolyMatrix,
     _as_matrix,
@@ -46,12 +46,10 @@ from .matrices import (
     _grid,
     _hermite_core,
     _is_identity,
-    _matrix,
     is_orthogonal_to,
     is_self_orthogonal,
-    vstack,
 )
-from .polys import Poly, _lift, as_poly_vector, dot, gcd, vec_content
+from .polys import Poly, _lift, _mul_into, _poly, as_poly_vector, dot, gcd, vec_content
 
 NON_TRIVIAL = "non-trivial"
 TRIVIAL_ONLY = "trivial-only"
@@ -73,6 +71,13 @@ class CompletionResult:
     witness: tuple[Poly, ...]
 
 
+def _as_code(code) -> ConvolutionalCode:
+    """``code`` if it is a ConvolutionalCode, else MalformedInput."""
+    if code.__class__ is not ConvolutionalCode:
+        raise MalformedInput(f"{code!r} is not a code")
+    return code
+
+
 def _require_self_dual(code: ConvolutionalCode, who: str) -> None:
     if not code.is_self_dual():
         raise NotSelfDual(f"{who} requires a self-dual input code")
@@ -80,6 +85,7 @@ def _require_self_dual(code: ConvolutionalCode, who: str) -> None:
 
 def direct_sum(c1: ConvolutionalCode, c2: ConvolutionalCode) -> ConvolutionalCode:
     """Block-diagonal sum of two self-dual codes; self-dual of size (n+n', k+k')."""
+    c1, c2 = _as_code(c1), _as_code(c2)
     if c1.spec is not c2.spec:
         raise FieldMismatch("direct sum of codes over different fields")
     _require_self_dual(c1, "direct_sum")
@@ -106,7 +112,7 @@ def orthogonal_chain(
     The generator becomes G M_1 P_1 ... M_r P_r; the result is self-dual
     whenever every lambda is a nonzero constant.
     """
-    _require_self_dual(code, "orthogonal_chain")
+    _require_self_dual(_as_code(code), "orthogonal_chain")
     spec = code.spec
     gen = code.generator
     for m, lam, perm in _as_steps(steps):
@@ -177,7 +183,7 @@ def building_up(
     generator has first row (-a^{-1}, 0, f) and rows (a y_i, b y_i, g_i)
     with y_i = f g_i^T.
     """
-    _require_self_dual(code, "building_up")
+    _require_self_dual(_as_code(code), "building_up")
     spec = code.spec
     if (a is None) != (b is None):
         raise BadScalars("provide both scalars or neither")
@@ -218,14 +224,14 @@ def hm_extend(code: ConvolutionalCode, a_vec: Sequence) -> PolyMatrix:
     regardless of the a_i; whether it completes non-trivially depends on
     them (see find_completion).
     """
-    if code.spec.q != 2:
+    if _as_code(code).spec.q != 2:
         raise NotBinary("paired-column extension is defined over GF(2) only")
     _require_self_dual(code, "hm_extend")
     av = as_poly_vector(code.spec, a_vec)
     if len(av) != code.k:
         raise DimensionMismatch(f"need {code.k} pairing polynomials, got {len(av)}")
-    rows = [[ai, ai, *g_row] for ai, g_row in zip(av, code.generator.entries)]
-    out = PolyMatrix(code.spec, rows, cols=code.n + 2)
+    rows = tuple([(ai, ai, *g_row) for ai, g_row in zip(av, code.generator.entries)])
+    out = PolyMatrix._of(code.spec, rows, code.n + 2)
     assert is_self_orthogonal(out)
     return out
 
@@ -250,15 +256,17 @@ def _unit_content_vector(vec: Sequence[Poly]) -> tuple[Poly, ...]:
     return tuple(e // content for e in vec)
 
 
-def _right_inverse(spec: FieldSpec, columns: Sequence[Sequence[Poly]], k: int) -> tuple[tuple, list[Poly]]:
-    """R^T with G R = I and b = 1 R, from one elimination of [G^T | I_n].
+def _right_inverse(spec: FieldSpec, columns: Sequence[Sequence[Poly]], k: int) -> tuple[list, list[list[int]]]:
+    """R^T with G R = I and b = 1 R, as code rows and code lists, from one
+    elimination of [G^T | I_n].
 
-    G is the k x n matrix with the given columns.  [G^T | I_n] reduces to
-    [H | U] with U G^T = H, and the tails of the first k rows are the rows
-    of R^T (Kailath, *Linear Systems*, 1980, Sec. 6.3); if the all-ones
-    vector lies in the span of G, b is the one b with b G = 1.  Fewer than
-    k pivots means G has dependent rows, and H other than [I; 0] means G
-    is catastrophic; either raises MalformedInput, worded for G' of
+    G is the k x n matrix with the given columns of Poly.  [G^T | I_n]
+    reduces to [H | U] with U G^T = H, and the code tails of the first k
+    rows of the grid are the rows of R^T (Kailath, *Linear Systems*, 1980,
+    Sec. 6.3); b_i is the sum of row i of R^T, and if the all-ones vector
+    lies in the span of G, b is the one b with b G = 1.  Fewer than k
+    pivots means G has dependent rows, and H other than [I; 0] means G is
+    catastrophic; either raises MalformedInput, worded for G' of
     ``find_completion`` (a self-dual generator passes both).
     """
     grid = _beside_identity(spec, _grid(columns))
@@ -266,9 +274,14 @@ def _right_inverse(spec: FieldSpec, columns: Sequence[Sequence[Poly]], k: int) -
         raise MalformedInput("the columns past the paired ones have linearly dependent rows")
     if not _is_identity(grid, k, spec.one.code):
         raise MalformedInput("the columns past the paired ones generate a catastrophic code")
-    rt = _matrix(spec, [row[k:] for row in grid[:k]], len(columns)).entries
-    ones = (Poly.one(spec),) * len(columns)
-    return rt, [dot(t, ones) for t in rt]
+    rt = [row[k:] for row in grid[:k]]
+    one, b = (spec.one.code,), []
+    for row in rt:
+        b_i: list[int] = []
+        for x in row:
+            _mul_into(spec, b_i, one, x, 0)
+        b.append(_trim(b_i))
+    return rt, b
 
 
 def find_completion(gt: PolyMatrix, witness: Optional[Sequence] = None) -> CompletionResult:
@@ -314,12 +327,16 @@ def find_completion(gt: PolyMatrix, witness: Optional[Sequence] = None) -> Compl
     k, cols = gt.rows, gt.cols
     rt, b = _right_inverse(spec, gt.transpose().entries[2:], k)
     a = gt.column(0)
+    ba: list[int] = []
+    for b_i, a_i in zip(b, a):
+        _mul_into(spec, ba, b_i, a_i.codes, 0)
     one, zero = Poly.one(spec), Poly.zero(spec)
     e_row = (one, one) + (zero,) * (cols - 2)
-    if dot(b, a) != one:
+    if _trim(ba) != [spec.one.code]:
         if witness is not None:
             raise BadVector("only trivial completions exist for this extension")
-        return CompletionResult(kind=TRIVIAL_ONLY, generator=vstack(PolyMatrix(spec, [e_row]), gt), witness=e_row)
+        generator = PolyMatrix._of(spec, (e_row, *gt.entries), cols)
+        return CompletionResult(kind=TRIVIAL_ONLY, generator=generator, witness=e_row)
     v = _exact_completion_witness(a, rt)
 
     def attempt(f: Sequence[Poly]) -> bool:
@@ -337,15 +354,20 @@ def find_completion(gt: PolyMatrix, witness: Optional[Sequence] = None) -> Compl
         f = _unit_content_vector(wv)
         if not attempt(f):
             raise BadVector("witness does not produce a non-trivial self-dual completion")
-    return CompletionResult(kind=NON_TRIVIAL, generator=vstack(PolyMatrix(spec, [f]), gt), witness=f)
+    return CompletionResult(kind=NON_TRIVIAL, generator=PolyMatrix._of(spec, (f, *gt.entries), cols), witness=f)
 
 
-def _exact_completion_witness(a: Sequence[Poly], rt: Sequence[Sequence[Poly]]) -> tuple[Poly, ...]:
+def _exact_completion_witness(a: Sequence[Poly], rt: Sequence[Sequence[list]]) -> tuple[Poly, ...]:
     """The test vector v = (1, 0, (R a)^T) of ``find_completion``, from the
-    pairing column a and the rows of R^T: [v; gt] is a non-trivial
-    self-dual completion whenever one exists."""
-    one, zero = Poly.one(a[0].spec), Poly.zero(a[0].spec)
-    return (one, zero) + tuple(dot(a, col) for col in zip(*rt))
+    pairing column a and the code rows of R^T (``_right_inverse``): [v; gt]
+    is a non-trivial self-dual completion whenever one exists.  Entry j of
+    R a, the sum of a_i R^T_ij, is summed on codes; only the result is Poly."""
+    spec = a[0].spec
+    tail: list[list[int]] = [[] for _ in rt[0]]
+    for a_i, row in zip(a, rt):
+        for out, x in zip(tail, row):
+            _mul_into(spec, out, a_i.codes, x, 0)
+    return (Poly.one(spec), Poly.zero(spec), *[_poly(spec, t) for t in tail])
 
 
 def is_trivial_completion(g1: PolyMatrix) -> bool:
@@ -376,12 +398,12 @@ def default_a_vec(code: ConvolutionalCode) -> tuple[Poly, ...]:
     extended matrix, is R^T for the 1 x k matrix b: the k = 1 case.  Its
     identity check cannot fail, as b G = 1 forces gcd(b) = 1.
     """
-    if code.spec.q != 2:
+    if _as_code(code).spec.q != 2:
         raise NotBinary("default pairing is defined over GF(2) only")
     _require_self_dual(code, "default_a_vec")
     if not code.k:
         raise ShapeUnsupported("the zero code has no pairing polynomials")
     spec = code.spec
     _, b = _right_inverse(spec, code.generator.transpose().entries, code.k)
-    (a,), _ = _right_inverse(spec, [(b_i,) for b_i in b], 1)
-    return a
+    (a,), _ = _right_inverse(spec, [(_poly(spec, b_i),) for b_i in b], 1)
+    return tuple([_poly(spec, e) for e in a])

@@ -47,6 +47,8 @@ looks its result code up in :meth:`FieldSpec.elements`:
 
 :func:`make_field` interns each field while it is referenced and keeps the
 fields it used most recently (an LRU cache), so each field is built once.
+An LRU miss looks the request up among the interned fields before it
+factors p or scans for the default modulus.
 
 Element text syntax: prime fields use plain decimals ("3"); extension
 fields use the letter ``a`` for the residue class of x ("a+1", "a^2+2*a").
@@ -81,9 +83,13 @@ MAX_EXPONENT = 1 << 10
 # Longest decimal coefficient the text parsers accept: the int() default.
 MAX_COEFFICIENT_DIGITS = 4300
 # make_field keeps this many of the fields it used most recently, and every
-# field still referenced, by (p, l, modulus); the lock builds each field once.
+# field still referenced, by (p, l, modulus) and by each request that found
+# it, such as (p, l, None).  _FIELDS_LOCK guards the two dicts only: a field
+# is built under a lock of its own key (_BUILDING), so that one build holds
+# up only the threads that ask for the same field.
 _KEPT_FIELDS = 8
 _FIELDS: "weakref.WeakValueDictionary[tuple, FieldSpec]" = weakref.WeakValueDictionary()
+_BUILDING: "dict[tuple, threading.Lock]" = {}
 _FIELDS_LOCK = threading.Lock()
 
 
@@ -503,13 +509,25 @@ def _as_field(spec) -> FieldSpec:
 
 @functools.lru_cache(maxsize=_KEPT_FIELDS)
 def _build_field(p: int, l: int, modulus: Optional[tuple[int, ...]]) -> FieldSpec:
+    request = (p, l, modulus)
+    with _FIELDS_LOCK:
+        spec = _FIELDS.get(request)  # still interned: p and the modulus were checked
+    if spec is not None:
+        return spec
     if _prime_factors(p) != [p]:
         raise NotPrime(f"{p} is not prime")
     key = (p, l, _choose_modulus(p, l, modulus))
     with _FIELDS_LOCK:
-        spec = _FIELDS.get(key)
+        building = _BUILDING.setdefault(key, threading.Lock())
+    with building:  # one build of this field at a time, beside those of others
+        with _FIELDS_LOCK:
+            spec = _FIELDS.get(key)
         if spec is None:
-            spec = _FIELDS[key] = object.__new__(FieldSpec)._build(*key)
+            spec = object.__new__(FieldSpec)._build(*key)
+        with _FIELDS_LOCK:
+            spec = _FIELDS.setdefault(key, spec)  # the first object inserted wins
+            _FIELDS.setdefault(request, spec)
+            _BUILDING.pop(key, None)
     return spec
 
 

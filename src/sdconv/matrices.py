@@ -29,7 +29,9 @@ object.  Code grid in, pivots out: ``polys._hermite_core`` reduces one
 in place, each step a division by ``polys._divmod_codes`` and the one row
 step ``polys._sub_mul_row``.  Poly objects and ``PolyMatrix._of`` are built
 only from the slices a caller returns (``_matrix``); rank, membership,
-(self-)orthogonality and the non-catastrophic test build none.
+(self-)orthogonality and the non-catastrophic test build none, and the
+self-dual completion of ``constructions`` reads its right inverse off the
+code grid and builds only its test vector.
 
 Elimination pivots are chosen as the lowest-degree nonzero entry with ties
 broken by smallest index, so all outputs are deterministic.

@@ -11,13 +11,14 @@ interned elements.
 All arithmetic runs on code lists through one inner loop, :func:`_mul_into`,
 which adds g^e times a product of code lists into a third with the field's
 log and Zech tables, and one division loop built on it,
-:func:`_divmod_codes`.  ``Poly`` operators wrap them.  The one elimination,
-:func:`_hermite_core`, reduces grids of code lists with the two loops
-directly: it answers ``gcd``, ``xgcd`` and ``vec_content`` as the Hermite
-form of one column, and every elimination of ``matrices``.  The d_free
-trellis of ``codes`` does not add through these loops: it packs each vector
-of codes into one int and adds whole vectors in a few int operations
-(``fields._Words``).
+:func:`_divmod_codes`; division by a unit, the common step of an
+elimination, is one scaling of the dividend's codes by antilog lookups.
+``Poly`` operators wrap them.  The one elimination, :func:`_hermite_core`,
+reduces grids of code lists with the two loops directly: it answers
+``gcd``, ``xgcd`` and ``vec_content`` as the Hermite form of one column,
+and every elimination of ``matrices``.  The d_free trellis of ``codes``
+does not add through these loops: it packs each vector of codes into one
+int and adds whole vectors in a few int operations (``fields._Words``).
 
 A value enters F_q[z] by one lift, :func:`_lift`, built on the one lift
 into F_q, ``FieldElement._coerce``; :func:`as_poly_vector` maps it over a
@@ -243,11 +244,16 @@ def _mul_into(
 
 
 def _divmod_codes(spec: FieldSpec, a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of the code list a by the nonzero trimmed
-    code list b, both trimmed: the one division loop.  Each step cancels
-    the leading term of the remainder by _mul_into with the log of -1/lc(b)."""
+    """Quotient and remainder of the trimmed code list a by the nonzero
+    trimmed code list b, both trimmed: the one division loop.  A unit b
+    divides each coefficient by one scaling, with no remainder.  Otherwise
+    each step cancels the leading term of the remainder by _mul_into with
+    the log of -1/lc(b)."""
     log, exp, n = spec._log, spec._exp, spec.q - 1
     lead = log[b[-1]]
+    if len(b) == 1:
+        s = n - lead
+        return [exp[log[c] + s] if c else 0 for c in a], []
     minus_inv_lead = (spec._log_minus_one - lead) % n
     rem = list(a)
     dv = len(b) - 1
@@ -329,10 +335,8 @@ def _sub_mul_row(spec: FieldSpec, row: list, q: Sequence[int], top: Sequence) ->
 
 def _scale_row(spec: FieldSpec, row: list, c: int) -> None:
     """Divides the code lists of ``row`` in place by the nonzero code c."""
-    log, exp = spec._log, spec._exp
-    s = spec.q - 1 - log[c]
     for x in row:
-        x[:] = [exp[log[v] + s] if v else 0 for v in x]
+        x[:] = _divmod_codes(spec, x, (c,))[0]
 
 
 def dot(u: Iterable, v: Iterable) -> Poly:

@@ -26,6 +26,7 @@ from sdconv import (
     Poly,
     PolyMatrix,
     building_up,
+    classify_42_binary,
     col_hermite,
     default_a_vec,
     dot,
@@ -753,6 +754,41 @@ def test_find_completion_gram_checks_the_extension_once(monkeypatch):
     gram_checked.clear()  # hm_extend checks its own output
     assert find_completion(gt).kind == NON_TRIVIAL
     assert gram_checked == [gt]
+
+
+def test_find_completion_without_a_witness_calls_no_dot_and_builds_no_matrix(monkeypatch):
+    # R, b and v are read off the code grid of the one elimination, and the
+    # result is stacked from Poly rows already built: without a witness no
+    # path takes a dot product or converts a code grid to a PolyMatrix
+    def refuse(*args):
+        raise AssertionError("unexpected call")
+
+    gts = [pair_sum_extension(Poly.z(F2) ** 2), parse_matrix(F2, "z,z,1,1"), parse_matrix(F2, "1,1,1,1")]
+    for base, a_vec in load_bench("workloads").Completion(sdconv, 1).ops()[:40]:
+        gts.append(hm_extend(base, a_vec))
+    expected = [find_completion(gt) for gt in gts]
+    assert {r.kind for r in expected} == {NON_TRIVIAL, TRIVIAL_ONLY}
+    for module in ("polys", "matrices", "constructions"):
+        monkeypatch.setattr(f"sdconv.{module}.dot", refuse)
+    monkeypatch.setattr(matrices, "_matrix", refuse)
+    assert [find_completion(gt) for gt in gts] == expected
+
+
+# format_vector(default_a_vec(code)), one line per code, for the 33 codes of
+# classify_42_binary(2) as canonical generators and then as the seeded
+# unimodular mixes of the completion workload's seeds 1-3: 132 vectors, 7
+# distinct, recorded before R and b were read off the code grid
+DEFAULT_A_VEC_SHA256 = "f9159ae8d6152689dbb19b4e79010d410449ecbfaa3705673d55b2b3fa11ca2c"
+
+
+def test_default_a_vec_gives_the_recorded_vectors_on_the_42_catalog():
+    gens = [record.canonical_generator for record in classify_42_binary(2)]
+    assert len(gens) == 33
+    for seed in (1, 2, 3):
+        gens += load_bench("workloads").Completion(sdconv, seed).generators
+    out = [format_vector(default_a_vec(ConvolutionalCode(g))) for g in gens]
+    assert len(set(out)) == 7
+    assert hashlib.sha256("\n".join(out).encode()).hexdigest() == DEFAULT_A_VEC_SHA256
 
 
 def test_is_trivial_completion_paper_cases():

@@ -3,6 +3,7 @@ import gc
 import itertools
 import pickle
 import random
+import sys
 import threading
 from time import perf_counter, sleep
 
@@ -420,6 +421,140 @@ def test_threads_that_build_one_new_field_at_once_get_one_object(monkeypatch):
     for t in threads:
         t.join()
     assert len(got) == 4 and all(f is got[0] for f in got) and len(builds) == 1
+
+
+def test_an_lru_miss_finds_the_interned_field_without_checking_it_again(monkeypatch):
+    # on a miss a still-referenced field is looked up by the request, so p
+    # is not factored and no modulus is tested again, with or without one
+    requests = [(2, 8, None), (3, 10, None), (3, 2, (1, 0, 1)), (65521, 1, None), (5, 1, (0, 1))]
+    kept = [make_field(*r) for r in requests]
+    kept.append(make_field(2, 8, kept[0].modulus))
+    requests.append((2, 8, kept[0].modulus))
+    fields._build_field.cache_clear()
+
+    def refuse(*args):
+        raise AssertionError("a checked field was checked again")
+
+    monkeypatch.setattr(fields, "_prime_factors", refuse)
+    monkeypatch.setattr(fields, "_modulus_is_irreducible", refuse)
+    assert all(make_field(*r) is f for r, f in zip(requests, kept))
+    monkeypatch.undo()
+    # a request that no interned field answers is still checked in full
+    fields._build_field.cache_clear()
+    with pytest.raises(ReducibleModulus):
+        make_field(2, 8, (0,) + kept[0].modulus[1:])
+    with pytest.raises(ReducibleModulus):
+        parse_field_selector("2^2", "a^2")
+    with pytest.raises(NotPrime):
+        make_field(6)
+    with pytest.raises(NotPrime):
+        parse_field_selector("6^1")
+
+
+def _held_builds(monkeypatch, p, started, release):
+    """Makes FieldSpec._build of GF(p^l) set ``started`` and wait for
+    ``release``; returns the list of the keys it builds."""
+    builds, build = [], FieldSpec._build
+
+    def held_build(spec, *key):
+        builds.append(key)
+        if key[0] == p:
+            started.set()
+            release.wait(60)  # set by the test; the timeout only ends a broken run
+        return build(spec, *key)
+
+    monkeypatch.setattr(FieldSpec, "_build", held_build)
+    return builds
+
+
+def _not_interned(*pls):
+    fields._build_field.cache_clear()
+    gc.collect()
+    return not [key for key in fields._FIELDS if key[:2] in pls]
+
+
+def test_a_held_up_build_does_not_block_make_field_of_another(monkeypatch):
+    # while one thread builds GF(11^2), held by an event, another thread
+    # builds GF(13^2); only the other thread's end releases the first build
+    assert _not_interned((11, 2), (13, 2))
+    started, release, other_done = threading.Event(), threading.Event(), threading.Event()
+    builds = _held_builds(monkeypatch, 11, started, release)
+    got = {}
+
+    def ask(p):
+        got[p] = make_field(p, 2)
+        if p == 13:
+            other_done.set()
+
+    threads = [threading.Thread(target=ask, args=(p,)) for p in (11, 13)]
+    threads[0].start()
+    try:
+        assert started.wait(10)
+        threads[1].start()
+        other_built_first = other_done.wait(10)
+    finally:
+        release.set()
+        for t in threads:
+            t.join(10)
+    assert not any(t.is_alive() for t in threads)
+    assert other_built_first
+    assert [key[:2] for key in builds] == [(11, 2), (13, 2)]
+    assert got[11] is make_field(11, 2) and got[13] is make_field(13, 2)
+
+
+def test_two_asks_for_one_held_up_build_get_one_object(monkeypatch):
+    # a second thread asks for GF(11^2) while its first build is held: it
+    # waits for that build, and both threads get the one object
+    assert _not_interned((11, 2))
+    started, release = threading.Event(), threading.Event()
+    builds = _held_builds(monkeypatch, 11, started, release)
+    got = []
+    threads = [threading.Thread(target=lambda: got.append(make_field(11, 2))) for _ in range(2)]
+    threads[0].start()
+    try:
+        assert started.wait(10)
+        threads[1].start()
+    finally:
+        release.set()
+        for t in threads:
+            t.join(10)
+    assert not any(t.is_alive() for t in threads)
+    assert len(got) == 2 and got[0] is got[1] is make_field(11, 2)
+    assert len(builds) == 1
+
+
+def test_many_threads_asking_for_new_fields_get_one_build_of_each(monkeypatch):
+    # 8 threads, more than the cores, each ask for three new fields in their
+    # own order under a short switch interval: each field is built once,
+    # every thread gets its one object, and no build lock is left behind
+    pls = [(17, 2), (19, 2), (23, 2)]
+    assert _not_interned(*pls)
+    builds, build = [], FieldSpec._build
+
+    def counted(spec, *key):
+        builds.append(key[:2])
+        return build(spec, *key)
+
+    monkeypatch.setattr(FieldSpec, "_build", counted)
+    start, got = threading.Barrier(8), []
+
+    def ask(order):
+        start.wait(10)
+        got.append({pl: make_field(*pl) for pl in order})
+
+    threads = [threading.Thread(target=ask, args=(pls[i % 3 :] + pls[: i % 3],)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(got) == 8 and all(g[pl] is got[0][pl] for g in got for pl in pls)
+    assert sorted(builds) == pls and not fields._BUILDING
 
 
 def test_copies_and_pickles_keep_the_one_field():

@@ -1,7 +1,11 @@
 """The package's public names: ``__all__`` lists exactly what ``sdconv``
-imports, so removing a name means editing both lists."""
+imports, so removing a name means editing both lists.  Every name a module
+imports is used, and every public door refuses a value of the wrong kind
+with a typed error."""
 
+import ast
 import types
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +21,29 @@ def test_all_lists_every_public_name_the_package_imports():
     }
     assert len(sdconv.__all__) == len(set(sdconv.__all__))
     assert set(sdconv.__all__) == public
+
+
+def _used_names(tree: ast.Module) -> set:
+    """The names a module reads, and the re-exports in its ``__all__``."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    return used
+
+
+@pytest.mark.parametrize("path", sorted(Path(sdconv.__file__).parent.glob("*.py")), ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    assert sorted(imported - _used_names(tree)) == []
 
 
 def test_star_import_gives_the_names_of_all():
@@ -56,8 +83,8 @@ def test_int_arguments_refuse_other_numbers_with_a_typed_error(error, call):
         call()
 
 
-# Each door that takes a matrix, a code's generator, a list of steps or a
-# vector, called with a value of the wrong kind.
+# Each door that takes a matrix, a code's generator, a list of steps, a code
+# or a vector, called with a value of the wrong kind.
 WRONG_KIND_DOORS = {
     "smith": sdconv.smith,
     "row_hermite": sdconv.row_hermite,
@@ -75,6 +102,12 @@ WRONG_KIND_DOORS = {
     "find_completion": sdconv.find_completion,
     "is_trivial_completion": sdconv.is_trivial_completion,
     "reduce_double_triangular": sdconv.reduce_double_triangular,
+    "direct_sum": lambda x: sdconv.direct_sum(x, SELF_DUAL),
+    "direct_sum-second": lambda x: sdconv.direct_sum(SELF_DUAL, x),
+    "building_up": lambda x: sdconv.building_up(x, (1,)),
+    "hm_extend": lambda x: sdconv.hm_extend(x, (1, 1)),
+    "default_a_vec": sdconv.default_a_vec,
+    "orthogonal_chain-code": lambda x: sdconv.orthogonal_chain(x, []),
 }
 WRONG_KINDS = {"int": 3, "str": "1,z", "None": None, "Poly": sdconv.Poly(F5, (0, 1)), "field": F5}
 

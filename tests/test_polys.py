@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -30,7 +32,7 @@ from sdconv import (
     xgcd,
 )
 from sdconv.errors import DimensionMismatch, DivisionByZero, FieldMismatch, ParseError, SdconvError, SearchSpaceTooLarge
-from sdconv.polys import NEG_INF, as_poly_vector, format_poly
+from sdconv.polys import NEG_INF, _divmod_codes, as_poly_vector, format_poly
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -133,6 +135,27 @@ def test_xgcd_bezout_property(spec):
             assert not u % g and not v % g
 
     inner()
+
+
+@pytest.mark.parametrize("spec", [F2, F3, F4, F5, F9, F16, F256], ids=repr)
+def test_divmod_codes_matches_school_long_division(spec):
+    # the one division loop on code lists against long division on
+    # elements: every unit divisor, whose quotient is one scaling, and
+    # seeded divisors of degree 1 and 2, each on the zero dividend and on
+    # seeded dividends of degree <= 4
+    rng = random.Random(spec.q)
+    els = spec.elements()
+
+    def codes(deg):  # a trimmed code list of degree deg
+        return [rng.randrange(spec.q) for _ in range(deg)] + [rng.randrange(1, spec.q)]
+
+    dividends = [[]] + [codes(rng.randrange(5)) for _ in range(8)]
+    divisors = [[c] for c in range(1, spec.q)] + [codes(d) for d in (1, 1, 2, 2)]
+    for b in divisors:
+        for a in dividends:
+            quo, rem = school_divmod(spec, tuple(els[c] for c in a), tuple(els[c] for c in b))
+            want = ([e.code for e in quo], [e.code for e in rem])
+            assert _divmod_codes(spec, a, b) == want, (a, b)
 
 
 @pytest.mark.parametrize("spec", [F2, F3, F4, F5, F9, F16, F256])
