@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .codes import ConvolutionalCode, DistanceReport, STATUS_EXACT, check_search_size, iter_bounded_polys
-from .errors import NotBinary, NotSelfDual, NotTriangularPattern, OutOfRange
+from .errors import MalformedInput, NotBinary, NotSelfDual, NotTriangularPattern, OutOfRange
 from .fields import FieldSpec, _as_int, make_field, sqrt_of_minus_one
 from .matrices import PolyMatrix, _as_matrix, format_matrix
 from .polys import Poly, gcd
@@ -141,6 +141,14 @@ def reduce_double_triangular(gen: PolyMatrix) -> PolyMatrix:
     return eye_pair
 
 
-def format_catalog(records: list[ClassificationRecord]) -> str:
+def format_catalog(records: Iterable[ClassificationRecord]) -> str:
+    """One catalog line per record; MalformedInput unless ``records`` is an
+    iterable of records."""
+    try:
+        records = list(records)
+    except TypeError:
+        raise MalformedInput(f"{records!r} is not a list of records") from None
+    if any(r.__class__ is not ClassificationRecord for r in records):
+        raise MalformedInput("a catalog entry is not a ClassificationRecord")
     return "\n".join(r.catalog_line() for r in records)
 

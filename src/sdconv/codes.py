@@ -14,16 +14,16 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import DimensionMismatch, OutOfRange, RankDeficient, SearchSpaceTooLarge
-from .fields import _Words, _as_int
+from .fields import _Words, _as_field, _as_int
 from .matrices import (
     PolyMatrix,
     _as_matrix,
     _grid,
     _hermite_core,
     _is_identity,
+    _is_self_orthogonal,
     _matrix,
     _reduce,
-    is_self_orthogonal,
     right_kernel_basis,
     row_reduced,
 )
@@ -107,8 +107,10 @@ class ConvolutionalCode:
         return ConvolutionalCode(right_kernel_basis(self.generator))
 
     def is_self_orthogonal(self) -> bool:
+        """G G^T = 0 iff H H^T = U G G^T U^T = 0, U unimodular, so the test
+        runs on the form the code already holds, not on its generator."""
         if self._selforth is None:
-            self._selforth = is_self_orthogonal(self.generator)
+            self._selforth = _is_self_orthogonal(self.spec, self._form)
         return self._selforth
 
     def is_noncatastrophic(self) -> bool:
@@ -255,5 +257,5 @@ def iter_bounded_polys(spec, max_deg: int) -> list[Poly]:
     max_deg = _as_int("max_deg", max_deg)
     if max_deg < 0:
         raise OutOfRange("max_deg must be nonnegative")
-    check_search_size(spec.q, max_deg + 1)
+    check_search_size(_as_field(spec).q, max_deg + 1)
     return [_poly(spec, list(codes)) for codes in itertools.product(range(spec.q), repeat=max_deg + 1)]

@@ -507,6 +507,13 @@ def _as_field(spec) -> FieldSpec:
     return spec
 
 
+def _as_text(text) -> str:
+    """``text`` if it is a str, else ParseError."""
+    if not isinstance(text, str):
+        raise ParseError(f"{text!r} is not text")
+    return text
+
+
 @functools.lru_cache(maxsize=_KEPT_FIELDS)
 def _build_field(p: int, l: int, modulus: Optional[tuple[int, ...]]) -> FieldSpec:
     request = (p, l, modulus)
@@ -558,7 +565,7 @@ def sqrt_of_minus_one(spec: FieldSpec) -> Optional[FieldElement]:
 
     A solution exists exactly when p = 2, p = 1 mod 4, or l is even.
     """
-    minus_one = spec.from_int(-1)
+    minus_one = _as_field(spec).from_int(-1)
     for b in spec.elements():
         if b * b == minus_one:
             return b
@@ -727,7 +734,7 @@ def _element_code(spec: FieldSpec, s: str, text: str) -> int:
 def parse_element(spec: FieldSpec, text: str) -> FieldElement:
     """Parse field-element text ("3" over GF(5), "a^2+2*a" over GF(9))."""
     spec = _as_field(spec)
-    return spec._els[_element_code(spec, "".join(text.split()), text)]
+    return spec._els[_element_code(spec, "".join(_as_text(text).split()), text)]
 
 
 def format_element(e: FieldElement) -> str:
@@ -740,7 +747,7 @@ def parse_field_selector(text: str, modulus_text: Optional[str] = None) -> Field
     A bare integer is factored as a prime power; "p^l" is explicit.  An
     optional modulus is parsed as a polynomial in ``a`` over F_p.
     """
-    base, caret, exp = text.strip().partition("^")
+    base, caret, exp = _as_text(text).strip().partition("^")
     try:
         p, l = int(base), int(exp) if caret else 0
     except ValueError as exc:
@@ -758,5 +765,5 @@ def parse_field_selector(text: str, modulus_text: Optional[str] = None) -> Field
     if p < 2:  # refused before a modulus is read mod p
         raise NotPrime(f"{p} is not prime")
     # the parsed modulus keeps the length as written for the degree check
-    modulus = None if modulus_text is None else parse_int_poly(modulus_text, p)
+    modulus = None if modulus_text is None else parse_int_poly(_as_text(modulus_text), p)
     return make_field(p, l, modulus)

@@ -33,6 +33,13 @@ only from the slices a caller returns (``_matrix``); rank, membership,
 self-dual completion of ``constructions`` reads its right inverse off the
 code grid and builds only its test vector.
 
+One Gram loop, ``_is_self_orthogonal``, runs on rows of code lists.  A
+matrix is immutable, so it keeps its verdict: ``is_self_orthogonal``
+computes it once per PolyMatrix object, and ``find_completion`` reads the
+verdict that ``hm_extend``'s assert computed on the same extension.  A
+code runs the loop on its own Hermite code grid and keeps its own verdict,
+so it never reads or writes that of its generator.
+
 Elimination pivots are chosen as the lowest-degree nonzero entry with ties
 broken by smallest index, so all outputs are deterministic.
 """
@@ -53,7 +60,7 @@ from .errors import (
     ParseError,
     ShapeUnsupported,
 )
-from .fields import FieldSpec, _as_field, _as_int
+from .fields import FieldSpec, _as_field, _as_int, _as_text
 from .polys import (
     Poly, _divmod_codes, _entries, _field_of, _hermite_core, _mul_into, _poly, _sub_mul_row,
     as_poly_vector, dot, format_poly, parse_poly,
@@ -63,11 +70,11 @@ from .polys import (
 class PolyMatrix:
     """Immutable k x n grid of Poly entries over one field."""
 
-    __slots__ = ("spec", "rows", "cols", "entries")
+    __slots__ = ("spec", "rows", "cols", "entries", "_selforth")
 
     def __init__(self, spec: FieldSpec, rows: Iterable[Iterable], cols: Optional[int] = None):
         spec = _as_field(spec)
-        grid = [as_poly_vector(spec, row) for row in rows]
+        grid = [as_poly_vector(spec, row) for row in _entries(rows)]
         if cols is not None:
             cols = _as_int("cols", cols)
         if grid:
@@ -84,6 +91,7 @@ class PolyMatrix:
         self.rows = len(grid)
         self.cols = width
         self.entries = tuple(grid)
+        self._selforth = None  # the verdict of is_self_orthogonal, once asked
 
     @classmethod
     def _of(cls, spec: FieldSpec, grid: tuple, cols: int) -> "PolyMatrix":
@@ -94,6 +102,7 @@ class PolyMatrix:
         out.rows = len(grid)
         out.cols = cols
         out.entries = grid
+        out._selforth = None
         return out
 
     @classmethod
@@ -385,19 +394,32 @@ def right_kernel_basis(matrix: PolyMatrix) -> PolyMatrix:
 
 
 def is_self_orthogonal(matrix: PolyMatrix) -> bool:
-    """True iff A @ A^T = 0.  The product is symmetric, so each row is
-    tested against itself and the rows after it."""
-    rows = matrix.entries
-    return all(is_orthogonal_to(matrix.spec, u, rows[i:]) for i, u in enumerate(rows))
+    """True iff A @ A^T = 0, decided once per matrix: the matrix is
+    immutable, so the verdict is kept on it and read on every later call."""
+    if matrix._selforth is None:
+        matrix._selforth = _is_self_orthogonal(matrix.spec, [[e.codes for e in row] for row in matrix.entries])
+    return matrix._selforth
 
 
 def is_orthogonal_to(spec: FieldSpec, u: Sequence[Poly], rows: Iterable[Sequence[Poly]]) -> bool:
-    """True iff u @ v^T = 0 for every row v: each product is summed into
-    one code list, up to the first nonzero one."""
+    """True iff u @ v^T = 0 for every row v (``_is_orthogonal`` on their codes)."""
+    return _is_orthogonal(spec, [x.codes for x in u], ([y.codes for y in v] for v in rows))
+
+
+def _is_self_orthogonal(spec: FieldSpec, rows: Sequence[Sequence[Sequence[int]]]) -> bool:
+    """True iff the Gram matrix of the code rows is zero: the one Gram
+    loop.  The Gram matrix is symmetric, so each row is tested against
+    itself and the rows after it."""
+    return all(_is_orthogonal(spec, u, rows[i:]) for i, u in enumerate(rows))
+
+
+def _is_orthogonal(spec: FieldSpec, u: Sequence[Sequence[int]], rows: Iterable[Sequence[Sequence[int]]]) -> bool:
+    """True iff u @ v^T = 0 for every code row v: each product is summed
+    into one code list, up to the first nonzero one."""
     for v in rows:
         out: list[int] = []
         for x, y in zip(u, v):
-            _mul_into(spec, out, x.codes, y.codes, 0)
+            _mul_into(spec, out, x, y, 0)
         if any(out):
             return False
     return True
@@ -449,7 +471,7 @@ def solve_left(matrix: PolyMatrix, vec: Iterable) -> Optional[tuple[Poly, ...]]:
 
 def parse_matrix(spec: FieldSpec, text: str) -> PolyMatrix:
     spec = _as_field(spec)
-    if not text.strip():
+    if not _as_text(text).strip():
         raise ParseError("empty matrix text")
     rows = []
     for rt in text.split(";"):
@@ -465,7 +487,7 @@ def parse_matrix(spec: FieldSpec, text: str) -> PolyMatrix:
 
 def parse_vector(spec: FieldSpec, text: str) -> tuple[Poly, ...]:
     _as_field(spec)
-    if not text.strip():
+    if not _as_text(text).strip():
         raise ParseError("empty vector text")
     if ";" in text:
         raise ParseError(f"expected a single row vector, got {text!r}")

@@ -31,7 +31,9 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import DimensionMismatch, DivisionByZero, FieldMismatch, OutOfRange
-from .fields import FieldElement, FieldSpec, _as_field, _as_int, _element_code, _format_terms, _parse_terms
+from .fields import (
+    FieldElement, FieldSpec, _as_field, _as_int, _as_text, _element_code, _format_terms, _parse_terms,
+)
 
 NEG_INF = float("-inf")
 
@@ -404,7 +406,7 @@ def parse_poly(spec: FieldSpec, text: str) -> Poly:
     spec = _as_field(spec)
     one = spec.one.code
     codes: dict[int, int] = {}
-    for ct, e in _parse_terms(text, "z"):  # whitespace is gone from ct
+    for ct, e in _parse_terms(_as_text(text), "z"):  # whitespace is gone from ct
         c = one if ct is None else _element_code(spec, ct, ct)
         if e in codes:  # a repeated power: its coefficients add on codes
             c = _mul_into(spec, [codes[e]], (one,), (c,), 0)[0]

@@ -166,8 +166,9 @@ def test_code_equality_is_canonical_equality():
 
 
 def test_canonical_form_is_built_on_first_use(monkeypatch):
-    # a code keeps its Hermite form as a code grid: membership and the
-    # self-duality test read that grid, and only the equality key builds Poly
+    # a code keeps its Hermite form as a code grid: membership and both
+    # halves of the self-duality test, self-orthogonality and left-primeness,
+    # read that grid, and only the equality key builds Poly
     canon = parse_matrix(F2, "1,1,1,1 ; 0,z^2+z+1,z,z^2+1")
 
     def refuse(*args):
@@ -177,6 +178,7 @@ def test_canonical_form_is_built_on_first_use(monkeypatch):
     c = code(F2, NBU)
     assert c.is_self_dual() and c.contains(parse_vector(F2, "1,1,1,1"))
     assert not c.contains(parse_vector(F2, "1,1,0,0"))
+    assert c.generator._selforth is None  # the generator's own verdict is never asked
     monkeypatch.undo()
     assert c.canonical_generator() == canon
     assert c.canonical_generator() is c.canonical_generator()

@@ -19,6 +19,7 @@ from helpers import (
     oracle_is_noncatastrophic,
     oracle_is_self_orthogonal,
     rand_unimodular,
+    run_capped,
     self_dual_corpus,
 )
 from sdconv import (
@@ -66,7 +67,6 @@ from sdconv.errors import (
     SdconvError,
     ShapeUnsupported,
 )
-from sdconv.matrices import is_self_orthogonal
 
 
 def code(spec, text):
@@ -715,6 +715,34 @@ def test_completion_sweep_gives_the_recorded_outputs():
     assert digest.hexdigest() == recorded.read_text(encoding="utf-8").strip()
 
 
+SWEEP_DIGEST_SCRIPT = """
+import hashlib, itertools, json
+from sdconv import (ConvolutionalCode, classify_42_binary, find_completion, format_matrix, format_vector,
+                    hm_extend, iter_bounded_polys, make_field)
+F2 = make_field(2)
+digest = hashlib.sha256()
+for record in classify_42_binary(3):
+    base = ConvolutionalCode(record.canonical_generator)
+    for a_vec in itertools.product(iter_bounded_polys(F2, 1), repeat=2):
+        gt = hm_extend(base, a_vec)
+        result = find_completion(gt)
+        fields = [format_matrix(gt), result.kind, format_vector(result.witness), format_matrix(result.generator)]
+        digest.update(json.dumps(fields).encode() + b"\\n")
+print(json.dumps({"asserts": __debug__, "digest": digest.hexdigest()}))
+"""
+
+
+def test_completion_sweep_holds_with_asserts_off():
+    # python -O drops hm_extend's assert, so find_completion computes each
+    # extension's Gram verdict alone; the sweep's outputs are the same
+    proc, _ = run_capped(["-O", "-c", SWEEP_DIGEST_SCRIPT], seconds=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["asserts"] is False
+    recorded = Path(__file__).with_name("data") / "completion_sweep.sha256"
+    assert result["digest"] == recorded.read_text(encoding="utf-8").strip()
+
+
 def test_completion_builds_no_poly_canonical_form(monkeypatch):
     # membership and self-duality read each code's Hermite code grid, so no
     # code of the completion path converts its canonical form to Poly
@@ -736,24 +764,74 @@ def test_completion_builds_no_poly_canonical_form(monkeypatch):
         find_completion(parse_matrix(F2, "0,0,z,z"))
 
 
+def gram_spy(monkeypatch) -> list:
+    """The code rows of every Gram verdict computed from here on: the one
+    Gram loop, ``matrices._is_self_orthogonal``, is spied on in both
+    modules that call it."""
+    computed = []
+    loop = matrices._is_self_orthogonal
+
+    def counted(spec, rows):
+        computed.append([[list(e) for e in row] for row in rows])
+        return loop(spec, rows)
+
+    monkeypatch.setattr(matrices, "_is_self_orthogonal", counted)
+    monkeypatch.setattr("sdconv.codes._is_self_orthogonal", counted)
+    return computed
+
+
+def codes_of(matrix: PolyMatrix) -> list:
+    return [[list(e.codes) for e in row] for row in matrix.entries]
+
+
 def test_find_completion_gram_checks_the_extension_once(monkeypatch):
     # the pair-sum example has a non-trivial completion, and find_completion
     # returns [v; gt] without a candidate search; the proof makes [v; gt]
-    # self-dual, so the one Gram check is of the extension gt, and neither
-    # the result nor a code built from it is checked again
-    gram_checked = []
-
-    def counted(matrix):
-        gram_checked.append(matrix)
-        return is_self_orthogonal(matrix)
-
-    monkeypatch.setattr(constructions, "is_self_orthogonal", counted)
-    monkeypatch.setattr("sdconv.codes.is_self_orthogonal", counted)
+    # self-dual, so the one Gram verdict is of the extension gt: hm_extend's
+    # assert computes it and _validate_extended reads it (under python -O,
+    # where the assert does not run, _validate_extended computes it), and
+    # neither the result nor a code built from it is checked again
+    computed = gram_spy(monkeypatch)
     code = ConvolutionalCode(parse_matrix(F2, "1,1,1,1 ; z^3+z^2+1,z^2+z+1,0,z^3+z"))
+    assert code.is_self_dual()
+    computed.clear()  # the code's own verdict, read again by hm_extend
     gt = hm_extend(code, (Poly.one(F2), Poly.z(F2) ** 2))
-    gram_checked.clear()  # hm_extend checks its own output
     assert find_completion(gt).kind == NON_TRIVIAL
-    assert gram_checked == [gt]
+    assert computed == [codes_of(gt)]
+    assert find_completion(gt).kind == NON_TRIVIAL
+    assert computed == [codes_of(gt)]
+
+
+def test_each_object_computes_its_own_gram_verdict_on_every_pass(monkeypatch):
+    # over two passes of a prefix of the bench's completion ops, each fresh
+    # extension is Gram-checked once by its hm_extend + find_completion pair,
+    # and each fresh code once on its own Hermite grid: no verdict carries
+    # over from one pass to the next, none from a code to its generator
+    computed = gram_spy(monkeypatch)
+    workload = load_bench("workloads").Completion(sdconv, 1)
+    for _ in range(2):
+        ops = workload.ops()[:48]
+        computed.clear()
+        for base, a_vec in ops:
+            gt = hm_extend(base, a_vec)
+            find_completion(gt)
+            assert computed[-1] == codes_of(gt)
+        bases = {id(base): base for base, _ in ops}.values()
+        assert len(computed) == len(ops) + len(bases)
+        assert sorted(rows for rows in computed if len(rows[0]) == 4) == sorted(base._form for base in bases)
+    assert all(g._selforth is None for g in workload.generators)
+    # two codes on one generator matrix each compute their own verdict
+    gen = workload.generators[0]
+    computed.clear()
+    first, second = ConvolutionalCode(gen), ConvolutionalCode(gen)
+    assert first.is_self_orthogonal() and second.is_self_orthogonal() and first.is_self_orthogonal()
+    assert computed == [first._form, second._form] and gen._selforth is None
+    # a gt the caller built is computed in full, and still refused
+    computed.clear()
+    for text in ("1,1,1,0", "1,1,1,1,0,0 ; z,z,1,0,1,1"):
+        with pytest.raises(MalformedInput, match="not self-orthogonal"):
+            find_completion(parse_matrix(F2, text))
+    assert len(computed) == 2
 
 
 def test_find_completion_without_a_witness_calls_no_dot_and_builds_no_matrix(monkeypatch):

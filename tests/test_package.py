@@ -4,13 +4,17 @@ imports is used, and every public door refuses a value of the wrong kind
 with a typed error."""
 
 import ast
+import json
 import types
 from pathlib import Path
 
 import pytest
 
 import sdconv
-from sdconv.errors import BadScalars, OutOfRange, SdconvError
+from helpers import run_capped
+from sdconv.errors import (
+    BadScalars, DimensionMismatch, FieldMismatch, MalformedInput, OutOfRange, ParseError, SdconvError,
+)
 
 
 def test_all_lists_every_public_name_the_package_imports():
@@ -83,6 +87,31 @@ def test_int_arguments_refuse_other_numbers_with_a_typed_error(error, call):
         call()
 
 
+@pytest.mark.parametrize(
+    "error, call",
+    [
+        (FieldMismatch, lambda: sdconv.iter_bounded_polys(3, 0)),
+        (FieldMismatch, lambda: sdconv.classify_double_diagonal(0, 1)),
+        (FieldMismatch, lambda: sdconv.sqrt_of_minus_one(0)),
+        (ParseError, lambda: sdconv.parse_poly(F5, 5)),
+        (ParseError, lambda: sdconv.parse_matrix(F5, None)),
+        (ParseError, lambda: sdconv.parse_vector(F5, 5)),
+        (ParseError, lambda: sdconv.parse_element(F5, 5)),
+        (ParseError, lambda: sdconv.parse_field_selector(5)),
+        (ParseError, lambda: sdconv.parse_field_selector("4", 5)),
+        (DimensionMismatch, lambda: sdconv.PolyMatrix(F5, 0)),
+        (MalformedInput, lambda: sdconv.format_catalog(0)),
+        (MalformedInput, lambda: sdconv.format_catalog("z")),
+    ],
+    ids=["iter_bounded_polys", "classify_double_diagonal", "sqrt_of_minus_one", "parse_poly",
+         "parse_matrix", "parse_vector", "parse_element", "parse_field_selector",
+         "parse_field_selector-modulus", "PolyMatrix", "format_catalog-int", "format_catalog-str"],
+)
+def test_a_field_a_text_or_rows_of_the_wrong_kind_is_a_typed_error(error, call):
+    with pytest.raises(error):
+        call()
+
+
 # Each door that takes a matrix, a code's generator, a list of steps, a code
 # or a vector, called with a value of the wrong kind.
 WRONG_KIND_DOORS = {
@@ -117,3 +146,62 @@ WRONG_KINDS = {"int": 3, "str": "1,z", "None": None, "Poly": sdconv.Poly(F5, (0,
 def test_a_value_of_the_wrong_kind_at_a_door_is_a_typed_error(door, value):
     with pytest.raises(SdconvError):
         door(value)
+
+
+# Every callable of __all__ with at most two required positional arguments,
+# called with every tuple of values from a small pool, each under a 1 s
+# alarm; prints the calls that ended in an exception other than an
+# SdconvError, and those that ran past the alarm.
+TABLE_SCRIPT = """
+import inspect, itertools, json, signal
+import sdconv
+from sdconv.errors import SdconvError
+
+F2, F5 = sdconv.make_field(2), sdconv.make_field(5)
+POOL = [0, -1, 3, 10**50, 2.5, "z", "", None, F2, F5, F5.one, sdconv.Poly.z(F5),
+        sdconv.parse_matrix(F2, "1,1"), sdconv.ConvolutionalCode(sdconv.parse_matrix(F5, "1,2")),
+        [1, 0], (sdconv.Poly.z(F2),)]
+
+
+class Late(Exception):
+    pass
+
+
+def late(*_):
+    raise Late
+
+
+signal.signal(signal.SIGALRM, late)
+bare, slow, calls = [], [], 0
+for name in sdconv.__all__:
+    door = getattr(sdconv, name)
+    try:
+        params = inspect.signature(door).parameters.values()
+    except (TypeError, ValueError):
+        continue
+    required = [p for p in params if p.default is p.empty and p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
+    if len(required) > 2:
+        continue
+    for args in itertools.product(range(len(POOL)), repeat=len(required)):
+        calls += 1
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        try:
+            door(*[POOL[i] for i in args])
+        except SdconvError:
+            pass
+        except Late:
+            slow.append([name, args])
+        except Exception as exc:
+            bare.append([name, args, type(exc).__name__])
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+print(json.dumps({"calls": calls, "bare": bare, "slow": slow}))
+"""
+
+
+def test_every_public_call_ends_in_a_result_or_a_typed_error_in_time():
+    proc, _ = run_capped(["-c", TABLE_SCRIPT], seconds=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["calls"] > 1000
+    assert result["bare"] == [] and result["slow"] == []
