@@ -15,9 +15,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .codes import ConvolutionalCode, DistanceReport, STATUS_EXACT, check_search_size, iter_bounded_polys
+from .codes import ConvolutionalCode, DistanceReport, STATUS_EXACT, iter_bounded_polys
 from .errors import MalformedInput, NotBinary, NotSelfDual, NotTriangularPattern, OutOfRange
-from .fields import FieldSpec, _as_int, make_field, sqrt_of_minus_one
+from .fields import FieldSpec, _as_int, check_search_size, make_field, sqrt_of_minus_one
 from .matrices import PolyMatrix, _as_matrix, format_matrix
 from .polys import Poly, gcd
 

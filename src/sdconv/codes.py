@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import DimensionMismatch, OutOfRange, RankDeficient, SearchSpaceTooLarge
-from .fields import _Words, _as_field, _as_int
+from .fields import MAX_CANDIDATES, _Words, _as_field, _as_int, check_search_size
 from .matrices import (
     PolyMatrix,
     _as_matrix,
@@ -31,11 +31,6 @@ from .polys import Poly, _poly, as_poly_vector, dot
 
 STATUS_EXACT = "exact-under-bound"
 STATUS_UPPER = "upper-bound"
-# check_search_size refuses a search over more candidates than this: the
-# messages of free_distance, the polynomials and pairs classify enumerates,
-# and, before any is built, the d_free messages of the double-diagonal codes.
-MAX_CANDIDATES = 1 << 22
-
 
 @dataclass(frozen=True)
 class DistanceReport:
@@ -243,13 +238,6 @@ class ConvolutionalCode:
 
     def __repr__(self):
         return f"ConvolutionalCode({self.generator!r})"
-
-
-def check_search_size(base: int, exp: int) -> None:
-    """Refuses a search over base^exp candidates above MAX_CANDIDATES,
-    without computing a power far above the cap."""
-    if base > 1 and (exp >= MAX_CANDIDATES.bit_length() or base**exp > MAX_CANDIDATES):
-        raise SearchSpaceTooLarge(f"{base}^{exp} candidates exceed the cap of {MAX_CANDIDATES}")
 
 
 def iter_bounded_polys(spec, max_deg: int) -> list[Poly]:

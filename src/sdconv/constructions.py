@@ -151,21 +151,13 @@ def _as_steps(steps) -> list[tuple[PolyMatrix, object, PolyMatrix]]:
 
 
 def _is_permutation(m: PolyMatrix) -> bool:
+    """A square matrix is a permutation matrix iff its rows, as a multiset,
+    are the rows of the identity."""
     if m.rows != m.cols:
         return False
-    one, zero = Poly.one(m.spec), Poly.zero(m.spec)
-    col_hits = [0] * m.cols
-    for row in m.entries:
-        row_hits = 0
-        for j, e in enumerate(row):
-            if e == one:
-                row_hits += 1
-                col_hits[j] += 1
-            elif e != zero:
-                return False
-        if row_hits != 1:
-            return False
-    return all(h == 1 for h in col_hits)
+    one = (m.spec.one.code,)
+    unit = [tuple(one if j == i else () for j in range(m.cols)) for i in range(m.rows)]
+    return sorted(tuple(e.codes for e in row) for row in m.entries) == sorted(unit)
 
 
 def building_up(

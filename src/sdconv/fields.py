@@ -82,6 +82,11 @@ MAX_FIELD_SIZE = 1 << 16
 MAX_EXPONENT = 1 << 10
 # Longest decimal coefficient the text parsers accept: the int() default.
 MAX_COEFFICIENT_DIGITS = 4300
+# check_search_size refuses a search over more candidates than this: the
+# messages of free_distance, the polynomials and pairs classify enumerates,
+# and, before any is built, the d_free messages of the double-diagonal codes.
+# A matrix with more rows, columns or entries than this is refused too.
+MAX_CANDIDATES = 1 << 22
 # make_field keeps this many of the fields it used most recently, and every
 # field still referenced, by (p, l, modulus) and by each request that found
 # it, such as (p, l, None).  _FIELDS_LOCK guards the two dicts only: a field
@@ -490,6 +495,13 @@ def make_field(p: int, l: int = 1, modulus: Optional[Iterable[int]] = None) -> F
     if p > MAX_FIELD_SIZE or l > MAX_FIELD_SIZE.bit_length() or p**l > MAX_FIELD_SIZE:
         raise SearchSpaceTooLarge(f"field size {p}^{l} exceeds supported maximum {MAX_FIELD_SIZE}")
     return _build_field(p, l, modulus)
+
+
+def check_search_size(base: int, exp: int) -> None:
+    """Refuses a search over base^exp candidates above MAX_CANDIDATES,
+    without computing a power far above the cap."""
+    if base > 1 and (exp >= MAX_CANDIDATES.bit_length() or base**exp > MAX_CANDIDATES):
+        raise SearchSpaceTooLarge(f"{base}^{exp} candidates exceed the cap of {MAX_CANDIDATES}")
 
 
 def _as_int(what: str, v) -> int:

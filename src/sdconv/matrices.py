@@ -58,9 +58,10 @@ from .errors import (
     OutOfRange,
     RankDeficient,
     ParseError,
+    SearchSpaceTooLarge,
     ShapeUnsupported,
 )
-from .fields import FieldSpec, _as_field, _as_int, _as_text
+from .fields import MAX_CANDIDATES, FieldSpec, _as_field, _as_int, _as_text
 from .polys import (
     Poly, _divmod_codes, _entries, _field_of, _hermite_core, _mul_into, _poly, _sub_mul_row,
     as_poly_vector, dot, format_poly, parse_poly,
@@ -87,6 +88,7 @@ class PolyMatrix:
             raise OutOfRange(f"negative column count {cols}")
         else:
             width = cols or 0
+            _check_shape(0, width)
         self.spec = spec
         self.rows = len(grid)
         self.cols = width
@@ -107,23 +109,24 @@ class PolyMatrix:
 
     @classmethod
     def identity(cls, spec: FieldSpec, n: int) -> "PolyMatrix":
-        n = _as_int("n", n)
+        spec, n = _as_field(spec), _as_int("n", n)
         if n < 0:
             raise OutOfRange(f"negative column count {n}")
         return _matrix(spec, _unit_rows(spec, n), n)
 
     @classmethod
     def zeros(cls, spec: FieldSpec, rows: int, cols: int) -> "PolyMatrix":
-        rows, cols = _as_int("rows", rows), _as_int("cols", cols)
+        spec, rows, cols = _as_field(spec), _as_int("rows", rows), _as_int("cols", cols)
         if rows < 0 or cols < 0:
             raise OutOfRange(f"negative shape {rows}x{cols}")
-        zero = Poly.zero(spec)
-        return cls(spec, [[zero] * cols for _ in range(rows)], cols=cols)
+        _check_shape(rows, cols)
+        return cls._of(spec, ((Poly.zero(spec),) * cols,) * rows, cols)
 
     def row(self, i: int) -> tuple[Poly, ...]:
-        return self.entries[i]
+        return self.entries[_index("row index", i, self.rows)]
 
     def column(self, j: int) -> tuple[Poly, ...]:
+        j = _index("column index", j, self.cols)
         return tuple(r[j] for r in self.entries)
 
     def transpose(self) -> "PolyMatrix":
@@ -166,6 +169,21 @@ class PolyMatrix:
 
     def __repr__(self):
         return f"PolyMatrix({format_matrix(self)!r}, {self.spec!r})"
+
+
+def _check_shape(rows: int, cols: int) -> None:
+    """Refuses, before it is built, a matrix with more than MAX_CANDIDATES
+    rows, columns or entries."""
+    if rows > MAX_CANDIDATES or cols > MAX_CANDIDATES or rows * cols > MAX_CANDIDATES:
+        raise SearchSpaceTooLarge(f"a {rows}x{cols} matrix exceeds the cap of {MAX_CANDIDATES} entries")
+
+
+def _index(what: str, i, size: int) -> int:
+    """``i`` as an index in [0, size), else OutOfRange."""
+    i = _as_int(what, i)
+    if not 0 <= i < size:
+        raise OutOfRange(f"{what} index {i} is not in [0, {size})")
+    return i
 
 
 def _as_matrix(matrix, wide: bool = False) -> PolyMatrix:
@@ -223,7 +241,8 @@ def _matrix(spec: FieldSpec, grid: Sequence[Sequence[list]], cols: int) -> "Poly
 
 
 def _unit_rows(spec: FieldSpec, m: int) -> list:
-    """The code grid of I_m."""
+    """The code grid of I_m, refused above MAX_CANDIDATES entries."""
+    _check_shape(m, m)
     one = spec.one.code
     return [[[one] if i == j else [] for j in range(m)] for i in range(m)]
 

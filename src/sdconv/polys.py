@@ -30,9 +30,10 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence, Union
 
-from .errors import DimensionMismatch, DivisionByZero, FieldMismatch, OutOfRange
+from .errors import DimensionMismatch, DivisionByZero, FieldMismatch, OutOfRange, SearchSpaceTooLarge
 from .fields import (
-    FieldElement, FieldSpec, _as_field, _as_int, _as_text, _element_code, _format_terms, _parse_terms,
+    MAX_EXPONENT, FieldElement, FieldSpec, _as_field, _as_int, _as_text, _element_code, _format_terms,
+    _parse_terms,
 )
 
 NEG_INF = float("-inf")
@@ -120,6 +121,9 @@ class Poly:
         n = _as_int("exponent", n)
         if n < 0:
             raise OutOfRange("negative polynomial power")
+        # the cap of the text parsers' z^e, on the result's degree n * deg
+        if len(self.codes) > 1 and n > MAX_EXPONENT // (len(self.codes) - 1):
+            raise SearchSpaceTooLarge(f"the power's degree exceeds the cap of {MAX_EXPONENT}")
         out = Poly.one(self.spec)
         base = self
         while n:

@@ -223,6 +223,37 @@ def test_a_request_is_parsed_once_per_parser_level(capsys, monkeypatch, argv, ca
     assert len(seen) == calls, seen
 
 
+def _leaf_parsers(parser):
+    """The parsers under ``parser`` that have no subcommands of their own."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return [parser]
+    return [leaf for a in subs for p in a.choices.values() for leaf in _leaf_parsers(p)]
+
+
+def test_every_leaf_parser_carries_its_handler():
+    from sdconv import cli
+
+    root, commands = cli._build_parser()
+    leaves = _leaf_parsers(root)
+    assert len(leaves) == 12
+    assert all(callable(p.get_default("run")) for p in leaves), [p.prog for p in leaves]
+    assert len({p.get_default("run") for p in leaves}) == len(leaves)
+    assert sorted(commands) == ["check", "classify", "complete", "construct", "distance", "dual", "hermite", "smith"]
+
+
+@pytest.mark.parametrize(
+    "command, dest, choices",
+    [("construct", "construction", "direct-sum,building-up,orthogonal-chain"),
+     ("classify", "family", "two-one,four-two,double-diagonal")],
+)
+def test_a_command_without_its_family_names_the_missing_argument(capsys, command, dest, choices):
+    assert run(capsys, command) == (2, "", (
+        f"usage: sdconv {command} [-h] {{{choices}}} ...\n"
+        f"sdconv {command}: error: the following arguments are required: {dest}\n"
+    ))
+
+
 def test_unknown_flag_exits_2(capsys):
     assert main(["check", "--bogus", "1,1"]) == 2
 

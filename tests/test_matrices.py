@@ -106,6 +106,16 @@ def test_empty_shapes_survive_transpose_and_products():
     assert empty.transpose() @ empty == PolyMatrix.zeros(F2, 2, 2)
 
 
+def test_row_and_column_take_an_index_in_range_only():
+    m = M(F2, "1,z,0 ; 0,1,z+1")
+    assert m.row(1) == (Poly.zero(F2), Poly.one(F2), Poly.z(F2) + 1)
+    assert m.column(1) == (Poly.z(F2), Poly.one(F2))
+    for call in (lambda: m.row(-1), lambda: m.row(2), lambda: m.row(10**50), lambda: m.row("z"),
+                 lambda: m.column(-1), lambda: m.column(3), lambda: m.column("z"), lambda: m.column(1.0)):
+        with pytest.raises(OutOfRange):
+            call()
+
+
 def test_empty_dot_raises_a_typed_error():
     with pytest.raises(DimensionMismatch):
         dot([], [])

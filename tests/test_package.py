@@ -149,9 +149,12 @@ def test_a_value_of_the_wrong_kind_at_a_door_is_a_typed_error(door, value):
 
 
 # Every callable of __all__ with at most two required positional arguments,
-# called with every tuple of values from a small pool, each under a 1 s
-# alarm; prints the calls that ended in an exception other than an
-# SdconvError, and those that ran past the alarm.
+# and every public method of the pool's sdconv values, with __pow__,
+# __divmod__ and __matmul__, with at most three (PolyMatrix.zeros takes
+# three; the classmethods Poly.zero/one/z and PolyMatrix.identity/zeros come
+# with the pool's Poly and PolyMatrix), called with every tuple of values
+# from a small pool, each under a 1 s alarm; prints the calls that ended in
+# an exception other than an SdconvError, and those that ran past the alarm.
 TABLE_SCRIPT = """
 import inspect, itertools, json, signal
 import sdconv
@@ -161,6 +164,14 @@ F2, F5 = sdconv.make_field(2), sdconv.make_field(5)
 POOL = [0, -1, 3, 10**50, 2.5, "z", "", None, F2, F5, F5.one, sdconv.Poly.z(F5),
         sdconv.parse_matrix(F2, "1,1"), sdconv.ConvolutionalCode(sdconv.parse_matrix(F5, "1,2")),
         [1, 0], (sdconv.Poly.z(F2),)]
+DOORS = [(name, getattr(sdconv, name), 2) for name in sdconv.__all__]
+DOORS += [
+    (f"{type(value).__name__}.{name}", getattr(value, name), 3)
+    for value in POOL if type(value).__module__.startswith("sdconv")
+    for name in dir(value)
+    if (not name.startswith("_") or name in ("__pow__", "__divmod__", "__matmul__"))
+    and callable(getattr(value, name))
+]
 
 
 class Late(Exception):
@@ -173,14 +184,13 @@ def late(*_):
 
 signal.signal(signal.SIGALRM, late)
 bare, slow, calls = [], [], 0
-for name in sdconv.__all__:
-    door = getattr(sdconv, name)
+for name, door, most in DOORS:
     try:
         params = inspect.signature(door).parameters.values()
     except (TypeError, ValueError):
         continue
     required = [p for p in params if p.default is p.empty and p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
-    if len(required) > 2:
+    if len(required) > most:
         continue
     for args in itertools.product(range(len(POOL)), repeat=len(required)):
         calls += 1
@@ -197,6 +207,38 @@ for name in sdconv.__all__:
             signal.setitimer(signal.ITIMER_REAL, 0)
 print(json.dumps({"calls": calls, "bare": bare, "slow": slow}))
 """
+
+
+# Matrices too large to build, each to be refused with SearchSpaceTooLarge
+# before anything of its size is allocated; the child prints each outcome,
+# then the shapes of two matrices at the cap.
+SHAPE_SCRIPT = """
+import sdconv
+F5 = sdconv.make_field(5)
+BIG = [
+    lambda: sdconv.PolyMatrix.identity(F5, 10**6),
+    lambda: sdconv.PolyMatrix.zeros(F5, 10**50, 1),
+    lambda: sdconv.PolyMatrix.zeros(F5, 3, 10**50),
+    lambda: sdconv.PolyMatrix.zeros(F5, 3000, 3000),
+    lambda: sdconv.PolyMatrix(F5, [], cols=10**50).transpose(),
+    lambda: sdconv.ConvolutionalCode(sdconv.PolyMatrix(F5, [], cols=10**12)).dual(),
+    lambda: sdconv.smith(sdconv.PolyMatrix(F5, [[1] * 3000])),
+]
+for call in BIG:
+    try:
+        call()
+        print("result")
+    except Exception as exc:
+        print(type(exc).__name__)
+print(sdconv.PolyMatrix.zeros(F5, 2048, 2048).rows, sdconv.PolyMatrix(F5, [], cols=2048).cols)
+"""
+
+
+def test_a_matrix_past_the_size_cap_is_refused_before_it_is_built():
+    proc, cpu_s = run_capped(["-c", SHAPE_SCRIPT], seconds=20)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == ["SearchSpaceTooLarge"] * 7 + ["2048 2048", ""]
+    assert cpu_s < 2.0
 
 
 def test_every_public_call_ends_in_a_result_or_a_typed_error_in_time():

@@ -398,6 +398,18 @@ def test_leading_zeros_do_not_count_against_the_exponent_cap():
         parse_poly(F2, "z^" + "0" * 4300 + "1")
 
 
+def test_a_power_is_refused_when_its_degree_passes_the_exponent_cap():
+    z = Poly.z(F2)
+    assert (z * z + 1) ** 512 == parse_poly(F2, "z^1024+1")
+    for base, n in ((z, 1025), (z * z, 513), (z + 1, 1025), (Poly.z(F5), 10**50)):
+        with pytest.raises(SearchSpaceTooLarge):
+            base ** n
+    # a constant's powers have degree 0 for any exponent
+    assert Poly.one(F5) ** 10**50 == Poly.one(F5)
+    assert Poly(F5, (2,)) ** (10**50 + 1) == Poly(F5, (2,))  # 2^4 = 1 in GF(5)
+    assert Poly.zero(F5) ** 10**50 == Poly.zero(F5)
+
+
 @pytest.mark.parametrize("spec", [F2, F4, F5, F9, F16, F256])
 def test_format_parse_roundtrip(spec):
     @settings(max_examples=150)
